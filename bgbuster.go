@@ -443,7 +443,8 @@ func NewFleetCoordinator(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) 
 
 // FleetTakeOver rebuilds a coordinator from the replicated stores'
 // fleet meta record and fences the predecessor out at a higher epoch —
-// the standby side of coordinator failover (DESIGN.md §17).
+// the acquisition step an elected candidate runs at its lease epoch
+// (DESIGN.md §17, §18).
 func FleetTakeOver(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) {
 	return fleet.TakeOver(cfg)
 }

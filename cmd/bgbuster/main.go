@@ -16,7 +16,7 @@
 //	                   [-join coord] [-advertise addr] [-drain-on-sigterm]
 //	bgbuster serve     [-listen addr] -shards a,b,... [-vnodes N] [-checkpoint-dir d1,d2,...] [-replicate-every dur]
 //	                   [-replicas N] [-write-quorum W] [-probe-every dur]
-//	                   [-standby -watch addr [-watch-every dur]]
+//	                   [-autopilot [-elect [-candidate-id id] [-lease-ttl dur]]]
 //	bgbuster stats     [-addr coord] [-v]
 //
 // live drives the concurrent session layer (internal/session): it
@@ -50,10 +50,10 @@
 // the sessions whose hash arcs move; -drain-on-sigterm asks the fleet
 // to migrate its sessions away before exiting. serve accepts multiple
 // -checkpoint-dir directories as quorum replicas (-replicas/-write-
-// quorum), health-probes shards (-probe-every), and with -standby
-// runs as a warm spare that watches the primary and takes over with a
-// higher fencing epoch when it dies. stats prints a running fleet's
-// counters and per-shard health table.
+// quorum), health-probes shards (-probe-every), and with -elect waits
+// for the coordinator lease, then takes the fleet over at the lease's
+// fencing epoch, so a dead leader's successor fences it out. stats
+// prints a running fleet's counters and per-shard health table.
 package main
 
 import (

@@ -94,7 +94,14 @@ type testShard struct {
 // startShard boots one worker shard on a loopback port.
 func startShard(t *testing.T) *testShard {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return startShardAt(t, "127.0.0.1:0")
+}
+
+// startShardAt boots a worker shard on addr — a killed shard's address
+// restarts "the same process" with empty state.
+func startShardAt(t *testing.T, addr string) *testShard {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,5 @@
 package fleet
 
-import (
-	"sort"
-)
-
 // Load sampling (DESIGN.md §18). The rebalancer plans on per-shard
 // load rows — session count, summed stream footprint, feed-latency
 // EWMA — gathered here. Sampling is deliberately passive: it uses
@@ -19,44 +15,28 @@ import (
 // DOWN/? rows.
 func (c *Coordinator) Loads() []ShardLoad {
 	c.mu.Lock()
-	members := append([]string(nil), c.members...)
-	down := make(map[string]bool, len(c.down))
-	for a := range c.down {
-		down[a] = true
-	}
-	states := make(map[string]uint8, len(members))
-	for _, a := range members {
-		st := HealthDown
-		if h, ok := c.health[a]; ok && !c.down[a] {
-			st = h.state
+	var rows []ShardLoad
+	for _, a := range c.membersLocked() {
+		s := c.shards[a]
+		row := ShardLoad{Addr: a, State: uint8(s.health), Weight: uint16(s.weight)}
+		if s.role == roleDown {
+			row.Err = "down"
 		}
-		states[a] = uint8(st)
-	}
-	weights := make(map[string]int, len(c.weights))
-	for a, w := range c.weights {
-		weights[a] = w
+		rows = append(rows, row)
 	}
 	c.mu.Unlock()
-	sort.Strings(members)
 
-	rows := make([]ShardLoad, 0, len(members))
-	for _, addr := range members {
-		row := ShardLoad{Addr: addr, State: states[addr], Weight: uint16(clampWeight(weights[addr]))}
-		if down[addr] {
-			row.Err = "down"
-			rows = append(rows, row)
+	for i := range rows {
+		row := &rows[i]
+		if row.Err != "" {
 			continue
 		}
-		sample, err := c.sampleShard(addr)
+		sample, err := c.sampleShard(row.Addr)
 		if err != nil {
 			row.Err = err.Error()
-			rows = append(rows, row)
 			continue
 		}
-		row.Mem = sample.Mem
-		row.FeedMicros = sample.FeedMicros
-		row.Sess = sample.Sess
-		rows = append(rows, row)
+		row.Mem, row.FeedMicros, row.Sess = sample.Mem, sample.FeedMicros, sample.Sess
 	}
 	return rows
 }
