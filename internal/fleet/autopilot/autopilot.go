@@ -138,9 +138,15 @@ func (a *Autopilot) logf(format string, args ...any) {
 	}
 }
 
-// leading reports whether policy passes may mutate the fleet: always
-// true without an elector, otherwise only while the lease is held.
+// leading reports whether policy passes may mutate the fleet: never
+// on a deposed coordinator (even once its elector wins the lease back —
+// a deposed coordinator's routed ids are stale, and its scrubber would
+// sweep live checkpoints), otherwise always without an elector and
+// only while the lease is held with one.
 func (a *Autopilot) leading() bool {
+	if a.coord.Deposed() {
+		return false
+	}
 	if a.cfg.Elector == nil {
 		return true
 	}

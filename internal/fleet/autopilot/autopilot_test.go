@@ -684,3 +684,47 @@ func TestDeposedCoordinatorFenced(t *testing.T) {
 		t.Fatalf("successor feed: %v", err)
 	}
 }
+
+// TestDeposedCoordinatorRunsNoPolicy: once its coordinator is deposed,
+// the autopilot runs no policy pass even while its elector holds the
+// lease (won back before the caller stopped serving) — the deposed
+// coordinator's routed ids are stale, and a scrub would sweep the
+// checkpoints of sessions its successor opened.
+func TestDeposedCoordinatorRunsNoPolicy(t *testing.T) {
+	s0 := bootShard(t, "")
+	qs, err := session.NewQuorumStore([]session.CheckpointStore{session.NewMemStore(), session.NewMemStore()}, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := faultinject.NewFakeClock(time.Unix(1_754_600_000, 0))
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{Shards: []string{s0.addr}, Store: qs, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	e := newTestElector(t, qs, clk, "coord-1", nil, nil)
+	if err := e.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	ap, err := New(Config{Coordinator: coord, Elector: e, Clock: clk, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap.Close()
+	if _, err := ap.ScrubOnce(); err != nil {
+		t.Fatalf("scrub while leading: %v", err)
+	}
+	coord.Depose()
+	if ok, _ := e.Leading(); !ok {
+		t.Fatal("elector lost the lease")
+	}
+	if _, err := ap.ScrubOnce(); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("scrub on a deposed coordinator = %v, want ErrNotLeader", err)
+	}
+	if _, err := ap.PlanOnce(); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("plan on a deposed coordinator = %v, want ErrNotLeader", err)
+	}
+	if _, _, err := ap.ReadmitOnce(); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("readmit on a deposed coordinator = %v, want ErrNotLeader", err)
+	}
+}
