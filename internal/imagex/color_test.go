@@ -114,3 +114,56 @@ func TestMeanLuminanceUniformInvariant(t *testing.T) {
 		}
 	}
 }
+
+// refToHSV is the textbook conversion ToHSV must reproduce bit for bit:
+// float channels, float max/min, seven divisions and math.Mod on the
+// red-max branch.
+func refToHSV(c RGB) HSV {
+	r := float64(c.R) / 255
+	g := float64(c.G) / 255
+	b := float64(c.B) / 255
+	maxC := math.Max(r, math.Max(g, b))
+	minC := math.Min(r, math.Min(g, b))
+	delta := maxC - minC
+
+	var h float64
+	switch {
+	case delta == 0:
+		h = 0
+	case maxC == r:
+		h = 60 * math.Mod((g-b)/delta, 6)
+	case maxC == g:
+		h = 60 * ((b-r)/delta + 2)
+	default:
+		h = 60 * ((r-g)/delta + 4)
+	}
+	if h < 0 {
+		h += 360
+	}
+
+	s := 0.0
+	if maxC > 0 {
+		s = delta / maxC
+	}
+	return HSV{H: h, S: s, V: maxC}
+}
+
+// TestToHSVExhaustive compares ToHSV with refToHSV on all 2^24 colours,
+// component by component as float64 bits.
+func TestToHSVExhaustive(t *testing.T) {
+	bad := 0
+	for v := 0; v < 1<<24; v++ {
+		c := RGB{uint8(v >> 16), uint8(v >> 8), uint8(v)}
+		got, want := c.ToHSV(), refToHSV(c)
+		if math.Float64bits(got.H) != math.Float64bits(want.H) ||
+			math.Float64bits(got.S) != math.Float64bits(want.S) ||
+			math.Float64bits(got.V) != math.Float64bits(want.V) {
+			if bad++; bad <= 5 {
+				t.Errorf("ToHSV(%v) = %+v, want %+v", c, got, want)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d colours differ", bad)
+	}
+}
