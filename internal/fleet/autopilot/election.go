@@ -26,6 +26,10 @@ const LeaseKey = "__fleet_lease__"
 // coordinator lease.
 var ErrNotLeader = errors.New("autopilot: not the lease holder")
 
+// errLeaseRead marks a lease read that failed in the store, as opposed
+// to a missing or corrupt record.
+var errLeaseRead = errors.New("autopilot: read lease")
+
 var leaseMagic = [4]byte{'B', 'B', 'L', 'S'}
 
 const (
@@ -227,9 +231,13 @@ func (e *Elector) renew(term uint64) error {
 
 // contend claims a vacant or expired lease: write our record with a
 // bumped term and epoch, wait Settle, and re-read — last writer wins,
-// everyone else sees the winner and backs off.
+// everyone else sees the winner and backs off. A lease the store
+// fails to read is returned as an error, and nothing is written.
 func (e *Elector) contend() error {
 	cur, err := e.readLease()
+	if errors.Is(err, errLeaseRead) {
+		return err
+	}
 	now := e.clock.Now()
 	if err == nil && cur.Holder != "" && cur.Expires > now.UnixNano() && cur.Holder != e.cfg.ID {
 		return nil // a live leader exists; follow
@@ -268,12 +276,17 @@ func (e *Elector) contend() error {
 }
 
 // readLease loads and decodes the stored record. A missing record is
-// (Lease{}, nil) — vacancy, not failure; a corrupt record is an error
-// the contender treats as vacancy (the scrubber repairs or sweeps it).
+// (Lease{}, nil) — vacancy, not failure. A failed read wraps
+// errLeaseRead: the record may name a live leader, so the contender
+// must not treat it as vacant. A corrupt record is a decode error the
+// contender treats as vacancy (the scrubber repairs or sweeps it).
 func (e *Elector) readLease() (Lease, error) {
 	b, err := e.cfg.Store.Load(LeaseKey)
-	if err != nil {
+	if session.IsMissing(err) {
 		return Lease{}, nil
+	}
+	if err != nil {
+		return Lease{}, fmt.Errorf("%w: %w", errLeaseRead, err)
 	}
 	return DecodeLease(b)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"sort"
 
 	"github.com/bgbuster/bgbuster/internal/session"
@@ -279,26 +278,6 @@ func VerifyMeta(b []byte) error {
 	return err
 }
 
-// missing reports whether a store Load error says the key does not
-// exist. A joined error (a quorum store's per-replica failures) is
-// missing only when every replica says so.
-func missing(err error) bool {
-	switch e := err.(type) {
-	case nil:
-		return false
-	case interface{ Unwrap() []error }:
-		for _, r := range e.Unwrap() {
-			if !missing(r) {
-				return false
-			}
-		}
-		return true
-	case interface{ Unwrap() error }:
-		return missing(e.Unwrap())
-	}
-	return errors.Is(err, fs.ErrNotExist)
-}
-
 // saveMeta persists the coordinator's current epoch, membership, and
 // session specs into the store — the breadcrumb a successor takes over
 // from. A draining shard is listed as a member, so a successor scans
@@ -370,7 +349,7 @@ func TakeOver(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	blob, err := store.Load(MetaKey)
-	if missing(err) {
+	if session.IsMissing(err) {
 		return nil, fmt.Errorf("%w: %v", ErrNoMeta, err)
 	}
 	if err != nil {

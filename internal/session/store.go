@@ -2,7 +2,9 @@ package session
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,6 +26,27 @@ type CheckpointStore interface {
 	// Delete removes a session's checkpoint; deleting a missing id is
 	// not an error.
 	Delete(id string) error
+}
+
+// IsMissing reports whether a store Load error says the key does not
+// exist. A joined error (a quorum store's per-replica failures) is
+// missing only when every replica says so; any other failure means the
+// record may exist and must not be read as absent.
+func IsMissing(err error) bool {
+	switch e := err.(type) {
+	case nil:
+		return false
+	case interface{ Unwrap() []error }:
+		for _, r := range e.Unwrap() {
+			if !IsMissing(r) {
+				return false
+			}
+		}
+		return true
+	case interface{ Unwrap() error }:
+		return IsMissing(e.Unwrap())
+	}
+	return errors.Is(err, fs.ErrNotExist)
 }
 
 // checkpointExt is the on-disk suffix of DirStore entries.
