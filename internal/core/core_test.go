@@ -116,7 +116,7 @@ func TestDeriveUnknownImageRecoversVB(t *testing.T) {
 	for i := 0; i < d.Known.Len(); i++ {
 		if d.Known.GetI(i) && res.Components[20].VB.GetI(i) {
 			checked++
-			if within(d.Img.Pix[i], vb.Pix[i], 10) {
+			if imagex.WithinTol(d.Img.Pix[i], vb.Pix[i], 10) {
 				match++
 			}
 		}
@@ -246,7 +246,7 @@ func TestReconstructKnownImagePrecision(t *testing.T) {
 	good, total := 0, 0
 	rec.Coverage.ForEachSet(func(i int) {
 		total++
-		if within(rec.Recovered.Pix[i], res.Raw.Frames[len(res.Raw.Frames)-1].Pix[i], 30) {
+		if imagex.WithinTol(rec.Recovered.Pix[i], res.Raw.Frames[len(res.Raw.Frames)-1].Pix[i], 30) {
 			good++
 		}
 	})

@@ -509,11 +509,11 @@ func EstimatePhi(blended, raw, vb *imagex.Image, tol int) (int, error) {
 	if !blended.SameSize(raw) || !blended.SameSize(vb) {
 		return 0, fmt.Errorf("core: estimate phi: geometry mismatch: %w", imagex.ErrBounds)
 	}
-	band := imagex.BuildMask(blended.W, blended.H, func(i int) bool {
-		pureRaw := within(blended.Pix[i], raw.Pix[i], tol)
-		pureVB := within(blended.Pix[i], vb.Pix[i], tol)
-		return !pureRaw && !pureVB
-	})
+	// The band is every pixel that is neither pure raw frame nor pure
+	// virtual image.
+	band := imagex.MatchMaskInto(nil, blended, raw, tol)
+	_ = band.Union(imagex.MatchMaskInto(nil, blended, vb, tol)) // same geometry, checked above
+	band.Invert()
 	if band.Count() == 0 {
 		return 0, nil
 	}

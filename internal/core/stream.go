@@ -433,7 +433,7 @@ func (s *StreamReconstructor) updateDerivation(frame *imagex.Image) {
 			known := s.localKnown.Word(y, wx)
 			var commit uint64
 			for b := 0; b < n; b++ {
-				if within(pp[i], cp[i], tol) {
+				if imagex.WithinTol(pp[i], cp[i], tol) {
 					r := s.runLen[i]
 					if r < maxRunLen {
 						r++

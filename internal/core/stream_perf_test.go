@@ -227,7 +227,7 @@ func (r *refDerivation) update(frame *imagex.Image, tol, thr int) {
 	}
 	w := frame.W
 	for i, p := range frame.Pix {
-		if within(r.prev.Pix[i], p, tol) {
+		if imagex.WithinTol(r.prev.Pix[i], p, tol) {
 			r.runLen[i]++
 			if r.runLen[i] >= thr && !r.local.At(i%w, i/w) {
 				r.img.Pix[i] = p

@@ -141,7 +141,7 @@ func DeriveUnknownImage(v *vidstream.Video, threshold, tol int) (*DerivedImage, 
 		i := 0
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				if within(prev.Pix[i], now.Pix[i], tol) {
+				if imagex.WithinTol(prev.Pix[i], now.Pix[i], tol) {
 					runLen[i]++
 					if runLen[i] >= threshold && !out.Known.At(x, y) {
 						out.Img.Pix[i] = now.Pix[i]
@@ -221,7 +221,7 @@ func DeriveUnknownVideo(v *vidstream.Video, maxPeriod, tol int) (*DerivedVideo, 
 					// Compare successive repetitions of this phase.
 					for fi := phase + p; fi < v.Len(); fi += p {
 						total++
-						if within(v.Frames[fi].Pix[idx], v.Frames[fi-p].Pix[idx], tol) {
+						if imagex.WithinTol(v.Frames[fi].Pix[idx], v.Frames[fi-p].Pix[idx], tol) {
 							consistent++
 						}
 					}
@@ -279,9 +279,7 @@ func vbMaskKnownInto(dst *imagex.Mask, frame, vb *imagex.Image, tol int) *imagex
 		}
 		return imagex.NewMask(frame.W, frame.H)
 	}
-	return imagex.BuildMaskInto(dst, frame.W, frame.H, func(i int) bool {
-		return within(frame.Pix[i], vb.Pix[i], tol)
-	})
+	return imagex.MatchMaskInto(dst, frame, vb, tol)
 }
 
 // VBMaskDerived generates VBM against a partially derived virtual image,
@@ -299,25 +297,10 @@ func vbMaskDerivedInto(dst *imagex.Mask, frame *imagex.Image, d *DerivedImage, t
 		}
 		return imagex.NewMask(frame.W, frame.H)
 	}
-	m := imagex.BuildMaskInto(dst, frame.W, frame.H, func(i int) bool {
-		return within(frame.Pix[i], d.Img.Pix[i], tol)
-	})
+	m := imagex.MatchMaskInto(dst, frame, d.Img, tol)
 	// Matching is only meaningful at derived positions.
 	_ = m.Intersect(d.Known) // same geometry, checked above
 	return m
-}
-
-func within(a, b imagex.RGB, tol int) bool {
-	return absInt(int(a.R)-int(b.R)) <= tol &&
-		absInt(int(a.G)-int(b.G)) <= tol &&
-		absInt(int(a.B)-int(b.B)) <= tol
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func sampleEvenly(frames []*imagex.Image, n int) []*imagex.Image {

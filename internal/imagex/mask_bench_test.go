@@ -164,3 +164,25 @@ func BenchmarkMaskOpsBoundary(b *testing.B) {
 		m.Boundary()
 	}
 }
+
+// BenchmarkMatchMask builds one 320x240 VB match mask (the live
+// workloads' frame size) between a frame and a virtual image that
+// agree on about half the pixels.
+func BenchmarkMatchMask(b *testing.B) {
+	const w, h = 320, 240
+	r := rand.New(rand.NewSource(5))
+	frame, vb := New(w, h), New(w, h)
+	for i := range frame.Pix {
+		vb.Pix[i] = RGB{uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256))}
+		frame.Pix[i] = vb.Pix[i]
+		if r.Intn(2) == 0 {
+			frame.Pix[i].G ^= 0x40
+		}
+	}
+	dst := NewMask(w, h)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatchMaskInto(dst, frame, vb, 6)
+	}
+}

@@ -410,3 +410,47 @@ func maxI2(a, b int) int {
 	}
 	return b
 }
+
+// TestMatchMaskIntoMatchesWithinTol pins the branch-free match kernel
+// to BuildMask over the scalar WithinTol predicate, across edge-word
+// widths and tolerances from "nothing" (-1) to "everything" (255). The
+// destination starts with every word set, padding included, so the
+// kernel must overwrite all of it and leave the padding clear.
+func TestMatchMaskIntoMatchesWithinTol(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, w := range []int{1, 63, 64, 65, 160, 320} {
+		const h = 3
+		a, b := New(w, h), New(w, h)
+		for i := range a.Pix {
+			a.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
+			if rng.Intn(4) == 0 {
+				b.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
+				continue
+			}
+			jitter := func(c uint8) uint8 { return uint8(min(max(int(c)+rng.Intn(9)-4, 0), 255)) }
+			b.Pix[i] = RGB{jitter(a.Pix[i].R), jitter(a.Pix[i].G), jitter(a.Pix[i].B)}
+		}
+		for _, tol := range []int{-1, 0, 3, 255} {
+			want := BuildMask(w, h, func(i int) bool { return WithinTol(a.Pix[i], b.Pix[i], tol) })
+			dst := NewMask(w, h)
+			for i := range dst.words {
+				dst.words[i] = ^uint64(0)
+			}
+			got := MatchMaskInto(dst, a, b, tol)
+			if got != dst {
+				t.Fatalf("w=%d tol=%d: a correctly sized dst was not reused", w, tol)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("w=%d tol=%d: MatchMaskInto differs from BuildMask(WithinTol): %d vs %d bits",
+					w, tol, got.Count(), want.Count())
+			}
+			edge := edgeMask(w)
+			wpr := wordsPerRow(w)
+			for y := 0; y < h; y++ {
+				if got.words[y*wpr+wpr-1]&^edge != 0 {
+					t.Fatalf("w=%d tol=%d: padding bits set in row %d", w, tol, y)
+				}
+			}
+		}
+	}
+}

@@ -224,9 +224,16 @@ func TestBandFullness(t *testing.T) {
 	}
 }
 
-func TestBuildMaskIntoReusesAndOverwrites(t *testing.T) {
+func TestMatchMaskIntoReusesAndOverwrites(t *testing.T) {
+	a := New(21, 7)
+	b := New(21, 7)
+	for i := range b.Pix {
+		if i%3 != 0 {
+			b.Pix[i] = RGB{R: 9}
+		}
+	}
 	dst := NewFullMask(21, 7) // stale content must vanish
-	got := BuildMaskInto(dst, 21, 7, func(i int) bool { return i%3 == 0 })
+	got := MatchMaskInto(dst, a, b, 0)
 	if got != dst {
 		t.Fatal("right-sized dst not reused")
 	}
@@ -238,12 +245,12 @@ func TestBuildMaskIntoReusesAndOverwrites(t *testing.T) {
 	if got.Count() != countNaive(got) {
 		t.Fatal("padding bits set")
 	}
-	fresh := BuildMaskInto(nil, 5, 5, func(i int) bool { return true })
+	fresh := MatchMaskInto(nil, New(5, 5), New(5, 5), 0)
 	if fresh.Count() != 25 {
 		t.Fatal("nil dst not allocated")
 	}
-	resized := BuildMaskInto(dst, 8, 8, func(i int) bool { return false })
-	if resized == dst || resized.W != 8 {
+	resized := MatchMaskInto(dst, New(8, 8), NewFilled(8, 8, White), 0)
+	if resized == dst || resized.W != 8 || resized.Count() != 0 {
 		t.Fatal("mis-sized dst must be replaced")
 	}
 }

@@ -82,7 +82,7 @@ func Verify(rec *core.Reconstruction, trueBackground *imagex.Image, tol int) (Ve
 	claimed, good := 0, 0
 	rec.Coverage.ForEachSet(func(i int) {
 		claimed++
-		if withinTol(rec.Recovered.Pix[i], trueBackground.Pix[i], tol) {
+		if imagex.WithinTol(rec.Recovered.Pix[i], trueBackground.Pix[i], tol) {
 			good++
 		}
 	})
@@ -96,19 +96,6 @@ func Verify(rec *core.Reconstruction, trueBackground *imagex.Image, tol int) (Ve
 		v.Precision = float64(good) / float64(claimed)
 	}
 	return v, nil
-}
-
-func withinTol(a, b imagex.RGB, tol int) bool {
-	return absInt(int(a.R)-int(b.R)) <= tol &&
-		absInt(int(a.G)-int(b.G)) <= tol &&
-		absInt(int(a.B)-int(b.B)) <= tol
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).

@@ -94,7 +94,7 @@ func ImpulseNoise(f *imagex.Image, tol int) float64 {
 					continue
 				}
 				isolated = true // has at least one neighbour to disagree with
-				if withinTolRGB(p, f.Pix[ny*w+nx], tol) {
+				if imagex.WithinTol(p, f.Pix[ny*w+nx], tol) {
 					isolated = false
 					break
 				}

@@ -176,7 +176,7 @@ func (v *Video) StablePixelCounts(tol int) ([]int, error) {
 	for i := 1; i < len(v.Frames); i++ {
 		prev, now := v.Frames[i-1], v.Frames[i]
 		for p := range now.Pix {
-			if withinTolRGB(prev.Pix[p], now.Pix[p], tol) {
+			if imagex.WithinTol(prev.Pix[p], now.Pix[p], tol) {
 				cur[p]++
 			} else {
 				cur[p] = 1
@@ -187,17 +187,4 @@ func (v *Video) StablePixelCounts(tol int) ([]int, error) {
 		}
 	}
 	return best, nil
-}
-
-func withinTolRGB(a, b imagex.RGB, tol int) bool {
-	return absInt(int(a.R)-int(b.R)) <= tol &&
-		absInt(int(a.G)-int(b.G)) <= tol &&
-		absInt(int(a.B)-int(b.B)) <= tol
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
