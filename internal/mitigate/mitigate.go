@@ -7,6 +7,7 @@ package mitigate
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/bgbuster/bgbuster/internal/compositor"
 	"github.com/bgbuster/bgbuster/internal/imagex"
@@ -46,9 +47,14 @@ func DynamicVB(cfg DynamicVBConfig, rng *rand.Rand) compositor.VBTransform {
 	if cfg.Kernel <= 0 {
 		cfg.Kernel = 8
 	}
+	// One transform serves calls composed in parallel, and rng is not
+	// safe for concurrent use: each frame takes its draws under mu.
+	var mu sync.Mutex
 	return func(vb, raw *imagex.Image, frameIdx int) *imagex.Image {
 		stats := localStats(raw, cfg.Kernel)
 		out := imagex.New(vb.W, vb.H)
+		mu.Lock()
+		defer mu.Unlock()
 		for y := 0; y < vb.H; y++ {
 			for x := 0; x < vb.W; x++ {
 				c := vb.At(x, y).ToHSV()
