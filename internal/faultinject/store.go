@@ -47,9 +47,9 @@ type StoreProfile struct {
 
 // StoreCounters tallies a FlakyStore's activity.
 type StoreCounters struct {
-	Saves, Loads, Lists, Deletes                                     uint64
+	Saves, Loads, Lists, Deletes                                             uint64
 	InjectedSaveErrs, InjectedLoadErrs, InjectedListErrs, InjectedDeleteErrs uint64
-	PartialWrites                                                    uint64
+	PartialWrites                                                            uint64
 }
 
 // Injected returns the total number of injected faults (errors plus

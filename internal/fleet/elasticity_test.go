@@ -738,7 +738,7 @@ type deadStore struct{}
 
 var errDeadStore = errors.New("replica store dead")
 
-func (deadStore) Save(string, []byte) error  { return errDeadStore }
+func (deadStore) Save(string, []byte) error   { return errDeadStore }
 func (deadStore) Load(string) ([]byte, error) { return nil, errDeadStore }
 func (deadStore) List() ([]string, error)     { return nil, errDeadStore }
 func (deadStore) Delete(string) error         { return errDeadStore }
@@ -1098,8 +1098,8 @@ func TestFleetElasticitySoak(t *testing.T) {
 	frames, sils := leakFrames(total)
 	s0, s1, s2, s3 := startShard(t), startShard(t), startShard(t), startShard(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Shards: []string{s0.addr, s1.addr, s2.addr},
-		Stores: []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()},
+		Shards:        []string{s0.addr, s1.addr, s2.addr},
+		Stores:        []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()},
 		ReplicaFactor: 2, WriteQuorum: 1,
 		Timeouts: Timeouts{Read: 5 * time.Second, Write: 5 * time.Second, Dial: 5 * time.Second},
 		Health:   fastHealth(),
