@@ -468,3 +468,56 @@ func TestReconstructClaimsAreMostlyTrueLeaks(t *testing.T) {
 		t.Fatalf("only %.0f%% of claims were genuine leaks", frac*100)
 	}
 }
+
+// TestColorRefineKernelsMatchNaive pins the word-level refinement
+// kernels to the per-pixel definition at word-edge widths: histQuant12
+// bumps exactly the VCM pixels' bins and counts them, and
+// dropRareColors clears exactly the pixels whose bin count is at most
+// the cut — a cut equal to a present bin's count tests the tie.
+func TestColorRefineKernelsMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	palette := []imagex.RGB{{R: 10, G: 200, B: 30}, {R: 250, G: 250, B: 250}, {R: 128, G: 64, B: 0}, {R: 17, G: 18, B: 19}}
+	for _, w := range []int{1, 63, 64, 65, 130} {
+		const h = 9
+		frame := imagex.New(w, h)
+		for i := range frame.Pix {
+			frame.Pix[i] = palette[rng.Intn(len(palette))]
+			if rng.Intn(5) == 0 {
+				frame.Pix[i] = imagex.RGB{R: uint8(rng.Intn(256)), G: uint8(rng.Intn(256)), B: uint8(rng.Intn(256))}
+			}
+		}
+		vcm := imagex.NewMask(w, h)
+		vcm.SetSpan(0, 0, w) // at least one whole row, i.e. full words
+		for i := 0; i < w*h; i++ {
+			if rng.Intn(3) != 0 {
+				vcm.SetI(i, true)
+			}
+		}
+		hist := make([]int, 4096)
+		for b := range hist {
+			hist[b] = rng.Intn(3)
+		}
+		want := append([]int(nil), hist...)
+		vcm.ForEachSet(func(p int) { want[quant12(frame.Pix[p])]++ })
+		if n := histQuant12(hist, frame, vcm); n != vcm.Count() {
+			t.Fatalf("w=%d: histQuant12 counted %d pixels, mask has %d", w, n, vcm.Count())
+		}
+		for b := range hist {
+			if hist[b] != want[b] {
+				t.Fatalf("w=%d: bin %d = %d, want %d", w, b, hist[b], want[b])
+			}
+		}
+
+		cut := hist[quant12(palette[0])]
+		kept := imagex.NewMask(w, h)
+		vcm.ForEachSet(func(p int) {
+			if hist[quant12(frame.Pix[p])] > cut {
+				kept.SetI(p, true)
+			}
+		})
+		dropRareColors(vcm, frame, hist, cut)
+		if !vcm.Equal(kept) {
+			t.Fatalf("w=%d: dropRareColors kept %d pixels, want %d", w, vcm.Count(), kept.Count())
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -439,14 +440,10 @@ func resolveVB(v *vidstream.Video, opts Options) (func(i int, f *imagex.Image) *
 // pixels are dropped from the VCM. Colors are quantised to 4 bits per
 // channel (4096 bins) to absorb sensor noise.
 //
-// Both passes fan out across frames. The histogram pass caches each
-// frame's quantised indices (in VCM set-bit order), so the drop pass
-// re-reads the cache instead of re-quantising every pixel; per-worker
-// histograms merge by addition, keeping the counts identical to a
-// serial accumulation.
+// Both passes fan out across frames; per-worker histograms merge by
+// addition, keeping the counts identical to a serial accumulation.
 func refineVCMsByColor(v *vidstream.Video, vcms []*imagex.Mask, threshold float64, workers int) {
 	n := v.Len()
-	qidx := make([][]uint16, n)
 	hists := make([][]int, 0, workers)
 	var histsMu sync.Mutex
 	forFrames(n, workers, func() func(i int) {
@@ -454,17 +451,7 @@ func refineVCMsByColor(v *vidstream.Video, vcms []*imagex.Mask, threshold float6
 		histsMu.Lock()
 		hists = append(hists, hist)
 		histsMu.Unlock()
-		return func(i int) {
-			f := v.Frames[i]
-			vcm := vcms[i]
-			qs := make([]uint16, 0, vcm.Count())
-			vcm.ForEachSet(func(p int) {
-				q := uint16(quant12(f.Pix[p]))
-				qs = append(qs, q)
-				hist[q]++
-			})
-			qidx[i] = qs
-		}
+		return func(i int) { histQuant12(hist, v.Frames[i], vcms[i]) }
 	})
 
 	hist := make([]int, 4096)
@@ -475,23 +462,48 @@ func refineVCMsByColor(v *vidstream.Video, vcms []*imagex.Mask, threshold float6
 			total += c
 		}
 	}
-	if total == 0 {
-		return
-	}
 	cut := int(threshold * float64(total))
 	forFrames(n, workers, func() func(i int) {
-		return func(i int) {
-			vcm := vcms[i]
-			qs := qidx[i]
-			k := 0
-			vcm.ForEachSet(func(p int) {
-				if hist[qs[k]] <= cut {
-					vcm.SetI(p, false)
-				}
-				k++
-			})
-		}
+		return func(i int) { dropRareColors(vcms[i], v.Frames[i], hist, cut) }
 	})
+}
+
+// histQuant12 adds the quant12 bin of every VCM pixel of frame to hist
+// and returns how many pixels it added.
+func histQuant12(hist []int, frame *imagex.Image, vcm *imagex.Mask) int {
+	n, wpr := 0, vcm.WordsPerRow()
+	for y := 0; y < vcm.H; y++ {
+		pix := frame.Pix[y*vcm.W:]
+		for j := 0; j < wpr; j++ {
+			w := vcm.Word(y, j)
+			n += bits.OnesCount64(w)
+			for ; w != 0; w &= w - 1 {
+				hist[quant12(pix[j<<6+bits.TrailingZeros64(w)])]++
+			}
+		}
+	}
+	return n
+}
+
+// dropRareColors clears every VCM pixel whose quant12 bin count in hist
+// is at most cut, one word at a time.
+func dropRareColors(vcm *imagex.Mask, frame *imagex.Image, hist []int, cut int) {
+	wpr := vcm.WordsPerRow()
+	for y := 0; y < vcm.H; y++ {
+		pix := frame.Pix[y*vcm.W:]
+		for j := 0; j < wpr; j++ {
+			var drop uint64
+			for w := vcm.Word(y, j); w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				if hist[quant12(pix[j<<6+b])] <= cut {
+					drop |= 1 << uint(b)
+				}
+			}
+			if drop != 0 {
+				vcm.AndNotWord(y, j, drop)
+			}
+		}
+	}
 }
 
 // quant12 maps a color to a 12-bit bin (4 bits per channel).

@@ -554,7 +554,12 @@ func (s *StreamReconstructor) processFrame(frame *imagex.Image, oracle *imagex.M
 		vcm = s.opts.Segmenter.Segment(frame, oracle)
 	}
 	if s.opts.ColorRefine {
-		s.refineOnline(frame, vcm)
+		// Colour refinement against the histogram accumulated so far.
+		if s.hist == nil {
+			s.hist = make([]int, 4096)
+		}
+		s.histTotal += histQuant12(s.hist, frame, vcm)
+		dropRareColors(vcm, frame, s.hist, int(s.opts.ColorFreqThreshold*float64(s.histTotal)))
 	}
 
 	// BBM includes VBM; LB is the complement of BBM ∪ VCM, built with
@@ -571,27 +576,6 @@ func (s *StreamReconstructor) processFrame(frame *imagex.Image, oracle *imagex.M
 	s.rec.LBFrames++
 	s.rec.LBBits += uint64(nbits)
 	s.retainLB(lb)
-}
-
-// refineOnline applies the color-based VCM correction using the
-// histogram accumulated so far.
-func (s *StreamReconstructor) refineOnline(frame *imagex.Image, vcm *imagex.Mask) {
-	if s.hist == nil {
-		s.hist = make([]int, 4096)
-	}
-	vcm.ForEachSet(func(p int) {
-		s.hist[quant12(frame.Pix[p])]++
-		s.histTotal++
-	})
-	if s.histTotal == 0 {
-		return
-	}
-	cut := int(s.opts.ColorFreqThreshold * float64(s.histTotal))
-	vcm.ForEachSet(func(p int) {
-		if s.hist[quant12(frame.Pix[p])] <= cut {
-			vcm.SetI(p, false)
-		}
-	})
 }
 
 // Snapshot returns the reconstruction accumulated so far. The returned

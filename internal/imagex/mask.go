@@ -222,6 +222,13 @@ func (m *Mask) OrWord(y, wx int, bits uint64) {
 	m.words[y*wpr+wx] |= bits
 }
 
+// AndNotWord clears the bits of packed word wx of row y that are set
+// in bits. It only ever clears, so the padding invariant holds for any
+// argument.
+func (m *Mask) AndNotWord(y, wx int, bits uint64) {
+	m.words[y*wordsPerRow(m.W)+wx] &^= bits
+}
+
 // Clone returns a deep copy of the mask.
 func (m *Mask) Clone() *Mask {
 	out := NewMask(m.W, m.H)

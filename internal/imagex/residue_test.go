@@ -274,4 +274,9 @@ func TestWordAccessorsKeepPadding(t *testing.T) {
 	if !m.At(1, 0) || !m.At(3, 0) || m.At(0, 0) {
 		t.Fatal("OrWord bit placement wrong")
 	}
+	m.AndNotWord(1, 1, ^uint64(0)&^0b111) // clears bits 67..69, padding untouched
+	m.AndNotWord(0, 0, 0b0010)
+	if m.Word(1, 1) != 0b111 || m.At(1, 0) || !m.At(3, 0) || m.Count() != 4 {
+		t.Fatalf("AndNotWord: row 1 word 1 = %#x, count %d", m.Word(1, 1), m.Count())
+	}
 }
