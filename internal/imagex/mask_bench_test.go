@@ -1,6 +1,7 @@
 package imagex
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -165,13 +166,48 @@ func BenchmarkMaskOpsBoundary(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchMask builds one 320x240 VB match mask (the live
-// workloads' frame size) between a frame and a virtual image that
-// agree on about half the pixels.
+// BenchmarkMatchMask builds one VB match mask between a frame and a
+// virtual image that agree on about half the pixels, at the live
+// workloads' frame size (320x240) and the meeting workload's gallery
+// tile size (160x120).
 func BenchmarkMatchMask(b *testing.B) {
-	const w, h = 320, 240
+	for _, sz := range []struct{ w, h int }{{320, 240}, {160, 120}} {
+		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
+			frame, vb := benchMatchPair(sz.w, sz.h)
+			dst := NewMask(sz.w, sz.h)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatchMaskInto(dst, frame, vb, 6)
+			}
+		})
+	}
+}
+
+// BenchmarkMatchCount scores one 320x240 frame against a virtual image
+// with the exact-equality count (known-image identification) and the
+// tolerant count (the gallery demuxer's lane tracking).
+func BenchmarkMatchCount(b *testing.B) {
+	frame, vb := benchMatchPair(320, 240)
+	b.Run("exact", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			frame.MatchCount(vb)
+		}
+	})
+	b.Run("tol", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			frame.MatchCountTol(vb, 6)
+		}
+	})
+}
+
+// benchMatchPair returns a random virtual image and a frame equal to it
+// except for a flipped green bit on about half the pixels.
+func benchMatchPair(w, h int) (frame, vb *Image) {
 	r := rand.New(rand.NewSource(5))
-	frame, vb := New(w, h), New(w, h)
+	frame, vb = New(w, h), New(w, h)
 	for i := range frame.Pix {
 		vb.Pix[i] = RGB{uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256))}
 		frame.Pix[i] = vb.Pix[i]
@@ -179,10 +215,5 @@ func BenchmarkMatchMask(b *testing.B) {
 			frame.Pix[i].G ^= 0x40
 		}
 	}
-	dst := NewMask(w, h)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatchMaskInto(dst, frame, vb, 6)
-	}
+	return frame, vb
 }

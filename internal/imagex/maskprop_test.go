@@ -411,26 +411,48 @@ func maxI2(a, b int) int {
 	return b
 }
 
-// TestMatchMaskIntoMatchesWithinTol pins the branch-free match kernel
-// to BuildMask over the scalar WithinTol predicate, across edge-word
-// widths and tolerances from "nothing" (-1) to "everything" (255). The
-// destination starts with every word set, padding included, so the
-// kernel must overwrite all of it and leave the padding clear.
+// TestMatchMaskIntoMatchesWithinTol pins the match kernel to BuildMask
+// over the scalar WithinTol predicate. The widths hit every row-tail
+// length mod 8 (the scalar finish after the last 8-pixel group) and mod
+// 64 (the partial last word), and the tolerances run from "nothing"
+// (-1) through both sides of the 16-bit lane midpoint to the clamp
+// (256). Channel differences are drawn around ±tol so the boundary
+// |d| = tol, tol+1 is hit at every tolerance. The destination starts
+// with every word set, padding included, so the kernel must overwrite
+// all of it and leave the padding clear.
 func TestMatchMaskIntoMatchesWithinTol(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, w := range []int{1, 63, 64, 65, 160, 320} {
+	var widths []int
+	for w := 1; w <= 17; w++ {
+		widths = append(widths, w)
+	}
+	for w := 63; w <= 73; w++ {
+		widths = append(widths, w)
+	}
+	widths = append(widths, 130, 160, 320)
+	for _, w := range widths {
 		const h = 3
-		a, b := New(w, h), New(w, h)
-		for i := range a.Pix {
-			a.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
-			if rng.Intn(4) == 0 {
-				b.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
-				continue
+		for _, tol := range []int{-1, 0, 1, 14, 127, 128, 200, 254, 255, 256} {
+			a, b := New(w, h), New(w, h)
+			near := func(c uint8) uint8 {
+				var d int
+				switch rng.Intn(4) {
+				case 0:
+					return uint8(rng.Intn(256))
+				case 1:
+					d = rng.Intn(9) - 4
+				default:
+					d = tol + rng.Intn(2)
+					if rng.Intn(2) == 0 {
+						d = -d
+					}
+				}
+				return uint8(min(max(int(c)+d, 0), 255))
 			}
-			jitter := func(c uint8) uint8 { return uint8(min(max(int(c)+rng.Intn(9)-4, 0), 255)) }
-			b.Pix[i] = RGB{jitter(a.Pix[i].R), jitter(a.Pix[i].G), jitter(a.Pix[i].B)}
-		}
-		for _, tol := range []int{-1, 0, 3, 255} {
+			for i := range a.Pix {
+				a.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
+				b.Pix[i] = RGB{near(a.Pix[i].R), near(a.Pix[i].G), near(a.Pix[i].B)}
+			}
 			want := BuildMask(w, h, func(i int) bool { return WithinTol(a.Pix[i], b.Pix[i], tol) })
 			dst := NewMask(w, h)
 			for i := range dst.words {
@@ -449,6 +471,55 @@ func TestMatchMaskIntoMatchesWithinTol(t *testing.T) {
 			for y := 0; y < h; y++ {
 				if got.words[y*wpr+wpr-1]&^edge != 0 {
 					t.Fatalf("w=%d tol=%d: padding bits set in row %d", w, tol, y)
+				}
+			}
+			if n, ref := a.MatchCountTol(b, tol), countWithinTol(a, b, tol); n != ref {
+				t.Fatalf("w=%d tol=%d: MatchCountTol = %d, want %d", w, tol, n, ref)
+			}
+		}
+	}
+}
+
+// countWithinTol is the scalar reference for MatchCountTol, which
+// counts exact matches for any tol <= 0.
+func countWithinTol(a, b *Image, tol int) int {
+	n := 0
+	for i := range a.Pix {
+		if WithinTol(a.Pix[i], b.Pix[i], max(tol, 0)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMatchKernelAllBytePairs runs every (a, b) byte pair through the
+// match kernel at each of the 24 byte offsets of an 8-pixel group, that
+// is at every channel of every pixel position the word kernel packs into
+// its three 64-bit words. One image pair per channel c carries a pair in
+// channel c of every pixel, with the pixel's other channels equal so the
+// pair decides its bit. Pixel p of group g gets pair (g + 8191p) mod
+// 65536, so each position sees all 65536 pairs and its neighbours in the
+// group hold unrelated pairs: a carry leaking across a 16-bit lane or a
+// byte lost at a word boundary shows up as a wrong bit.
+func TestMatchKernelAllBytePairs(t *testing.T) {
+	const w, h = 512, 1024 // 64 groups per row, 65536 groups
+	rng := rand.New(rand.NewSource(29))
+	a, b := New(w, h), New(w, h)
+	dst := NewMask(w, h)
+	for c := 0; c < 3; c++ {
+		channel := func(p *RGB) *uint8 { return [...]*uint8{&p.R, &p.G, &p.B}[c] }
+		for i := range a.Pix {
+			pair := (i/8 + 8191*(i%8)) % 65536
+			a.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
+			b.Pix[i] = a.Pix[i]
+			*channel(&a.Pix[i]), *channel(&b.Pix[i]) = uint8(pair>>8), uint8(pair)
+		}
+		for _, tol := range []int{0, 1, 14, 127, 128, 254, 255} {
+			got := MatchMaskInto(dst, a, b, tol)
+			for i := range a.Pix {
+				if want := WithinTol(a.Pix[i], b.Pix[i], tol); got.GetI(i) != want {
+					t.Fatalf("channel %d pixel %d of its group, tol %d (%v vs %v): kernel %v, WithinTol %v",
+						c, i%8, tol, a.Pix[i], b.Pix[i], got.GetI(i), want)
 				}
 			}
 		}
