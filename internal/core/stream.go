@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"github.com/bgbuster/bgbuster/internal/imagex"
 	"github.com/bgbuster/bgbuster/internal/segment"
@@ -406,11 +405,11 @@ func (s *StreamReconstructor) pinIdentification() {
 // the gaps from aux (MergeDerived, earlier-wins), so the stream must
 // let local pixels override aux ones too.
 //
-// The scan is word-packed: the localKnown row words are read 64 pixels
-// at a time and commits accumulate in a register, replacing the
-// historical per-pixel At/Set bit ops; the only per-pixel work left is
-// the tolerance compare and the run-counter update. DerivedCoverage is
-// maintained from derivedCount instead of a full popcount per frame.
+// The stability compare is the batch derivation's: MatchMaskInto of the
+// previous frame against this one, written into the VBM scratch (which
+// processFrame overwrites right afterwards), then advanceRuns. Only the
+// run-counter update is per pixel. DerivedCoverage is maintained from
+// derivedCount instead of a full popcount per frame.
 func (s *StreamReconstructor) updateDerivation(frame *imagex.Image) {
 	if s.prev == nil {
 		// First frame: nothing to compare yet. The clone is the one-time
@@ -419,45 +418,12 @@ func (s *StreamReconstructor) updateDerivation(frame *imagex.Image) {
 		s.rec.DerivedCoverage = s.derivedCoverage()
 		return
 	}
-	tol := s.opts.MatchTol
-	thr := s.opts.StabilityThreshold
-	pp, cp := s.prev.Pix, frame.Pix
-	wpr := s.localKnown.WordsPerRow()
-	i := 0
-	for y := 0; y < s.h; y++ {
-		for wx := 0; wx < wpr; wx++ {
-			n := s.w - wx<<6
-			if n > 64 {
-				n = 64
-			}
-			known := s.localKnown.Word(y, wx)
-			var commit uint64
-			for b := 0; b < n; b++ {
-				if imagex.WithinTol(pp[i], cp[i], tol) {
-					r := s.runLen[i]
-					if r < maxRunLen {
-						r++
-						s.runLen[i] = r
-					}
-					if int(r) >= thr && known>>uint(b)&1 == 0 {
-						commit |= 1 << uint(b)
-					}
-				} else {
-					s.runLen[i] = 1
-				}
-				i++
-			}
-			if commit != 0 {
-				s.derivedCount += bits.OnesCount64(commit &^ s.derived.Known.Word(y, wx))
-				s.derived.Known.OrWord(y, wx, commit)
-				s.localKnown.OrWord(y, wx, commit)
-				base := i - n
-				for c := commit; c != 0; c &= c - 1 {
-					p := base + bits.TrailingZeros64(c)
-					s.derived.Img.Pix[p] = cp[p]
-				}
-			}
-		}
+	s.ensureScratch()
+	commits := imagex.MatchMaskInto(s.vbmScratch, s.prev, frame, s.opts.MatchTol)
+	if n := advanceRuns(commits, s.localKnown, s.runLen, s.opts.StabilityThreshold); n > 0 {
+		s.derivedCount += n - commits.Overlap(s.derived.Known)
+		_ = s.localKnown.Union(commits) // same geometry by construction
+		commitStable(s.derived, commits, frame)
 	}
 	_ = s.prev.CopyFrom(frame) // same geometry, validated by Feed
 	s.rec.DerivedCoverage = s.derivedCoverage()

@@ -9,6 +9,7 @@ package imagex
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // RGB is a 24-bit Truecolor pixel as described in the paper's technical
@@ -153,7 +154,9 @@ func (im *Image) MatchCount(o *Image) int {
 }
 
 // MatchCountTol counts pixels whose per-channel absolute difference is at
-// most tol. tol = 0 degenerates to MatchCount.
+// most tol. tol = 0 degenerates to MatchCount. It runs the match kernel
+// one row at a time into a fixed stack buffer and counts its bits, so it
+// allocates nothing.
 func (im *Image) MatchCountTol(o *Image, tol int) int {
 	if !im.SameSize(o) {
 		return 0
@@ -161,10 +164,19 @@ func (im *Image) MatchCountTol(o *Image, tol int) int {
 	if tol <= 0 {
 		return im.MatchCount(o)
 	}
+	tol = min(tol, 255)
+	var buf [16]uint64
 	n := 0
-	for i := range im.Pix {
-		if WithinTol(im.Pix[i], o.Pix[i], tol) {
-			n++
+	for y := 0; y < im.H; y++ {
+		pa := im.Pix[y*im.W : (y+1)*im.W]
+		pb := o.Pix[y*im.W : (y+1)*im.W]
+		for x0 := 0; x0 < im.W; x0 += 64 * len(buf) {
+			x1 := min(x0+64*len(buf), im.W)
+			words := buf[:wordsPerRow(x1-x0)]
+			matchRow(words, pa[x0:x1], pb[x0:x1], tol)
+			for _, w := range words {
+				n += bits.OnesCount64(w)
+			}
 		}
 	}
 	return n
@@ -193,12 +205,8 @@ func (im *Image) DiffMask(o *Image, tol int) (*Mask, error) {
 // MatchMaskInto writes into dst the mask of pixels where a and b are
 // WithinTol, and returns it. It allocates only when dst is nil or
 // mis-sized; every word is overwritten, so dst need not be cleared. It
-// panics if a and b differ in size (callers check SameSize).
-//
-// Each channel's test |d| <= tol is branch-free: with x = d+tol it holds
-// iff x and 2tol-x are both non-negative, so OR-ing the six terms leaves
-// the sign bit clear exactly for a matching pixel, and that bit goes
-// straight into the mask word.
+// panics if a and b differ in size (callers check SameSize). Rows run
+// through matchRow, eight pixels per step (DESIGN.md §7.3).
 func MatchMaskInto(dst *Mask, a, b *Image, tol int) *Mask {
 	if !a.SameSize(b) {
 		panic(fmt.Sprintf("imagex: match %dx%d vs %dx%d", a.W, a.H, b.W, b.H))
@@ -207,31 +215,115 @@ func MatchMaskInto(dst *Mask, a, b *Image, tol int) *Mask {
 	if dst == nil || dst.W != w || dst.H != h {
 		dst = NewMask(w, h)
 	}
-	// |d| <= 255 always holds and |d| <= tol never does for tol < 0, so
-	// clamping keeps 2tol small without changing any result.
-	tol = min(max(tol, -1), 255)
-	tol2 := 2 * tol
+	if tol < 0 {
+		// |d| <= tol never holds.
+		dst.Clear()
+		return dst
+	}
+	// |d| <= 255 always holds, so clamping keeps every lane of the
+	// kernel in range without changing any result.
+	tol = min(tol, 255)
 	wpr := wordsPerRow(w)
 	for y := 0; y < h; y++ {
-		pa := a.Pix[y*w : (y+1)*w]
-		pb := b.Pix[y*w : (y+1)*w]
-		row := dst.words[y*wpr : (y+1)*wpr]
-		for x0 := 0; x0 < w; x0 += 64 {
-			ca := pa[x0:min(x0+64, w)]
-			cb := pb[x0 : x0+len(ca)]
-			var word uint64
-			for i, p := range ca {
-				q := cb[i]
-				r := int(p.R) - int(q.R) + tol
-				g := int(p.G) - int(q.G) + tol
-				bl := int(p.B) - int(q.B) + tol
-				out := r | (tol2 - r) | g | (tol2 - g) | bl | (tol2 - bl)
-				word |= uint64(^out) >> 63 << uint(i)
-			}
-			row[x0>>6] = word
-		}
+		matchRow(dst.words[y*wpr:(y+1)*wpr], a.Pix[y*w:(y+1)*w], b.Pix[y*w:(y+1)*w], tol)
 	}
 	return dst
+}
+
+// Word constants of the match kernel: lanes16 has a one in each 16-bit
+// lane, evenBytes selects the even bytes of a word into those lanes,
+// and laneTop is each lane's bit 15.
+const (
+	lanes16   = 0x0001000100010001
+	evenBytes = 0x00ff00ff00ff00ff
+	laneTop   = 0x8000800080008000
+)
+
+// matchRow writes into row the WithinTol bits of pa against pb, for
+// 0 <= tol <= 255; len(row) must be wordsPerRow(len(pa)). match8s
+// covers each word's whole 8-pixel groups and the scalar form of the
+// same test finishes a row tail shorter than 8 pixels.
+func matchRow(row []uint64, pa, pb []RGB, tol int) {
+	k := lanes16 * uint64(0x8000+tol)
+	d := lanes16 * uint64(2*tol+1)
+	tol2 := 2 * tol
+	w := len(pa)
+	pb = pb[:w]
+	for x0 := 0; x0 < w; x0 += 64 {
+		ca := pa[x0:min(x0+64, w)]
+		cb := pb[x0 : x0+len(ca)]
+		word := match8s(ca, cb, k, d)
+		// Per channel x = a − b + tol matches iff x and 2tol − x are
+		// both non-negative, so the sign bit of the OR of the six terms
+		// is clear exactly for a matching pixel.
+		for i := len(ca) &^ 7; i < len(ca); i++ {
+			p, q := ca[i], cb[i]
+			r := int(p.R) - int(q.R) + tol
+			g := int(p.G) - int(q.G) + tol
+			bl := int(p.B) - int(q.B) + tol
+			out := r | (tol2 - r) | g | (tol2 - g) | bl | (tol2 - bl)
+			word |= uint64(^out) >> 63 << uint(i)
+		}
+		row[x0>>6] = word
+	}
+}
+
+// match8s returns the match bits (pixel i at bit i) of the whole 8-pixel
+// groups of p against q, which hold at most 64 pixels of equal count;
+// k = 0x8000+tol and d = 2tol+1 in every 16-bit lane.
+//
+// A group's 24 bytes are three little-endian words per image, each word
+// split into its even and odd bytes in 16-bit lanes. A lane holds
+// t = a − b + tol + 0x8000, in [0x7f01, 0x81fe], so neither t nor
+// t − d carries across lanes. The channel matches iff 0 <= a − b + tol
+// <= 2tol, that is iff bit 15 is set in t and clear in t − d; t − d < t,
+// so that is bit 15 of t ^ (t − d). Byte j of a group word gets its flag
+// at bit 8j+7 (f0, f1, f2).
+//
+// A pixel's three flags are ANDed at its middle byte: bytes 1, 4, 7 of
+// f0 (pixels 0-2, where pixel 2 reaches byte 0 of f1), 2 and 5 of f1
+// (pixels 3-4), and 0, 3, 6 of f2 (pixels 5-7, where pixel 5 reaches
+// byte 7 of f1). Those eight bytes are disjoint, so one word holds all
+// eight flags and one multiply gathers them into its top byte in pixel
+// order: the shift for byte j is 56 + pixel − 8j, distinct mod 8, so no
+// two partial products meet and nothing carries.
+func match8s(p, q []RGB, k, d uint64) uint64 {
+	q = q[:len(p)]
+	var word uint64
+	for g := 0; g+8 <= len(p); g += 8 {
+		a, b := (*[8]RGB)(p[g:g+8]), (*[8]RGB)(q[g:g+8])
+		f0 := byteFlags(
+			uint64(a[0].R)|uint64(a[0].G)<<8|uint64(a[0].B)<<16|uint64(a[1].R)<<24|
+				uint64(a[1].G)<<32|uint64(a[1].B)<<40|uint64(a[2].R)<<48|uint64(a[2].G)<<56,
+			uint64(b[0].R)|uint64(b[0].G)<<8|uint64(b[0].B)<<16|uint64(b[1].R)<<24|
+				uint64(b[1].G)<<32|uint64(b[1].B)<<40|uint64(b[2].R)<<48|uint64(b[2].G)<<56,
+			k, d)
+		f1 := byteFlags(
+			uint64(a[2].B)|uint64(a[3].R)<<8|uint64(a[3].G)<<16|uint64(a[3].B)<<24|
+				uint64(a[4].R)<<32|uint64(a[4].G)<<40|uint64(a[4].B)<<48|uint64(a[5].R)<<56,
+			uint64(b[2].B)|uint64(b[3].R)<<8|uint64(b[3].G)<<16|uint64(b[3].B)<<24|
+				uint64(b[4].R)<<32|uint64(b[4].G)<<40|uint64(b[4].B)<<48|uint64(b[5].R)<<56,
+			k, d)
+		f2 := byteFlags(
+			uint64(a[5].G)|uint64(a[5].B)<<8|uint64(a[6].R)<<16|uint64(a[6].G)<<24|
+				uint64(a[6].B)<<32|uint64(a[7].R)<<40|uint64(a[7].G)<<48|uint64(a[7].B)<<56,
+			uint64(b[5].G)|uint64(b[5].B)<<8|uint64(b[6].R)<<16|uint64(b[6].G)<<24|
+				uint64(b[6].B)<<32|uint64(b[7].R)<<40|uint64(b[7].G)<<48|uint64(b[7].B)<<56,
+			k, d)
+		m := f0&(f0<<8)&(f0>>8|f1<<56)&0x8000008000008000 |
+			f1&(f1<<8)&(f1>>8)&0x0000800000800000 |
+			f2&(f2<<8|f1>>56)&(f2>>8)&0x0080000080000080
+		word |= (m >> 7) * (1<<61 | 1<<48 | 1<<43 | 1<<38 | 1<<25 | 1<<20 | 1<<15 | 1<<2) >> 56 << uint(g)
+	}
+	return word
+}
+
+// byteFlags sets bit 8j+7 of its result iff bytes j of a and b match
+// under match8s's lane constants k and d.
+func byteFlags(a, b, k, d uint64) uint64 {
+	even := a&evenBytes + k - b&evenBytes
+	odd := a>>8&evenBytes + k - b>>8&evenBytes
+	return (even^(even-d))&laneTop>>8 | (odd^(odd-d))&laneTop
 }
 
 // ApplyMask returns a copy of the image in which pixels where mask is set
