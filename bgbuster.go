@@ -296,22 +296,6 @@ type StreamReconstructor = core.StreamReconstructor
 // StreamReconstructor.FeedN and SessionManager.FeedN.
 type Frame = core.Frame
 
-// LBRetention selects how much per-frame leaked-background history a
-// streaming reconstruction keeps (ReconstructOptions.RetainPerFrameLB):
-// RetainAll (the historical default; memory grows one mask per frame),
-// RetainLastK (a sliding window of ReconstructOptions.RetainLBWindow
-// masks), or RetainNone (aggregate counters only). The accumulated
-// Recovered/Coverage planes and checkpoint bytes are identical under
-// every policy.
-type LBRetention = core.LBRetention
-
-// LB retention policies for ReconstructOptions.RetainPerFrameLB.
-const (
-	RetainAll   = core.RetainAll
-	RetainLastK = core.RetainLastK
-	RetainNone  = core.RetainNone
-)
-
 // Live-call session layer: a SessionManager multiplexes many
 // concurrent StreamReconstructors behind bounded drop-oldest frame
 // queues, with idle eviction, per-session panic isolation and
@@ -496,12 +480,6 @@ func StreamAttackOptions(w, h int, unknownVB bool, seed int64) ReconstructOption
 		opts.KnownImages = compositor.BuiltinImages(w, h)
 	}
 	opts.Segmenter = segment.NewOfflineSegmenter(rand.New(rand.NewSource(seed)))
-	// A live attacker reads snapshots, not per-frame mask history (the
-	// session layer's snapshots omit PerFrameLB anyway), so the streaming
-	// profile runs bounded-memory. Retention never enters the checkpoint
-	// fingerprint: checkpoints from the RetainAll era resume under this
-	// profile unchanged.
-	opts.RetainPerFrameLB = core.RetainNone
 	return opts
 }
 

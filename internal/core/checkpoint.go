@@ -25,16 +25,12 @@ var ErrCheckpointMismatch = errors.New("core: checkpoint options mismatch")
 // frame boundary, including before known-image identification pins,
 // exactly at the pin, and after Finalize.
 //
-// Two pieces of state are deliberately outside the contract:
-//
-//   - Reconstruction.PerFrameLB is not persisted (it grows one mask per
-//     frame, against the point of compact checkpoints; the session
-//     layer's snapshots already omit it). A resumed stream's PerFrameLB
-//     holds only frames fed after the resume.
-//   - Options.Segmenter is external: a stateful segmenter (e.g. the
-//     seeded OfflineSegmenter) carries its own evolution that the
-//     caller must persist separately; with a stateless segmenter the
-//     bit-identical guarantee is unconditional.
+// Options.Segmenter is deliberately outside the contract: a stateful
+// segmenter (e.g. the seeded OfflineSegmenter) carries its own evolution
+// that the caller must persist separately; with a stateless segmenter
+// the bit-identical guarantee is unconditional. The LBFrames/LBBits
+// counters are not persisted either; a resumed stream's count frames
+// fed since the resume.
 //
 // Like every other method, Checkpoint is not safe for concurrent use
 // with Feed; the session layer serialises access.

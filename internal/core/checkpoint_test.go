@@ -32,7 +32,7 @@ func mustResume(t *testing.T, data []byte, opts Options) *StreamReconstructor {
 // assertSameState verifies two streams hold bit-identical accumulated
 // state by comparing their canonical checkpoint encodings — which cover
 // every field of the contract (identification, derivation, histogram,
-// residue, counters) except the deliberately excluded PerFrameLB.
+// residue, frame counter).
 func assertSameState(t *testing.T, label string, a, b *StreamReconstructor) {
 	t.Helper()
 	if !bytes.Equal(mustCheckpoint(t, a), mustCheckpoint(t, b)) {
@@ -127,11 +127,12 @@ func TestCheckpointResumeParityKnown(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeParityPerFrameTail pins the one documented
-// exception: a resumed stream's PerFrameLB holds only post-resume
-// frames, and those must equal the continuous run's tail.
+// TestCheckpointResumeParityPerFrameTail pins per-frame parity after a
+// resume: every frame fed after the last resume must add the same LB
+// bits as the continuous run's frame and leave identical Recovered and
+// Coverage planes.
 func TestCheckpointResumeParityPerFrameTail(t *testing.T) {
-	const frames, k = 18, 7
+	const frames, k, resumed = 18, 7, 14 // resumes after frames 7 and 14
 	res, sils := testCall(t, 51, frames, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
 	mkOpts := func() Options {
 		o := oracleOpts()
@@ -143,22 +144,36 @@ func TestCheckpointResumeParityPerFrameTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res.Blended.Frames {
+	for i := 0; i < resumed; i++ {
 		if err := cont.Feed(res.Blended.Frames[i], sils[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := streamWithResume(t, 160, 120, mkOpts, res.Blended.Frames, sils, k)
+	s := streamWithResume(t, 160, 120, mkOpts, res.Blended.Frames[:resumed], sils[:resumed], k)
 
-	tail := s.Snapshot().PerFrameLB
-	all := cont.Snapshot().PerFrameLB
-	if len(tail) == 0 || len(tail) >= len(all) {
-		t.Fatalf("tail has %d frames of %d; resume points misconfigured", len(tail), len(all))
-	}
-	for i, lb := range tail {
-		if !lb.Equal(all[len(all)-len(tail)+i]) {
-			t.Fatalf("post-resume LB %d diverges from the continuous run", i)
+	var leaked uint64
+	for i := resumed; i < frames; i++ {
+		sBefore, cBefore := s.Snapshot().LBBits, cont.Snapshot().LBBits
+		if err := s.Feed(res.Blended.Frames[i], sils[i]); err != nil {
+			t.Fatal(err)
 		}
+		if err := cont.Feed(res.Blended.Frames[i], sils[i]); err != nil {
+			t.Fatal(err)
+		}
+		sr, cr := s.Snapshot(), cont.Snapshot()
+		if got, want := sr.LBBits-sBefore, cr.LBBits-cBefore; got != want {
+			t.Fatalf("frame %d: post-resume LB has %d bits, continuous run %d", i, got, want)
+		}
+		leaked += cr.LBBits - cBefore
+		if !sr.Recovered.Equal(cr.Recovered) || !sr.Coverage.Equal(cr.Coverage) {
+			t.Fatalf("frame %d: post-resume planes diverge from the continuous run", i)
+		}
+	}
+	if leaked == 0 {
+		t.Fatal("no post-resume frame leaked; parity would be vacuous")
+	}
+	if got := s.Snapshot().LBFrames; got != frames-resumed {
+		t.Fatalf("resumed stream counted %d LB frames, want the %d fed since the resume", got, frames-resumed)
 	}
 }
 

@@ -330,6 +330,110 @@ func TestReconstructValidation(t *testing.T) {
 	}
 }
 
+// TestReconstructZeroOptionsUseDefaults pins the one defaulting rule:
+// a call whose tunables are all zero must reconstruct exactly what the
+// DefaultOptions values give. Batch used to default only Phi and the
+// colour threshold, so a zero MaxLoopPeriod searched period 2 alone and
+// a zero MatchTol matched exactly.
+func TestReconstructZeroOptionsUseDefaults(t *testing.T) {
+	loop := compositor.BuiltinVideo("waves", 160, 120, 8)
+	res, sils := testCall(t, 10, 48, loop, compositor.ProfileZoom())
+	def := oracleOpts()
+	def.Mode = VBUnknownVideo
+	zero := Options{Mode: VBUnknownVideo, Segmenter: def.Segmenter, ColorRefine: def.ColorRefine}
+
+	want, err := Reconstruct(res.Blended, sils, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Reconstruct(res.Blended, sils, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Coverage.Equal(want.Coverage) || !got.Recovered.Equal(want.Recovered) ||
+		got.DerivedCoverage != want.DerivedCoverage || got.LBBits != want.LBBits {
+		t.Fatalf("zero-field options: RBRR %.3f, derived %.4f; DefaultOptions: RBRR %.3f, derived %.4f",
+			got.RBRR(), got.DerivedCoverage, want.RBRR(), want.DerivedCoverage)
+	}
+}
+
+// TestReconstructAllocsPerFrame gates the batch path's per-frame
+// allocations: beyond the segmenter's own Segment call a frame allocates
+// nothing, because its LB overwrites its VCM and the worker's kernel
+// owns the VBM/BBM scratch. The slope between two call lengths cancels
+// the per-call costs (identification, planes, kernels).
+func TestReconstructAllocsPerFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation exactness is gated in the non-race run")
+	}
+	res, sils := testCall(t, 12, 24, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
+	opts := oracleOpts()
+	opts.KnownImages = compositor.BuiltinImages(160, 120)
+	opts.Workers = 1
+	allocs := func(n int) float64 {
+		v := vidstream.New(30)
+		for _, f := range res.Blended.Frames[:n] {
+			if err := v.Append(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(4, func() {
+			if _, err := Reconstruct(v, sils[:n], opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	seg := testing.AllocsPerRun(4, func() { opts.Segmenter.Segment(res.Blended.Frames[0], sils[0]) })
+	a12, a24 := allocs(12), allocs(24)
+	if slope := (a24 - a12) / 12; slope > seg {
+		t.Fatalf("Reconstruct allocates %.2f objects/frame (%.0f at 12 frames, %.0f at 24), want at most the segmenter's %.0f",
+			slope, a12, a24, seg)
+	}
+}
+
+// badSegmenter returns a caller mask of the wrong geometry.
+type badSegmenter struct{}
+
+func (badSegmenter) Segment(*imagex.Image, *imagex.Mask) *imagex.Mask { return imagex.NewMask(3, 3) }
+
+// TestMisSizedVCM pins what each path does with a segmenter output
+// that cannot hold the frame's LB: batch rejects it at its frame index,
+// and the stream treats it as an empty VCM, so its LB is the BBM
+// complement (the oracle segmenter with an empty oracle gives the same).
+func TestMisSizedVCM(t *testing.T) {
+	res, sils := testCall(t, 13, 12, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
+	opts := oracleOpts()
+	opts.KnownImages = compositor.BuiltinImages(160, 120)
+	opts.ColorRefine = false
+	bad := opts
+	bad.Segmenter = badSegmenter{}
+	if _, err := Reconstruct(res.Blended, sils, bad); !errors.Is(err, imagex.ErrBounds) {
+		t.Fatalf("batch with a mis-sized VCM: err = %v, want ErrBounds", err)
+	}
+
+	s, err := NewStream(160, 120, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewStream(160, 120, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := imagex.NewMask(160, 120)
+	for _, f := range res.Blended.Frames {
+		if err := s.Feed(f, empty); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Feed(f, empty); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := s.Snapshot(), ref.Snapshot()
+	if got.LBBits == 0 || got.LBBits != want.LBBits || !got.Coverage.Equal(want.Coverage) {
+		t.Fatalf("stream with a mis-sized VCM: %d LB bits, want %d from an empty VCM", got.LBBits, want.LBBits)
+	}
+}
+
 func TestVBModeStrings(t *testing.T) {
 	for _, m := range []VBMode{VBKnownImage, VBKnownVideo, VBUnknownImage, VBUnknownVideo} {
 		if m.String() == "" || m.String() == "vbmode(0)" {

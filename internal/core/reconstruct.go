@@ -50,45 +50,6 @@ func (m VBMode) String() string {
 	}
 }
 
-// LBRetention selects how much of the per-frame leak-mask history a
-// reconstruction keeps. The paper's RBRR and the recovered background
-// only need the accumulated Coverage and Recovered planes; PerFrameLB
-// is forensic detail that grows one mask per frame forever, and it is
-// what used to cap fleet density (MemBudget admission) on long calls.
-type LBRetention int
-
-const (
-	// RetainAll keeps every frame's leak mask (the historical default;
-	// memory grows linearly with call length).
-	RetainAll LBRetention = iota
-	// RetainLastK keeps a sliding window of the newest RetainLBWindow
-	// masks; older ones are recycled. PerFrameLB holds the window oldest
-	// first.
-	RetainLastK
-	// RetainNone keeps no per-frame masks. The aggregate counters
-	// (Reconstruction.LBFrames, LBBits) still accumulate, so mean
-	// per-frame leak size survives; memory is constant in call length.
-	RetainNone
-)
-
-// String names the retention policy for logs and flags.
-func (r LBRetention) String() string {
-	switch r {
-	case RetainAll:
-		return "all"
-	case RetainLastK:
-		return "last-k"
-	case RetainNone:
-		return "none"
-	default:
-		return fmt.Sprintf("retention(%d)", int(r))
-	}
-}
-
-// DefaultRetainLBWindow is the RetainLastK window size when
-// Options.RetainLBWindow is unset.
-const DefaultRetainLBWindow = 32
-
 // Options configures the reconstruction framework.
 type Options struct {
 	Mode VBMode
@@ -102,11 +63,14 @@ type Options struct {
 	AuxDerived []*DerivedImage
 
 	// MatchTol is the per-channel tolerance for VB pixel matching; it
-	// absorbs camera sensor noise.
+	// absorbs camera sensor noise. Zero uses the default 14; a negative
+	// tolerance matches nothing.
 	MatchTol int
-	// StabilityThreshold for unknown derivation (default 10).
+	// StabilityThreshold for unknown derivation; non-positive uses
+	// DefaultStabilityThreshold.
 	StabilityThreshold int
-	// MaxLoopPeriod bounds unknown-video period detection.
+	// MaxLoopPeriod bounds unknown-video period detection; non-positive
+	// uses the default 40.
 	MaxLoopPeriod int
 
 	// Phi is the blending blur radius φ; non-positive uses DefaultPhi.
@@ -126,8 +90,8 @@ type Options struct {
 	// (paper Section V-D).
 	ColorRefine bool
 	// ColorFreqThreshold is the relative frequency below which a color
-	// observed inside the VCM is considered leaked background; the
-	// default is 0.004.
+	// observed inside the VCM is considered leaked background;
+	// non-positive uses the default 0.004.
 	ColorFreqThreshold float64
 
 	// Workers bounds the goroutines used for the frame-independent
@@ -137,17 +101,6 @@ type Options struct {
 	// per-frame product lands in a frame-indexed slot and residues are
 	// merged in ascending frame order afterwards.
 	Workers int
-
-	// RetainPerFrameLB bounds the per-frame leak-mask history (see
-	// LBRetention); the zero value RetainAll is the historical
-	// behaviour. The policy never influences Recovered, Coverage, or a
-	// stream's checkpoint bytes — only what Reconstruction.PerFrameLB
-	// holds — so it is excluded from the checkpoint fingerprint and may
-	// differ between a checkpointed stream and its resumption.
-	RetainPerFrameLB LBRetention
-	// RetainLBWindow is the RetainLastK window size; non-positive uses
-	// DefaultRetainLBWindow.
-	RetainLBWindow int
 }
 
 // DefaultOptions returns the calibrated defaults for a known-image
@@ -164,6 +117,32 @@ func DefaultOptions() Options {
 	}
 }
 
+// withDefaults fills every unset tunable of opts with its DefaultOptions
+// value. Reconstruct, ResolveVBMasker and the stream share it, so a zero
+// field means the same thing in batch and stream.
+func withDefaults(opts Options) Options {
+	d := DefaultOptions()
+	if opts.MatchTol == 0 {
+		opts.MatchTol = d.MatchTol
+	}
+	if opts.StabilityThreshold <= 0 {
+		opts.StabilityThreshold = d.StabilityThreshold
+	}
+	if opts.MaxLoopPeriod <= 0 {
+		opts.MaxLoopPeriod = d.MaxLoopPeriod
+	}
+	if opts.Phi <= 0 {
+		opts.Phi = d.Phi
+	}
+	if opts.ColorFreqThreshold <= 0 {
+		opts.ColorFreqThreshold = d.ColorFreqThreshold
+	}
+	if opts.IdentifyAfter <= 0 {
+		opts.IdentifyAfter = DefaultIdentifyAfter
+	}
+	return opts
+}
+
 // Reconstruction is the framework output.
 type Reconstruction struct {
 	// Recovered holds the latest leaked value per claimed pixel; only
@@ -172,15 +151,11 @@ type Reconstruction struct {
 	// Coverage marks every pixel claimed leaked in ≥1 frame. Its
 	// fraction is the paper's RBRR numerator.
 	Coverage *imagex.Mask
-	// PerFrameLB keeps the claimed leak mask per frame, subject to
-	// Options.RetainPerFrameLB: every frame under RetainAll, the newest
-	// window (oldest first) under RetainLastK, none under RetainNone.
-	PerFrameLB []*imagex.Mask
 	// LBFrames counts frames whose leak residue was accumulated and
-	// LBBits sums their leak-mask set bits, whatever the retention
-	// policy — the mean per-frame leak size survives RetainNone. For a
-	// resumed stream they cover frames fed since the resume (like
-	// PerFrameLB, they are not part of the checkpoint contract).
+	// LBBits sums their leak-mask set bits, so the mean per-frame leak
+	// size is LBBits/LBFrames. For a resumed stream they cover frames
+	// fed since the resume (they are not part of the checkpoint
+	// contract).
 	LBFrames uint64
 	LBBits   uint64
 	// VBName is the identified virtual background ("" when derived).
@@ -210,12 +185,7 @@ func Reconstruct(v *vidstream.Video, oracles []*imagex.Mask, opts Options) (*Rec
 	if len(oracles) != v.Len() {
 		return nil, fmt.Errorf("core: %d oracles for %d frames", len(oracles), v.Len())
 	}
-	if opts.Phi <= 0 {
-		opts.Phi = DefaultPhi
-	}
-	if opts.ColorFreqThreshold <= 0 {
-		opts.ColorFreqThreshold = 0.004
-	}
+	opts = withDefaults(opts)
 	w, h := v.Size()
 
 	// Step 1: obtain the virtual background per frame.
@@ -239,6 +209,10 @@ func Reconstruct(v *vidstream.Video, oracles []*imagex.Mask, opts Options) (*Rec
 	vcms := make([]*imagex.Mask, v.Len())
 	for i, f := range v.Frames {
 		vcms[i] = opts.Segmenter.Segment(f, oracles[i])
+		if vcms[i].W != w || vcms[i].H != h {
+			return nil, fmt.Errorf("core: frame %d: %dx%d caller mask for %dx%d frames: %w",
+				i, vcms[i].W, vcms[i].H, w, h, imagex.ErrBounds)
+		}
 	}
 
 	workers := reconWorkers(opts.Workers, v.Len())
@@ -248,69 +222,27 @@ func Reconstruct(v *vidstream.Video, oracles []*imagex.Mask, opts Options) (*Rec
 		refineVCMsByColor(v, vcms, opts.ColorFreqThreshold, workers)
 	}
 
-	// Step 4: per-frame masking and residue extraction, fanned out
-	// across the worker pool. Each frame's leaked-background mask lands
-	// in its own slot; each worker reuses one scratch mask for the BBM
-	// dilation so the only per-frame allocation is the retained LB.
-	lbs := make([]*imagex.Mask, v.Len())
-	frameErrs := make([]error, v.Len())
+	// Step 4: per-frame leak masks, fanned out across the worker pool.
+	// Each worker runs one frameKernel and writes frame i's LB over
+	// vcms[i] (the colour histogram no longer needs it), with the LB's
+	// band occupancy in frame i's slice of dirty.
+	nb := imagex.Bands(h, lbTileRows)
+	dirty := make([]bool, v.Len()*nb)
 	forFrames(v.Len(), workers, func() func(i int) {
-		// Per-worker dilation engine and scratch: the only per-frame
-		// allocation left is the retained LB itself.
-		dil := imagex.NewDilator(w, h, opts.Phi)
-		var bbm *imagex.Mask
+		k := newFrameKernel(w, h, opts)
 		return func(i int) {
-			f := v.Frames[i]
-			vbm := vbFor(i, f)
-			// BBM includes VBM, so removing BBM removes both; LB is the
-			// complement of BBM ∪ VCM.
-			bbm = dil.DilateInto(bbm, vbm)
-			lb := imagex.NewMask(w, h)
-			if err := lb.ComplementOfUnion(bbm, vcms[i], 0, nil); err != nil {
-				frameErrs[i] = err
-				return
-			}
-			lbs[i] = lb
+			vb, known := vbFor(i)
+			k.leak(vcms[i], v.Frames[i], vb, known, dirty[i*nb:(i+1)*nb])
 		}
 	})
-	for i, err := range frameErrs {
-		if err != nil {
-			return nil, fmt.Errorf("core: frame %d: %w", i, err)
-		}
-	}
 
 	// Merge residues in ascending frame order so "latest leaked value
 	// per pixel" semantics match the serial pass exactly.
-	for i, lb := range lbs {
-		bits, err := imagex.ApplyResidue(lb, v.Frames[i], rec.Recovered, rec.Coverage, 0, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: frame %d: %w", i, err)
-		}
-		rec.LBFrames++
-		rec.LBBits += uint64(bits)
+	covFull := make([]bool, nb)
+	for i, lb := range vcms {
+		rec.applyLeak(lb, v.Frames[i], dirty[i*nb:(i+1)*nb], covFull)
 	}
-	rec.PerFrameLB = retainLBs(lbs, opts)
 	return rec, nil
-}
-
-// retainLBs applies Options.RetainPerFrameLB to the full leak-mask
-// history the batch pass necessarily computed.
-func retainLBs(lbs []*imagex.Mask, opts Options) []*imagex.Mask {
-	switch opts.RetainPerFrameLB {
-	case RetainLastK:
-		k := opts.RetainLBWindow
-		if k <= 0 {
-			k = DefaultRetainLBWindow
-		}
-		if len(lbs) > k {
-			lbs = lbs[len(lbs)-k:]
-		}
-		return lbs
-	case RetainNone:
-		return nil
-	default:
-		return lbs
-	}
 }
 
 // reconWorkers resolves the effective worker count for n frames.
@@ -365,38 +297,40 @@ func forFrames(n, workers int, mkFn func() func(i int)) {
 // plus the identified VB name (known modes) and the derivation coverage
 // (unknown modes). The VBMR experiment measures this stage in isolation.
 func ResolveVBMasker(v *vidstream.Video, opts Options) (func(i int, f *imagex.Image) *imagex.Mask, string, float64, error) {
-	if opts.MatchTol == 0 {
-		opts.MatchTol = DefaultOptions().MatchTol
+	opts = withDefaults(opts)
+	vbFor, name, cov, err := resolveVB(v, opts)
+	if err != nil {
+		return nil, "", 0, err
 	}
-	if opts.StabilityThreshold == 0 {
-		opts.StabilityThreshold = DefaultStabilityThreshold
-	}
-	if opts.MaxLoopPeriod == 0 {
-		opts.MaxLoopPeriod = DefaultOptions().MaxLoopPeriod
-	}
-	return resolveVB(v, opts)
+	return func(i int, f *imagex.Image) *imagex.Mask {
+		vb, known := vbFor(i)
+		return vbMaskInto(nil, f, vb, known, opts.MatchTol)
+	}, name, cov, nil
 }
 
-// resolveVB returns a per-frame virtual background lookup according to
-// the mode.
-func resolveVB(v *vidstream.Video, opts Options) (func(i int, f *imagex.Image) *imagex.Mask, string, float64, error) {
+// vbLookup returns frame i's virtual background: the image to match
+// and, for a derived background, the mask of positions it knows (nil
+// when every position is known).
+type vbLookup func(i int) (*imagex.Image, *imagex.Mask)
+
+// resolveVB identifies or derives the virtual background according to
+// the mode and returns its per-frame lookup.
+func resolveVB(v *vidstream.Video, opts Options) (vbLookup, string, float64, error) {
 	switch opts.Mode {
 	case VBKnownImage:
 		name, img, err := IdentifyKnownImage(v, opts.KnownImages, 0)
 		if err != nil {
 			return nil, "", 0, err
 		}
-		return func(_ int, f *imagex.Image) *imagex.Mask {
-			return VBMaskKnown(f, img, opts.MatchTol)
-		}, name, 0, nil
+		return func(int) (*imagex.Image, *imagex.Mask) { return img, nil }, name, 0, nil
 
 	case VBKnownVideo:
 		name, frames, offset, err := IdentifyKnownVideo(v, opts.KnownVideos, 0)
 		if err != nil {
 			return nil, "", 0, err
 		}
-		return func(i int, f *imagex.Image) *imagex.Mask {
-			return VBMaskKnown(f, frames[(i+offset)%len(frames)], opts.MatchTol)
+		return func(i int) (*imagex.Image, *imagex.Mask) {
+			return frames[(i+offset)%len(frames)], nil
 		}, name, 0, nil
 
 	case VBUnknownImage:
@@ -411,9 +345,7 @@ func resolveVB(v *vidstream.Video, opts Options) (func(i int, f *imagex.Image) *
 			}
 			d = merged
 		}
-		return func(_ int, f *imagex.Image) *imagex.Mask {
-			return VBMaskDerived(f, d, opts.MatchTol)
-		}, "", d.Coverage(), nil
+		return func(int) (*imagex.Image, *imagex.Mask) { return d.Img, d.Known }, "", d.Coverage(), nil
 
 	case VBUnknownVideo:
 		dv, err := DeriveUnknownVideo(v, opts.MaxLoopPeriod, opts.MatchTol)
@@ -425,8 +357,9 @@ func resolveVB(v *vidstream.Video, opts Options) (func(i int, f *imagex.Image) *
 			cov += ph.Coverage()
 		}
 		cov /= float64(len(dv.Phases))
-		return func(i int, f *imagex.Image) *imagex.Mask {
-			return VBMaskDerived(f, dv.Phases[i%dv.Period], opts.MatchTol)
+		return func(i int) (*imagex.Image, *imagex.Mask) {
+			ph := dv.Phases[i%dv.Period]
+			return ph.Img, ph.Known
 		}, "", cov, nil
 
 	default:

@@ -29,11 +29,11 @@ import (
 //   - The statistical color refinement uses the color histogram
 //     accumulated so far rather than the whole call's.
 //
-// The per-frame pipeline is engineered for steady-state density
-// (DESIGN.md §14): all per-frame masks come from stream-owned pooled
-// scratch, the leaked-background residue is applied through tiled
-// planes that skip idle bands, and under RetainLastK/RetainNone LB
-// retention a frame at steady state allocates nothing.
+// Each frame runs the batch path's frameKernel (DESIGN.md §14): all
+// per-frame masks live in stream-owned scratch, the leaked-background
+// residue is applied through tiled planes that skip idle bands, and
+// with a cooperating segmenter a frame at steady state allocates
+// nothing.
 //
 // A StreamReconstructor is not safe for concurrent use; the session
 // layer (internal/session) serialises access for live multiplexing.
@@ -77,19 +77,15 @@ type StreamReconstructor struct {
 	frames    int
 	finalized bool
 
-	// Pooled per-frame scratch, built lazily on the first processed
-	// frame (ensureScratch): the VBM/BBM/VCM masks are reused every
-	// frame, dil hoists the dilation tables, lbPool recycles leak masks
-	// released by the retention policy, and lbDirty/covFull are the
-	// per-band tile states behind the fused residue pass.
-	vbmScratch *imagex.Mask
-	bbmScratch *imagex.Mask
-	vcmScratch *imagex.Mask
-	dil        *imagex.Dilator
-	intoSeg    segment.IntoSegmenter
-	lbPool     []*imagex.Mask
-	lbDirty    []bool
-	covFull    []bool
+	// Per-frame scratch, built lazily on the first processed frame
+	// (ensureScratch): the frame kernel with its VBM/BBM, the VCM that
+	// each frame's LB overwrites, and lbDirty/covFull, the per-band tile
+	// states behind the fused residue pass.
+	kern    *frameKernel
+	vcm     *imagex.Mask
+	intoSeg segment.IntoSegmenter
+	lbDirty []bool
+	covFull []bool
 
 	// Cached options fingerprint; the dictionary hash is not cheap and
 	// the session layer checkpoints periodically (0 until first use).
@@ -107,11 +103,6 @@ const DefaultIdentifyAfter = 10
 // larger). Checkpoints store run lengths as exact integers; see
 // Checkpoint for the (theoretical) divergence window this leaves.
 const maxRunLen = 0xFFFF
-
-// lbTileRows is the tile band height (in rows) of the residue/coverage
-// planes. Bands match the row-major word-packed mask layout, so a
-// skipped band skips contiguous memory (DESIGN.md §14).
-const lbTileRows = 8
 
 // ErrFinalized is returned by Feed after Finalize.
 var ErrFinalized = errors.New("core: stream already finalized")
@@ -163,8 +154,8 @@ func NewStream(w, h int, opts Options) (*StreamReconstructor, error) {
 }
 
 // normalizeStreamOptions validates streaming geometry and options and
-// fills in the defaults. NewStream and ResumeStream share it so a
-// checkpointed stream and its resumption see identical effective
+// fills in the defaults (withDefaults). NewStream and ResumeStream share
+// it so a checkpointed stream and its resumption see identical effective
 // options (the fingerprint is computed over the normalized form).
 func normalizeStreamOptions(w, h int, opts Options) (Options, error) {
 	if w <= 0 || h <= 0 {
@@ -182,33 +173,10 @@ func normalizeStreamOptions(w, h int, opts Options) (Options, error) {
 	default:
 		return opts, fmt.Errorf("core: mode %v is not streamable", opts.Mode)
 	}
-	if opts.Phi <= 0 {
-		opts.Phi = DefaultPhi
-	}
-	if opts.MatchTol == 0 {
-		opts.MatchTol = DefaultOptions().MatchTol
-	}
-	if opts.StabilityThreshold <= 0 {
-		opts.StabilityThreshold = DefaultStabilityThreshold
-	}
+	opts = withDefaults(opts)
 	if opts.StabilityThreshold > maxRunLen {
 		return opts, fmt.Errorf("core: stability threshold %d exceeds the run-counter ceiling %d",
 			opts.StabilityThreshold, maxRunLen)
-	}
-	if opts.ColorFreqThreshold <= 0 {
-		opts.ColorFreqThreshold = 0.004
-	}
-	if opts.IdentifyAfter <= 0 {
-		opts.IdentifyAfter = DefaultIdentifyAfter
-	}
-	switch opts.RetainPerFrameLB {
-	case RetainAll, RetainNone:
-	case RetainLastK:
-		if opts.RetainLBWindow <= 0 {
-			opts.RetainLBWindow = DefaultRetainLBWindow
-		}
-	default:
-		return opts, fmt.Errorf("core: unknown LB retention policy %v", opts.RetainPerFrameLB)
 	}
 	return opts, nil
 }
@@ -225,33 +193,21 @@ func (s *StreamReconstructor) Size() (w, h int) { return s.w, s.h }
 func (s *StreamReconstructor) Identified() bool { return s.identified }
 
 // MemFootprint estimates the bytes of mutable state this stream holds
-// over its lifetime: the accumulated reconstruction, the retained LB
-// history under the configured retention policy, the pooled per-frame
+// over its lifetime: the accumulated reconstruction, the per-frame
 // scratch masks, the (bounded) pending identification window, the
 // unknown-mode derivation state, and the pinned VB. The session layer's
 // fleet admission control sums these estimates against its global
 // memory budget. The figure is an estimate from geometry and element
-// counts, not an allocator measurement. Bounded state (the LastK
-// window, the identification buffer, the scratch pool) is charged up
-// front so admission decisions hold for the session's whole life;
-// only RetainAll still grows with the frames fed.
+// counts, not an allocator measurement. Bounded state (the
+// identification buffer, the scratch) is charged up front, so the
+// figure does not grow with the frames fed and admission decisions hold
+// for the session's whole life.
 func (s *StreamReconstructor) MemFootprint() uint64 {
 	px := uint64(s.w) * uint64(s.h)
 	imgBytes := px * 3                                 // imagex.RGB is 3 bytes/pixel
 	maskBytes := uint64((s.w+63)/64) * uint64(s.h) * 8 // row-aligned []uint64 bitset
 	n := imgBytes + maskBytes                          // rec.Recovered + rec.Coverage
-	switch s.opts.RetainPerFrameLB {
-	case RetainNone:
-		n += maskBytes // the single recycled LB scratch
-	case RetainLastK:
-		n += uint64(s.opts.RetainLBWindow) * maskBytes
-	default:
-		n += uint64(len(s.rec.PerFrameLB)) * maskBytes
-	}
-	n += 2 * maskBytes // VBM + BBM scratch
-	if _, ok := s.opts.Segmenter.(segment.IntoSegmenter); ok {
-		n += maskBytes // VCM scratch
-	}
+	n += 3 * maskBytes                                 // VBM + BBM + VCM scratch
 	if s.opts.Mode == VBKnownImage && !s.identified {
 		// The pre-pin buffer is bounded by the identification window;
 		// charge it whole so pinning never retroactively invalidates the
@@ -406,10 +362,10 @@ func (s *StreamReconstructor) pinIdentification() {
 // let local pixels override aux ones too.
 //
 // The stability compare is the batch derivation's: MatchMaskInto of the
-// previous frame against this one, written into the VBM scratch (which
-// processFrame overwrites right afterwards), then advanceRuns. Only the
-// run-counter update is per pixel. DerivedCoverage is maintained from
-// derivedCount instead of a full popcount per frame.
+// previous frame against this one, written into the kernel's VBM
+// scratch (which processFrame overwrites right afterwards), then
+// advanceRuns. Only the run-counter update is per pixel. DerivedCoverage
+// is maintained from derivedCount instead of a full popcount per frame.
 func (s *StreamReconstructor) updateDerivation(frame *imagex.Image) {
 	if s.prev == nil {
 		// First frame: nothing to compare yet. The clone is the one-time
@@ -419,7 +375,7 @@ func (s *StreamReconstructor) updateDerivation(frame *imagex.Image) {
 		return
 	}
 	s.ensureScratch()
-	commits := imagex.MatchMaskInto(s.vbmScratch, s.prev, frame, s.opts.MatchTol)
+	commits := imagex.MatchMaskInto(s.kern.vbm, s.prev, frame, s.opts.MatchTol)
 	if n := advanceRuns(commits, s.localKnown, s.runLen, s.opts.StabilityThreshold); n > 0 {
 		s.derivedCount += n - commits.Overlap(s.derived.Known)
 		_ = s.localKnown.Union(commits) // same geometry by construction
@@ -435,89 +391,39 @@ func (s *StreamReconstructor) derivedCoverage() float64 {
 	return float64(s.derivedCount) / float64(s.w*s.h)
 }
 
-// ensureScratch builds the pooled per-frame scratch on the first
-// processed frame: the reusable VBM/BBM (and, for cooperating
-// segmenters, VCM) masks, the dilation engine, and the tile-band states
-// — covFull is recomputed from the accumulated coverage, so a resumed
+// ensureScratch builds the per-frame scratch on the first processed
+// frame: the frame kernel, the VCM mask and the tile-band states —
+// covFull is recomputed from the accumulated coverage, so a resumed
 // stream starts with the correct saturation flags.
 func (s *StreamReconstructor) ensureScratch() {
-	if s.dil != nil {
+	if s.kern != nil {
 		return
 	}
-	s.dil = imagex.NewDilator(s.w, s.h, s.opts.Phi)
-	s.vbmScratch = imagex.NewMask(s.w, s.h)
-	s.bbmScratch = imagex.NewMask(s.w, s.h)
-	if is, ok := s.opts.Segmenter.(segment.IntoSegmenter); ok {
-		s.intoSeg = is
-		s.vcmScratch = imagex.NewMask(s.w, s.h)
-	}
+	s.kern = newFrameKernel(s.w, s.h, s.opts)
+	s.vcm = imagex.NewMask(s.w, s.h)
+	s.intoSeg, _ = s.opts.Segmenter.(segment.IntoSegmenter)
 	nb := imagex.Bands(s.h, lbTileRows)
 	s.lbDirty = make([]bool, nb)
 	s.covFull = make([]bool, nb)
 	_ = imagex.BandFullness(s.rec.Coverage, lbTileRows, s.covFull) // sized above
-	if s.opts.RetainPerFrameLB == RetainLastK && s.rec.PerFrameLB == nil {
-		s.rec.PerFrameLB = make([]*imagex.Mask, 0, s.opts.RetainLBWindow)
-	}
 }
 
-// takeLB returns a leak-mask buffer from the pool, allocating only when
-// the pool is empty (every word is overwritten by ComplementOfUnion, so
-// recycled masks need no clearing).
-func (s *StreamReconstructor) takeLB() *imagex.Mask {
-	if n := len(s.lbPool); n > 0 {
-		m := s.lbPool[n-1]
-		s.lbPool[n-1] = nil
-		s.lbPool = s.lbPool[:n-1]
-		return m
-	}
-	return imagex.NewMask(s.w, s.h)
-}
-
-// retainLB applies the retention policy to this frame's leak mask:
-// kept forever (RetainAll), rotated through the LastK window with the
-// evicted mask recycled, or recycled immediately (RetainNone).
-func (s *StreamReconstructor) retainLB(lb *imagex.Mask) {
-	switch s.opts.RetainPerFrameLB {
-	case RetainNone:
-		s.lbPool = append(s.lbPool, lb)
-	case RetainLastK:
-		k := s.opts.RetainLBWindow
-		if len(s.rec.PerFrameLB) < k {
-			s.rec.PerFrameLB = append(s.rec.PerFrameLB, lb)
-			return
-		}
-		oldest := s.rec.PerFrameLB[0]
-		copy(s.rec.PerFrameLB, s.rec.PerFrameLB[1:])
-		s.rec.PerFrameLB[k-1] = lb
-		s.lbPool = append(s.lbPool, oldest)
-	default:
-		s.rec.PerFrameLB = append(s.rec.PerFrameLB, lb)
-	}
-}
-
-// processFrame runs masking and residue extraction for one frame. All
-// intermediate masks come from stream-owned scratch; at steady state
-// the only allocation is the retained LB under RetainAll (none under
-// the bounded policies).
+// processFrame runs one frame through segment → colour refine → leak →
+// applyLeak. With a cooperating segmenter every mask is stream-owned
+// scratch and a frame allocates nothing.
 func (s *StreamReconstructor) processFrame(frame *imagex.Image, oracle *imagex.Mask) {
 	s.ensureScratch()
-	var vbm *imagex.Mask
-	switch s.opts.Mode {
-	case VBKnownImage:
-		vbm = vbMaskKnownInto(s.vbmScratch, frame, s.vbImage, s.opts.MatchTol)
-	default:
-		vbm = vbMaskDerivedInto(s.vbmScratch, frame, s.derived, s.opts.MatchTol)
-	}
-	s.vbmScratch = vbm
-	bbm := s.dil.DilateInto(s.bbmScratch, vbm)
-	s.bbmScratch = bbm
-
 	var vcm *imagex.Mask
 	if s.intoSeg != nil {
-		vcm = s.intoSeg.SegmentInto(s.vcmScratch, frame, oracle)
-		s.vcmScratch = vcm
+		vcm = s.intoSeg.SegmentInto(s.vcm, frame, oracle)
 	} else {
 		vcm = s.opts.Segmenter.Segment(frame, oracle)
+	}
+	if vcm.W != s.w || vcm.H != s.h {
+		// A mis-sized segmenter output cannot hold the LB. Treat it as an
+		// empty VCM: LB degenerates to the BBM complement.
+		s.vcm.Clear()
+		vcm = s.vcm
 	}
 	if s.opts.ColorRefine {
 		// Colour refinement against the histogram accumulated so far.
@@ -527,21 +433,13 @@ func (s *StreamReconstructor) processFrame(frame *imagex.Image, oracle *imagex.M
 		s.histTotal += histQuant12(s.hist, frame, vcm)
 		dropRareColors(vcm, frame, s.hist, int(s.opts.ColorFreqThreshold*float64(s.histTotal)))
 	}
-
-	// BBM includes VBM; LB is the complement of BBM ∪ VCM, built with
-	// per-band occupancy recorded so the residue pass skips idle tiles.
-	lb := s.takeLB()
-	if err := lb.ComplementOfUnion(bbm, vcm, lbTileRows, s.lbDirty); err != nil {
-		// A mis-sized segmenter output. The historical union ignored it
-		// (same-geometry union cannot fail for the built-in segmenters);
-		// keep that behaviour: LB degenerates to the BBM complement.
-		_ = lb.ComplementOfUnion(bbm, bbm, lbTileRows, s.lbDirty)
+	var known *imagex.Mask
+	vb := s.vbImage
+	if s.derived != nil {
+		vb, known = s.derived.Img, s.derived.Known
 	}
-	nbits, _ := imagex.ApplyResidue(lb, frame, s.rec.Recovered, s.rec.Coverage,
-		lbTileRows, s.lbDirty, s.covFull) // same geometry by construction
-	s.rec.LBFrames++
-	s.rec.LBBits += uint64(nbits)
-	s.retainLB(lb)
+	s.kern.leak(vcm, frame, vb, known, s.lbDirty)
+	s.rec.applyLeak(vcm, frame, s.lbDirty, s.covFull)
 }
 
 // Snapshot returns the reconstruction accumulated so far. The returned

@@ -5,29 +5,22 @@ import (
 )
 
 // BenchmarkStreamFeed measures the streaming hot path per frame at
-// steady state (identification pinned, LastK window full, scratch pool
-// warm). ns/op is the per-frame cost; session-bytes is the admission
-// footprint (MemFootprint) at the end of the run and growth-B/frame its
-// increase per benchmarked frame — zero under the bounded retention
-// policies, one mask per frame under the historical RetainAll. CI runs
-// this with -benchmem as the density smoke test; the hard zero-alloc
-// gate is TestStreamFeedSteadyStateZeroAlloc.
+// steady state (identification pinned, scratch warm). ns/op is the
+// per-frame cost; session-bytes is the admission footprint
+// (MemFootprint) at the end of the run and growth-B/frame its increase
+// per benchmarked frame, which should read zero. CI runs this with
+// -benchmem as the density smoke test; the hard zero-alloc gate is
+// TestStreamFeedSteadyStateZeroAlloc.
 func BenchmarkStreamFeed(b *testing.B) {
 	v, oracles, opts := benchCall(b)
-	cases := []struct {
-		name      string
-		unknown   bool
-		retention LBRetention
-	}{
-		{"known/retain-none", false, RetainNone},
-		{"unknown/retain-none", true, RetainNone},
-		{"unknown/retain-all", true, RetainAll},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, unknown := range []bool{false, true} {
+		name := "known"
+		if unknown {
+			name = "unknown"
+		}
+		b.Run(name, func(b *testing.B) {
 			o := opts
-			o.RetainPerFrameLB = tc.retention
-			if tc.unknown {
+			if unknown {
 				o.Mode = VBUnknownImage
 				o.KnownImages = nil
 			}
@@ -68,7 +61,6 @@ func BenchmarkStreamFeedN(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			o := opts
-			o.RetainPerFrameLB = RetainNone
 			if unknown {
 				o.Mode = VBUnknownImage
 				o.KnownImages = nil

@@ -12,13 +12,12 @@ import (
 )
 
 // TestStreamFeedSteadyStateZeroAlloc is the hard density guarantee of
-// DESIGN.md §14: with a cooperating (IntoSegmenter) segmenter and a
-// bounded LB retention policy, a streaming frame at steady state
-// allocates nothing — the whole per-frame pipeline runs in pooled,
-// stream-owned buffers. The offline cases cover the production
-// profile: a seeded OfflineSegmenter writing into the stream's VCM
-// scratch. CI runs this test as the regression gate next to the
-// -benchmem numbers.
+// DESIGN.md §14: with a cooperating (IntoSegmenter) segmenter, a
+// streaming frame at steady state allocates nothing — the whole
+// per-frame pipeline runs in stream-owned buffers. The offline cases
+// cover the production profile: a seeded OfflineSegmenter writing into
+// the stream's VCM scratch. CI runs this test as the regression gate
+// next to the -benchmem numbers.
 func TestStreamFeedSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is gated in the non-race run")
@@ -27,17 +26,14 @@ func TestStreamFeedSteadyStateZeroAlloc(t *testing.T) {
 	frames := res.Blended.Frames
 
 	cases := []struct {
-		name      string
-		unknown   bool
-		retention LBRetention
-		offline   bool
+		name    string
+		unknown bool
+		offline bool
 	}{
-		{"known/none", false, RetainNone, false},
-		{"known/last-k", false, RetainLastK, false},
-		{"unknown/none", true, RetainNone, false},
-		{"unknown/last-k", true, RetainLastK, false},
-		{"offline/known/none", false, RetainNone, true},
-		{"offline/unknown/none", true, RetainNone, true},
+		{"known", false, false},
+		{"unknown", true, false},
+		{"offline/known", false, true},
+		{"offline/unknown", true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,8 +41,6 @@ func TestStreamFeedSteadyStateZeroAlloc(t *testing.T) {
 			if tc.offline {
 				opts.Segmenter = segment.NewOfflineSegmenter(rand.New(rand.NewSource(43)))
 			}
-			opts.RetainPerFrameLB = tc.retention
-			opts.RetainLBWindow = 4
 			if tc.unknown {
 				opts.Mode = VBUnknownImage
 			} else {
@@ -56,8 +50,8 @@ func TestStreamFeedSteadyStateZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Warm-up: past identification, past the LastK fill, scratch
-			// and pool built, histogram allocated.
+			// Warm-up: past identification, scratch built, histogram
+			// allocated.
 			for i, f := range frames {
 				if err := s.Feed(f, sils[i]); err != nil {
 					t.Fatal(err)
@@ -74,134 +68,6 @@ func TestStreamFeedSteadyStateZeroAlloc(t *testing.T) {
 				t.Fatalf("steady-state Feed allocates %.1f objects/frame, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestStreamRetentionParity proves the retention policy only affects
-// the retained PerFrameLB history: the accumulated planes, the LB
-// aggregate counters, and the checkpoint bytes are bit-identical across
-// all three policies, and the LastK window is exactly the tail of the
-// full history.
-func TestStreamRetentionParity(t *testing.T) {
-	res, sils := testCall(t, 42, 25, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
-
-	for _, unknown := range []bool{false, true} {
-		const window = 6
-		mk := func(r LBRetention) *StreamReconstructor {
-			opts := oracleOpts()
-			opts.RetainPerFrameLB = r
-			opts.RetainLBWindow = window
-			if unknown {
-				opts.Mode = VBUnknownImage
-			} else {
-				opts.KnownImages = compositor.BuiltinImages(160, 120)
-			}
-			s, err := NewStream(160, 120, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-		all, lastK, none := mk(RetainAll), mk(RetainLastK), mk(RetainNone)
-		for i, f := range res.Blended.Frames {
-			for _, s := range []*StreamReconstructor{all, lastK, none} {
-				if err := s.Feed(f, sils[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		a, k, n := all.Snapshot(), lastK.Snapshot(), none.Snapshot()
-		if !a.Recovered.Equal(k.Recovered) || !a.Recovered.Equal(n.Recovered) {
-			t.Fatalf("unknown=%v: recovered planes differ across retention policies", unknown)
-		}
-		if !a.Coverage.Equal(k.Coverage) || !a.Coverage.Equal(n.Coverage) {
-			t.Fatalf("unknown=%v: coverage planes differ across retention policies", unknown)
-		}
-		if a.LBFrames != k.LBFrames || a.LBFrames != n.LBFrames ||
-			a.LBBits != k.LBBits || a.LBBits != n.LBBits {
-			t.Fatalf("unknown=%v: LB aggregates differ: all=(%d,%d) lastK=(%d,%d) none=(%d,%d)",
-				unknown, a.LBFrames, a.LBBits, k.LBFrames, k.LBBits, n.LBFrames, n.LBBits)
-		}
-		if len(a.PerFrameLB) != len(res.Blended.Frames) {
-			t.Fatalf("unknown=%v: RetainAll kept %d masks", unknown, len(a.PerFrameLB))
-		}
-		if len(k.PerFrameLB) != window {
-			t.Fatalf("unknown=%v: RetainLastK kept %d masks, want %d", unknown, len(k.PerFrameLB), window)
-		}
-		if len(n.PerFrameLB) != 0 {
-			t.Fatalf("unknown=%v: RetainNone kept %d masks", unknown, len(n.PerFrameLB))
-		}
-		tail := a.PerFrameLB[len(a.PerFrameLB)-window:]
-		for i := range tail {
-			if !tail[i].Equal(k.PerFrameLB[i]) {
-				t.Fatalf("unknown=%v: LastK window slot %d differs from the full history tail", unknown, i)
-			}
-		}
-		ca, err := all.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := lastK.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cn, err := none.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ca, ck) || !bytes.Equal(ca, cn) {
-			t.Fatalf("unknown=%v: checkpoint bytes differ across retention policies", unknown)
-		}
-	}
-}
-
-// TestStreamRetentionResumeCompatible pins the cross-era checkpoint
-// contract: retention is excluded from the options fingerprint, so a
-// checkpoint written under the historical RetainAll default resumes
-// under RetainNone (and vice versa) and continues bit-identically.
-func TestStreamRetentionResumeCompatible(t *testing.T) {
-	res, sils := testCall(t, 43, 20, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
-	opts := oracleOpts()
-	opts.Mode = VBUnknownImage // exercises the full derivation state too
-
-	s, err := NewStream(160, 120, opts) // RetainAll (zero value)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		if err := s.Feed(res.Blended.Frames[i], sils[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bounded := opts
-	bounded.RetainPerFrameLB = RetainNone
-	r, err := ResumeStream(data, bounded)
-	if err != nil {
-		t.Fatalf("RetainAll checkpoint refused under RetainNone: %v", err)
-	}
-	for i := 12; i < 20; i++ {
-		if err := s.Feed(res.Blended.Frames[i], sils[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Feed(res.Blended.Frames[i], sils[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c1, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := r.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(c1, c2) {
-		t.Fatal("resumed bounded-memory stream diverged from the uninterrupted RetainAll run")
 	}
 }
 

@@ -309,41 +309,31 @@ func DeriveUnknownVideo(v *vidstream.Video, maxPeriod, tol int) (*DerivedVideo, 
 // frame against a fully known virtual image M: VBM=1 where µ(M ⊕ f)=1
 // (within tol).
 func VBMaskKnown(frame, vb *imagex.Image, tol int) *imagex.Mask {
-	return vbMaskKnownInto(nil, frame, vb, tol)
-}
-
-// vbMaskKnownInto is VBMaskKnown writing into a caller-supplied scratch
-// mask (the streaming hot path reuses one per stream); it allocates only
-// when dst is nil or mis-sized.
-func vbMaskKnownInto(dst *imagex.Mask, frame, vb *imagex.Image, tol int) *imagex.Mask {
-	if !frame.SameSize(vb) {
-		if dst != nil && dst.W == frame.W && dst.H == frame.H {
-			dst.Clear()
-			return dst
-		}
-		return imagex.NewMask(frame.W, frame.H)
-	}
-	return imagex.MatchMaskInto(dst, frame, vb, tol)
+	return vbMaskInto(nil, frame, vb, nil, tol)
 }
 
 // VBMaskDerived generates VBM against a partially derived virtual image,
 // matching only at known positions.
 func VBMaskDerived(frame *imagex.Image, d *DerivedImage, tol int) *imagex.Mask {
-	return vbMaskDerivedInto(nil, frame, d, tol)
+	return vbMaskInto(nil, frame, d.Img, d.Known, tol)
 }
 
-// vbMaskDerivedInto is VBMaskDerived with a caller-supplied scratch.
-func vbMaskDerivedInto(dst *imagex.Mask, frame *imagex.Image, d *DerivedImage, tol int) *imagex.Mask {
-	if frame.W != d.Img.W || frame.H != d.Img.H {
-		if dst != nil && dst.W == frame.W && dst.H == frame.H {
-			dst.Clear()
-			return dst
+// vbMaskInto writes the VBM of frame against vb into dst: the pixels
+// matching within tol, restricted to known when it is non-nil. A vb of
+// another geometry matches nothing. It allocates only when dst is nil
+// or mis-sized.
+func vbMaskInto(dst *imagex.Mask, frame, vb *imagex.Image, known *imagex.Mask, tol int) *imagex.Mask {
+	if !frame.SameSize(vb) {
+		if dst == nil || dst.W != frame.W || dst.H != frame.H {
+			return imagex.NewMask(frame.W, frame.H)
 		}
-		return imagex.NewMask(frame.W, frame.H)
+		dst.Clear()
+		return dst
 	}
-	m := imagex.MatchMaskInto(dst, frame, d.Img, tol)
-	// Matching is only meaningful at derived positions.
-	_ = m.Intersect(d.Known) // same geometry, checked above
+	m := imagex.MatchMaskInto(dst, frame, vb, tol)
+	if known != nil {
+		_ = m.Intersect(known) // a derived image and its Known mask share a geometry
+	}
 	return m
 }
 

@@ -522,6 +522,11 @@ func TestSessionExplicitCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Every frame processed first: a periodic checkpoint due on any of
+		// them would show up in the count below.
+		if err := s.Drain(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}

@@ -114,7 +114,7 @@ type Session struct {
 	ckptRetries    stats.Counter // retries beyond the first attempt
 	ckptFailStreak atomic.Uint32 // consecutive exhausted checkpoint cycles
 	lastCkptNs     atomic.Int64  // UnixNano of the last successful checkpoint
-	ckptTryNs      atomic.Int64  // UnixNano of the last attempt (paces retries)
+	ckptTryNs      atomic.Int64  // UnixNano of the last attempt, or of the start (paces retries)
 	restored       bool          // came from Manager.Restore, not Open
 
 	// rejectStreak is the current run of consecutively rejected frames
@@ -143,6 +143,9 @@ func newSession(mgr *Manager, id string, stream *core.StreamReconstructor, queue
 	s.w, s.h = stream.Size()
 	s.lastFeed.Store(s.started.UnixNano())
 	s.lastProc.Store(s.started.UnixNano())
+	// The periodic checkpoint pace runs from the session's start, so the
+	// first one falls due one CheckpointInterval in, not on frame one.
+	s.ckptTryNs.Store(s.started.UnixNano())
 	return s
 }
 
@@ -679,9 +682,7 @@ func (s *Session) Failure() string {
 func (s *Session) Evicted() bool { return s.evicted.Load() }
 
 // Snapshot returns a cloned point-in-time reconstruction: Recovered,
-// Coverage, VBName, VBMode and DerivedCoverage. PerFrameLB is omitted
-// — it grows per frame and a live observer has no use for it; use the
-// batch Reconstruct on a recording when per-frame masks are needed.
+// Coverage, VBName, VBMode and DerivedCoverage.
 func (s *Session) Snapshot() *core.Reconstruction {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
