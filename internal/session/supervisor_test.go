@@ -782,13 +782,25 @@ func TestChaosSupervisedFleetRace(t *testing.T) {
 	for range calls {
 		<-done
 	}
-	// Let the supervisor heal any crash from the last frames.
+	// Let the supervisor heal any crash from the last frames. A session
+	// can look healthy while poisoned frames still sit in its queue, so
+	// one moment with FailedNow == 0 proves nothing. Instead, repeat a
+	// pass over every id until a whole pass finds each one settled: its
+	// healed incarnation drains its queue and is still the current,
+	// healthy incarnation afterwards.
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if m.Stats().FailedNow == 0 {
-			break
+	for settled := false; !settled && time.Now().Before(deadline); {
+		settled = true
+		for i := range calls {
+			id := fmt.Sprintf("call-%d", i)
+			s := waitHealed(t, m, id)
+			if err := s.Drain(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if cur, ok := m.Get(id); !ok || cur != s || cur.Health() >= Failed {
+				settled = false
+			}
 		}
-		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 
