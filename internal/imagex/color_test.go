@@ -167,3 +167,46 @@ func TestToHSVExhaustive(t *testing.T) {
 		t.Fatalf("%d colours differ", bad)
 	}
 }
+
+// TestSaturatedHuesExhaustive compares SaturatedHues with ToHSV on all
+// 2^24 colours at several floors: a pixel passes exactly when ToHSV's
+// S >= floor, with float32 of ToHSV's hue, and holds none otherwise.
+// It also pins the hue range the location matcher relies on: every hue
+// lies in [0, 360), still after rounding to float32.
+func TestSaturatedHuesExhaustive(t *testing.T) {
+	const none = -1
+	floors := []float64{0, 0.12, 1, 1.1, math.NaN(), RGB{200, 100, 50}.ToHSV().S}
+	src := make([]RGB, 1<<16)
+	want := make([]HSV, len(src))
+	dst := make([]float32, len(src))
+	bad := 0
+	for base := 0; base < 1<<24; base += len(src) {
+		for i := range src {
+			v := base + i
+			src[i] = RGB{uint8(v >> 16), uint8(v >> 8), uint8(v)}
+			want[i] = src[i].ToHSV()
+			if h := want[i].H; !(h >= 0 && float32(h) < 360) {
+				if bad++; bad <= 5 {
+					t.Errorf("ToHSV(%v).H = %v, float32 %v: outside [0, 360)", src[i], h, float32(h))
+				}
+			}
+		}
+		for _, floor := range floors {
+			SaturatedHues(dst, src, floor, none)
+			for i, got := range dst {
+				exp := float32(none)
+				if want[i].S >= floor {
+					exp = float32(want[i].H)
+				}
+				if math.Float32bits(got) != math.Float32bits(exp) {
+					if bad++; bad <= 5 {
+						t.Errorf("SaturatedHues(%v, floor %v) = %v, want %v (ToHSV %+v)", src[i], floor, got, exp, want[i])
+					}
+				}
+			}
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d mismatches", bad)
+	}
+}
