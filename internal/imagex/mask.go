@@ -524,8 +524,13 @@ func (m *Mask) BBox() (x0, y0, x1, y1 int, ok bool) {
 }
 
 // WordBytes returns the size of the mask's packed-word encoding
-// (AppendWords): 8 bytes per storage word, rows word-aligned.
-func (m *Mask) WordBytes() int { return 8 * m.H * wordsPerRow(m.W) }
+// (AppendWords).
+func (m *Mask) WordBytes() int { return MaskWordBytes(m.W, m.H) }
+
+// MaskWordBytes returns the size of a w×h mask's packed-word encoding
+// without allocating one: 8 bytes per storage word, rows word-aligned.
+// Decoders size a mask section with it before allocating the mask.
+func MaskWordBytes(w, h int) int { return 8 * h * wordsPerRow(w) }
 
 // AppendWords appends the packed bitset words to buf in row-major
 // order, each word little-endian, and returns the extended slice. The
