@@ -28,6 +28,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/bgbuster/bgbuster/internal/binfmt"
 	"github.com/bgbuster/bgbuster/internal/imagex"
 )
 
@@ -155,22 +156,23 @@ type State struct {
 //
 // with the CRC-32 (IEEE) covering the whole payload. All integers are
 // little-endian; masks are packed-word encodings (imagex.AppendWords)
-// and images raw RGB triples, both sized by the header dimensions.
+// and images raw RGB triples (imagex.AppendPix), both sized by the
+// header dimensions.
 func Encode(st *State) ([]byte, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
 	buf := make([]byte, 0, st.encodedSizeHint())
 	buf = append(buf, Magic...)
-	buf = appendU16(buf, Version)
-	buf = appendU16(buf, 0)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
+	buf = binary.LittleEndian.AppendUint16(buf, 0)
 	crcAt := len(buf)
-	buf = appendU32(buf, 0) // CRC placeholder, patched below.
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // CRC placeholder, patched below.
 
 	payload := len(buf)
-	buf = appendU32(buf, uint32(st.W))
-	buf = appendU32(buf, uint32(st.H))
-	buf = appendU64(buf, st.Frames)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.W))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.H))
+	buf = binary.LittleEndian.AppendUint64(buf, st.Frames)
 	buf = append(buf, byte(st.Mode))
 	var flags byte
 	if st.Finalized {
@@ -186,35 +188,40 @@ func Encode(st *State) ([]byte, error) {
 		flags |= flagHasHist
 	}
 	buf = append(buf, flags)
-	buf = appendU64(buf, st.Fingerprint)
+	buf = binary.LittleEndian.AppendUint64(buf, st.Fingerprint)
 
 	scores := append([]Score(nil), st.Scores...)
 	sort.Slice(scores, func(i, j int) bool { return scores[i].Name < scores[j].Name })
-	buf = appendU32(buf, uint32(len(scores)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(scores)))
 	for _, sc := range scores {
-		buf = appendU16(buf, uint16(len(sc.Name)))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(sc.Name)))
 		buf = append(buf, sc.Name...)
-		buf = appendU64(buf, uint64(sc.Score))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(sc.Score))
 	}
 	if st.Identified {
-		buf = appendU16(buf, uint16(len(st.VBName)))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(st.VBName)))
 		buf = append(buf, st.VBName...)
-		buf = appendImage(buf, st.VBImage)
+		buf = imagex.AppendPix(buf, st.VBImage.Pix)
 	}
-	buf = appendU32(buf, uint32(len(st.PendingFrames)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.PendingFrames)))
 	for i, f := range st.PendingFrames {
-		buf = appendImage(buf, f)
+		buf = imagex.AppendPix(buf, f.Pix)
 		buf = st.PendingOracles[i].AppendWords(buf)
 	}
 
 	if st.DerivedImg != nil {
 		buf = append(buf, 1)
-		buf = appendImage(buf, st.DerivedImg)
+		buf = imagex.AppendPix(buf, st.DerivedImg.Pix)
 		buf = st.DerivedKnown.AppendWords(buf)
 		buf = st.LocalKnown.AppendWords(buf)
-		buf = appendRunLens(buf, st.RunLen)
+		// The run counters are written as exact u32, the encoding the
+		// format has always used; core keeps them as saturating uint16 in
+		// memory and widens on write, so every container is unchanged.
+		for _, r := range st.RunLen {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
+		}
 		if st.Prev != nil {
-			buf = appendImage(buf, st.Prev)
+			buf = imagex.AppendPix(buf, st.Prev.Pix)
 		}
 	} else {
 		buf = append(buf, 0)
@@ -222,12 +229,12 @@ func Encode(st *State) ([]byte, error) {
 
 	if st.Hist != nil {
 		for _, h := range st.Hist {
-			buf = appendU64(buf, uint64(h))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(h))
 		}
-		buf = appendU64(buf, st.HistTotal)
+		buf = binary.LittleEndian.AppendUint64(buf, st.HistTotal)
 	}
 
-	buf = appendImage(buf, st.Recovered)
+	buf = imagex.AppendPix(buf, st.Recovered.Pix)
 	buf = st.Coverage.AppendWords(buf)
 
 	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.ChecksumIEEE(buf[payload:]))
@@ -321,13 +328,13 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 		return nil, fmt.Errorf("checkpoint: CRC %08x, header claims %08x: %w", got, wantCRC, ErrBadCheckpoint)
 	}
 
-	d := &reader{data: payload}
+	d := binfmt.NewReader(payload, ErrBadCheckpoint)
 	st := &State{}
-	w, err := d.u32()
+	w, err := d.U32()
 	if err != nil {
 		return nil, err
 	}
-	h, err := d.u32()
+	h, err := d.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -335,15 +342,15 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 		return nil, fmt.Errorf("checkpoint: implausible geometry %dx%d: %w", w, h, ErrBadCheckpoint)
 	}
 	st.W, st.H = int(w), int(h)
-	if st.Frames, err = d.u64(); err != nil {
+	if st.Frames, err = d.U64(); err != nil {
 		return nil, err
 	}
-	mode, err := d.u8()
+	mode, err := d.U8()
 	if err != nil {
 		return nil, err
 	}
 	st.Mode = int(mode)
-	flags, err := d.u8()
+	flags, err := d.U8()
 	if err != nil {
 		return nil, err
 	}
@@ -352,11 +359,11 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 	}
 	st.Finalized = flags&flagFinalized != 0
 	st.Identified = flags&flagIdentified != 0
-	if st.Fingerprint, err = d.u64(); err != nil {
+	if st.Fingerprint, err = d.U64(); err != nil {
 		return nil, err
 	}
 
-	nScores, err := d.u32()
+	nScores, err := d.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -365,13 +372,13 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 	}
 	// Every entry needs ≥ 10 bytes; reject the count against the
 	// remaining input before allocating the table.
-	if err := d.need(10 * int64(nScores)); err != nil {
+	if err := d.Need(10 * int64(nScores)); err != nil {
 		return nil, err
 	}
 	st.Scores = make([]Score, 0, nScores)
 	prevName := ""
 	for i := uint32(0); i < nScores; i++ {
-		name, err := d.str(lim.MaxNameLen)
+		name, err := d.Str(lim.MaxNameLen)
 		if err != nil {
 			return nil, err
 		}
@@ -379,39 +386,39 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 			return nil, fmt.Errorf("checkpoint: score table not strictly sorted at %q: %w", name, ErrBadCheckpoint)
 		}
 		prevName = name
-		v, err := d.u64()
+		v, err := d.U64()
 		if err != nil {
 			return nil, err
 		}
 		st.Scores = append(st.Scores, Score{Name: name, Score: int64(v)})
 	}
 	if st.Identified {
-		if st.VBName, err = d.str(lim.MaxNameLen); err != nil {
+		if st.VBName, err = d.Str(lim.MaxNameLen); err != nil {
 			return nil, err
 		}
-		if st.VBImage, err = d.image(st.W, st.H); err != nil {
+		if st.VBImage, err = d.Image(st.W, st.H); err != nil {
 			return nil, err
 		}
 	}
-	nPending, err := d.u32()
+	nPending, err := d.U32()
 	if err != nil {
 		return nil, err
 	}
 	if int64(nPending) > int64(lim.MaxPending) {
 		return nil, fmt.Errorf("checkpoint: %d pending frames exceed budget %d: %w", nPending, lim.MaxPending, ErrBadCheckpoint)
 	}
-	perPending := int64(3*st.W*st.H) + int64(maskBytes(st.W, st.H))
-	if err := d.need(perPending * int64(nPending)); err != nil {
+	perPending := int64(3*st.W*st.H) + int64(imagex.MaskWordBytes(st.W, st.H))
+	if err := d.Need(perPending * int64(nPending)); err != nil {
 		return nil, err
 	}
 	st.PendingFrames = make([]*imagex.Image, 0, nPending)
 	st.PendingOracles = make([]*imagex.Mask, 0, nPending)
 	for i := uint32(0); i < nPending; i++ {
-		f, err := d.image(st.W, st.H)
+		f, err := d.Image(st.W, st.H)
 		if err != nil {
 			return nil, err
 		}
-		o, err := d.mask(st.W, st.H)
+		o, err := d.Mask(st.W, st.H)
 		if err != nil {
 			return nil, err
 		}
@@ -419,32 +426,32 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 		st.PendingOracles = append(st.PendingOracles, o)
 	}
 
-	hasDerived, err := d.u8()
+	hasDerived, err := d.U8()
 	if err != nil {
 		return nil, err
 	}
 	switch hasDerived {
 	case 0:
 	case 1:
-		if st.DerivedImg, err = d.image(st.W, st.H); err != nil {
+		if st.DerivedImg, err = d.Image(st.W, st.H); err != nil {
 			return nil, err
 		}
-		if st.DerivedKnown, err = d.mask(st.W, st.H); err != nil {
+		if st.DerivedKnown, err = d.Mask(st.W, st.H); err != nil {
 			return nil, err
 		}
-		if st.LocalKnown, err = d.mask(st.W, st.H); err != nil {
+		if st.LocalKnown, err = d.Mask(st.W, st.H); err != nil {
 			return nil, err
 		}
-		if err := d.need(4 * int64(st.W) * int64(st.H)); err != nil {
+		if err := d.Need(4 * int64(st.W) * int64(st.H)); err != nil {
 			return nil, err
 		}
 		st.RunLen = make([]int, st.W*st.H)
 		for i := range st.RunLen {
-			v, _ := d.u32() // length pre-checked above
+			v, _ := d.U32() // length pre-checked above
 			st.RunLen[i] = int(v)
 		}
 		if flags&flagHasPrev != 0 {
-			if st.Prev, err = d.image(st.W, st.H); err != nil {
+			if st.Prev, err = d.Image(st.W, st.H); err != nil {
 				return nil, err
 			}
 		}
@@ -456,179 +463,28 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 	}
 
 	if flags&flagHasHist != 0 {
-		if err := d.need(8*histBins + 8); err != nil {
+		if err := d.Need(8*histBins + 8); err != nil {
 			return nil, err
 		}
 		st.Hist = make([]int, histBins)
 		for i := range st.Hist {
-			v, _ := d.u64()
+			v, _ := d.U64()
 			if v > math.MaxInt64 {
 				return nil, fmt.Errorf("checkpoint: histogram bin %d overflows: %w", i, ErrBadCheckpoint)
 			}
 			st.Hist[i] = int(v)
 		}
-		st.HistTotal, _ = d.u64()
+		st.HistTotal, _ = d.U64()
 	}
 
-	if st.Recovered, err = d.image(st.W, st.H); err != nil {
+	if st.Recovered, err = d.Image(st.W, st.H); err != nil {
 		return nil, err
 	}
-	if st.Coverage, err = d.mask(st.W, st.H); err != nil {
+	if st.Coverage, err = d.Mask(st.W, st.H); err != nil {
 		return nil, err
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes: %w", d.remaining(), ErrBadCheckpoint)
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("checkpoint: %d trailing bytes: %w", d.Remaining(), ErrBadCheckpoint)
 	}
 	return st, nil
-}
-
-// maskBytes returns the packed-word encoding size for a w×h mask
-// without allocating one.
-func maskBytes(w, h int) int { return 8 * h * ((w + 63) >> 6) }
-
-// reader is a bounds-checked cursor over the payload. Every accessor
-// validates the remaining length before reading, and the section
-// decoders call need() with the full advertised size before their first
-// allocation.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) remaining() int64 { return int64(len(r.data) - r.off) }
-
-func (r *reader) need(n int64) error {
-	if n < 0 || n > r.remaining() {
-		return fmt.Errorf("checkpoint: section of %d bytes exceeds %d remaining: %w", n, r.remaining(), ErrBadCheckpoint)
-	}
-	return nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if err := r.need(int64(n)); err != nil {
-		return nil, err
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) u8() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// str reads a u16-length-prefixed string bounded by maxLen.
-func (r *reader) str(maxLen int) (string, error) {
-	b, err := r.bytes(2)
-	if err != nil {
-		return "", err
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	if n > maxLen {
-		return "", fmt.Errorf("checkpoint: %d-byte string exceeds budget %d: %w", n, maxLen, ErrBadCheckpoint)
-	}
-	s, err := r.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(s), nil
-}
-
-// image reads a raw w×h RGB raster.
-func (r *reader) image(w, h int) (*imagex.Image, error) {
-	b, err := r.bytes(3 * w * h)
-	if err != nil {
-		return nil, err
-	}
-	img := imagex.New(w, h)
-	for i := range img.Pix {
-		img.Pix[i] = imagex.RGB{R: b[3*i], G: b[3*i+1], B: b[3*i+2]}
-	}
-	return img, nil
-}
-
-// mask reads a packed-word w×h mask, rejecting padding-bit violations.
-func (r *reader) mask(w, h int) (*imagex.Mask, error) {
-	b, err := r.bytes(maskBytes(w, h))
-	if err != nil {
-		return nil, err
-	}
-	m := imagex.NewMask(w, h)
-	if err := m.LoadWords(b); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w: %w", err, ErrBadCheckpoint)
-	}
-	return m, nil
-}
-
-// appendImage appends the raw RGB raster of img.
-func appendImage(buf []byte, img *imagex.Image) []byte {
-	// Grow once and write by index: images dominate the payload
-	// (pending windows carry one per buffered frame), and the per-pixel
-	// append used to re-check capacity three million times per 640×360
-	// plane. Byte output is identical.
-	n := len(buf)
-	need := 3 * len(img.Pix)
-	if cap(buf)-n < need {
-		grown := make([]byte, n, n+need)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:n+need]
-	for i, p := range img.Pix {
-		o := n + 3*i
-		buf[o], buf[o+1], buf[o+2] = p.R, p.G, p.B
-	}
-	return buf
-}
-
-// appendRunLens writes the derivation run counters as exact u32, the
-// wire encoding the format has always used. The core layer now keeps
-// them as saturating uint16 in memory and widens on write, so the
-// encoding — and every pre-existing container — is unchanged.
-func appendRunLens(buf []byte, rl []int) []byte {
-	n := len(buf)
-	need := 4 * len(rl)
-	if cap(buf)-n < need {
-		grown := make([]byte, n, n+need)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:n+need]
-	for i, r := range rl {
-		binary.LittleEndian.PutUint32(buf[n+4*i:], uint32(r))
-	}
-	return buf
-}
-
-func appendU16(buf []byte, v uint16) []byte {
-	return append(buf, byte(v), byte(v>>8))
-}
-
-func appendU32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
@@ -219,9 +220,7 @@ func optionsFingerprint(w, h int, opts Options) uint64 {
 	fp := fnv.New64a()
 	u := func(v uint64) {
 		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(b[:], v)
 		fp.Write(b[:])
 	}
 	u(uint64(w))
@@ -253,14 +252,8 @@ func optionsFingerprint(w, h int, opts Options) uint64 {
 }
 
 func fingerprintImage(fp hash.Hash64, img *imagex.Image) {
-	buf := make([]byte, 16, 16+3*len(img.Pix))
-	for i, v := range []int{img.W, img.H} {
-		for b := 0; b < 8; b++ {
-			buf[8*i+b] = byte(uint64(v) >> (8 * b))
-		}
-	}
-	for _, p := range img.Pix {
-		buf = append(buf, p.R, p.G, p.B)
-	}
-	fp.Write(buf)
+	buf := make([]byte, 0, 16+3*len(img.Pix))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(img.W))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(img.H))
+	fp.Write(imagex.AppendPix(buf, img.Pix))
 }

@@ -204,10 +204,10 @@ func (s *StreamReconstructor) Identified() bool { return s.identified }
 // for the session's whole life.
 func (s *StreamReconstructor) MemFootprint() uint64 {
 	px := uint64(s.w) * uint64(s.h)
-	imgBytes := px * 3                                 // imagex.RGB is 3 bytes/pixel
-	maskBytes := uint64((s.w+63)/64) * uint64(s.h) * 8 // row-aligned []uint64 bitset
-	n := imgBytes + maskBytes                          // rec.Recovered + rec.Coverage
-	n += 3 * maskBytes                                 // VBM + BBM + VCM scratch
+	imgBytes := px * 3 // imagex.RGB is 3 bytes/pixel
+	maskBytes := uint64(imagex.MaskWordBytes(s.w, s.h))
+	n := imgBytes + maskBytes // rec.Recovered + rec.Coverage
+	n += 3 * maskBytes        // VBM + BBM + VCM scratch
 	if s.opts.Mode == VBKnownImage && !s.identified {
 		// The pre-pin buffer is bounded by the identification window;
 		// charge it whole so pinning never retroactively invalidates the

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 
+	"github.com/bgbuster/bgbuster/internal/binfmt"
 	"github.com/bgbuster/bgbuster/internal/core"
 	"github.com/bgbuster/bgbuster/internal/imagex"
 )
@@ -298,143 +299,185 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// Encode serialises a message to its canonical wire bytes.
+// Encode serialises a message to its canonical wire bytes. A field too
+// wide for its wire slot — a string over 65535 bytes, a frame side or a
+// list count over 65535 — is an error, not a truncated write that every
+// decoder would then reject.
 func Encode(m *Message) ([]byte, error) {
-	body, err := appendBody(nil, m)
-	if err != nil {
-		return nil, err
+	e := encoder{buf: make([]byte, 0, headerLen+bodyHint(m))}
+	e.buf = append(e.buf, Magic...)
+	e.buf = binary.LittleEndian.AppendUint16(e.buf, Version)
+	e.buf = append(e.buf, byte(m.Type), 0, 0, 0, 0, 0) // body length patched below
+	e.body(m)
+	if e.err != nil {
+		return nil, e.err
 	}
-	buf := make([]byte, 0, headerLen+len(body))
-	buf = append(buf, Magic...)
-	buf = appendU16(buf, Version)
-	buf = append(buf, byte(m.Type), 0)
-	buf = appendU32(buf, uint32(len(body)))
-	return append(buf, body...), nil
+	binary.LittleEndian.PutUint32(e.buf[8:], uint32(len(e.buf)-headerLen))
+	return e.buf, nil
 }
 
-func appendBody(buf []byte, m *Message) ([]byte, error) {
+// bodyHint sizes the encode buffer for the bodies that carry frames or
+// checkpoint bytes; any other body grows as it is appended.
+func bodyHint(m *Message) int {
+	n := 64
+	switch m.Type {
+	case MsgFeed, MsgFeedBatch:
+		for _, f := range m.Frames {
+			n += 5 + 3*len(f.Img.Pix)
+			if f.Oracle != nil {
+				n += f.Oracle.WordBytes()
+			}
+		}
+	case MsgResume, MsgCkptResp:
+		n += len(m.Ckpt)
+	}
+	return n
+}
+
+// encoder appends one message body, keeping the first field that
+// overflows its u16 wire slot as the encode error.
+type encoder struct {
+	buf []byte
+	err error
+}
+
+// n16 appends n as a u16 length, count or frame side.
+func (e *encoder) n16(n int, what string) {
+	if uint(n) > math.MaxUint16 && e.err == nil {
+		e.err = fmt.Errorf("fleet: encode: %s %d overflows its u16 wire field", what, n)
+	}
+	e.buf = binary.LittleEndian.AppendUint16(e.buf, uint16(n))
+}
+
+// str appends a u16-length-prefixed string.
+func (e *encoder) str(s, what string) {
+	e.n16(len(s), what)
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) body(m *Message) {
 	switch m.Type {
 	case MsgOpen, MsgResume:
-		buf = appendStr(buf, m.Spec.ID)
-		buf = appendU16(buf, uint16(m.Spec.W))
-		buf = appendU16(buf, uint16(m.Spec.H))
-		buf = append(buf, b2u8(m.Spec.UnknownVB))
-		buf = appendU64(buf, uint64(m.Spec.Seed))
+		e.str(m.Spec.ID, "session id length")
+		e.n16(m.Spec.W, "spec width")
+		e.n16(m.Spec.H, "spec height")
+		e.buf = append(e.buf, b2u8(m.Spec.UnknownVB))
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(m.Spec.Seed))
 		if m.Type == MsgResume {
-			buf = appendU32(buf, uint32(len(m.Ckpt)))
-			buf = append(buf, m.Ckpt...)
+			e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(m.Ckpt)))
+			e.buf = append(e.buf, m.Ckpt...)
 		}
 	case MsgFeed:
 		if len(m.Frames) != 1 {
-			return nil, fmt.Errorf("fleet: MsgFeed carries %d frames, want 1", len(m.Frames))
+			e.err = fmt.Errorf("fleet: MsgFeed carries %d frames, want 1", len(m.Frames))
+			return
 		}
-		buf = appendStr(buf, m.Spec.ID)
-		buf = appendFrame(buf, m.Frames[0])
+		e.str(m.Spec.ID, "session id length")
+		e.frame(m.Frames[0])
 	case MsgFeedBatch:
 		if len(m.Frames) == 0 {
-			return nil, errors.New("fleet: empty MsgFeedBatch")
+			e.err = errors.New("fleet: empty MsgFeedBatch")
+			return
 		}
-		buf = appendStr(buf, m.Spec.ID)
-		buf = appendU16(buf, uint16(len(m.Frames)))
+		e.str(m.Spec.ID, "session id length")
+		e.n16(len(m.Frames), "batch count")
 		for _, f := range m.Frames {
-			buf = appendFrame(buf, f)
+			e.frame(f)
 		}
 	case MsgSnapshot, MsgCheckpoint, MsgClose, MsgDetach, MsgDrain:
-		buf = appendStr(buf, m.Spec.ID)
+		e.str(m.Spec.ID, "session id length")
 	case MsgStats, MsgOK, MsgPing, MsgHealth, MsgLoad, MsgAutopilotStatus:
 		// empty body
 	case MsgFence:
-		buf = appendU64(buf, m.Epoch)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, m.Epoch)
 	case MsgJoin, MsgDrainShard:
-		buf = appendStr(buf, m.Addr)
+		e.str(m.Addr, "address length")
 	case MsgSetWeight:
-		buf = appendStr(buf, m.Addr)
-		buf = appendU16(buf, m.Weight)
+		e.str(m.Addr, "address length")
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, m.Weight)
 	case MsgLoadResp:
-		buf = appendU16(buf, uint16(len(m.Loads)))
+		e.n16(len(m.Loads), "load row count")
 		for _, row := range m.Loads {
-			buf = appendStr(buf, row.Addr)
-			buf = append(buf, row.State)
-			buf = appendU16(buf, row.Weight)
-			buf = appendU64(buf, row.Mem)
-			buf = appendU64(buf, row.FeedMicros)
-			buf = appendStr(buf, row.Err)
-			buf = appendU16(buf, uint16(len(row.Sess)))
+			e.str(row.Addr, "address length")
+			e.buf = append(e.buf, row.State)
+			e.buf = binary.LittleEndian.AppendUint16(e.buf, row.Weight)
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, row.Mem)
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, row.FeedMicros)
+			e.str(row.Err, "error text length")
+			e.n16(len(row.Sess), "session load count")
 			for _, s := range row.Sess {
-				buf = appendStr(buf, s.ID)
-				buf = appendU64(buf, s.Mem)
-				buf = appendU64(buf, s.Frames)
+				e.str(s.ID, "session id length")
+				e.buf = binary.LittleEndian.AppendUint64(e.buf, s.Mem)
+				e.buf = binary.LittleEndian.AppendUint64(e.buf, s.Frames)
 			}
 		}
 	case MsgAutopilotResp:
 		a := m.Auto
-		buf = append(buf, b2u8(a.Enabled)|b2u8(a.LeaseHeld)<<1)
-		buf = appendU64(buf, math.Float64bits(a.Imbalance))
-		buf = appendU64(buf, math.Float64bits(a.Threshold))
+		e.buf = append(e.buf, b2u8(a.Enabled)|b2u8(a.LeaseHeld)<<1)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(a.Imbalance))
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(a.Threshold))
 		for _, v := range []uint64{a.Passes, a.Moves, a.Readmitted, a.Promoted} {
-			buf = appendU64(buf, v)
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 		}
-		buf = appendU32(buf, a.Probation)
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, a.Probation)
 		for _, v := range []uint64{a.ScrubChecked, a.ScrubRepairs, a.ScrubSwept, a.ScrubStuck, a.OrphanDels} {
-			buf = appendU64(buf, v)
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 		}
-		buf = appendStr(buf, a.LeaseHolder)
-		buf = appendU64(buf, a.LeaseTerm)
-		buf = appendU64(buf, a.LeaseEpoch)
-		buf = appendU64(buf, uint64(a.LeaseExpires))
+		e.str(a.LeaseHolder, "lease holder length")
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, a.LeaseTerm)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, a.LeaseEpoch)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(a.LeaseExpires))
 	case MsgHealthResp:
-		buf = appendU64(buf, m.Health.Epoch)
-		buf = appendU16(buf, uint16(len(m.Health.Shards)))
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, m.Health.Epoch)
+		e.n16(len(m.Health.Shards), "shard health count")
 		for _, s := range m.Health.Shards {
-			buf = appendStr(buf, s.Addr)
-			buf = append(buf, s.State)
-			buf = appendU32(buf, s.Fails)
+			e.str(s.Addr, "address length")
+			e.buf = append(e.buf, s.State)
+			e.buf = binary.LittleEndian.AppendUint32(e.buf, s.Fails)
 		}
 	case MsgErr:
-		buf = appendU16(buf, m.Code)
-		buf = appendStr(buf, m.Text)
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, m.Code)
+		e.str(m.Text, "error text length")
 	case MsgSnapResp:
 		s := m.Snap
-		buf = appendStr(buf, s.ID)
-		buf = append(buf, s.Health)
-		buf = append(buf, b2u8(s.Identified)|b2u8(s.Restored)<<1|b2u8(s.Finalized)<<2)
+		e.str(s.ID, "session id length")
+		e.buf = append(e.buf, s.Health)
+		e.buf = append(e.buf, b2u8(s.Identified)|b2u8(s.Restored)<<1|b2u8(s.Finalized)<<2)
 		for _, v := range []uint64{s.Fed, s.Dropped, s.Rejected, s.Processed, s.StreamFrames} {
-			buf = appendU64(buf, v)
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 		}
-		buf = appendU64(buf, math.Float64bits(s.Coverage))
-		buf = appendStr(buf, s.VBName)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(s.Coverage))
+		e.str(s.VBName, "VB name length")
 	case MsgCkptResp:
-		buf = appendU32(buf, uint32(len(m.Ckpt)))
-		buf = append(buf, m.Ckpt...)
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(m.Ckpt)))
+		e.buf = append(e.buf, m.Ckpt...)
 	case MsgStatsResp:
 		st := m.Stats
-		buf = appendU32(buf, st.Open)
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, st.Open)
 		for _, v := range []uint64{st.Opened, st.Restores, st.Restarts, st.Migrations} {
-			buf = appendU64(buf, v)
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 		}
-		buf = appendU32(buf, uint32(len(st.IDs)))
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(st.IDs)))
 		for _, id := range st.IDs {
-			buf = appendStr(buf, id)
+			e.str(id, "session id length")
 		}
 	default:
-		return nil, fmt.Errorf("fleet: encode: unknown message type 0x%02x", byte(m.Type))
+		e.err = fmt.Errorf("fleet: encode: unknown message type 0x%02x", byte(m.Type))
 	}
-	return buf, nil
 }
 
-// appendFrame writes one frame: geometry, raw RGB raster, and the
-// packed-word oracle mask (flag 0 when absent).
-func appendFrame(buf []byte, f core.Frame) []byte {
-	buf = appendU16(buf, uint16(f.Img.W))
-	buf = appendU16(buf, uint16(f.Img.H))
-	for _, p := range f.Img.Pix {
-		buf = append(buf, p.R, p.G, p.B)
-	}
+// frame appends one frame: geometry, the raster (imagex.AppendPix) and
+// the packed-word oracle mask (flag 0 when absent).
+func (e *encoder) frame(f core.Frame) {
+	e.n16(f.Img.W, "frame width")
+	e.n16(f.Img.H, "frame height")
+	e.buf = imagex.AppendPix(e.buf, f.Img.Pix)
 	if f.Oracle == nil {
-		return append(buf, 0)
+		e.buf = append(e.buf, 0)
+		return
 	}
-	buf = append(buf, 1)
-	return f.Oracle.AppendWords(buf)
+	e.buf = append(e.buf, 1)
+	e.buf = f.Oracle.AppendWords(e.buf)
 }
 
 // Decode parses one complete message under the default budgets.
@@ -469,47 +512,42 @@ func DecodeWithLimits(data []byte, lim Limits) (*Message, error) {
 		return nil, fmt.Errorf("fleet: advertised body %d bytes, have %d: %w", bodyLen, len(data)-headerLen, ErrBadMessage)
 	}
 	m := &Message{Type: MsgType(data[6])}
-	r := &reader{data: data[headerLen:]}
+	r := reader{binfmt.NewReader(data[headerLen:], ErrBadMessage)}
 	if err := decodeBody(r, m, lim); err != nil {
 		return nil, err
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("fleet: %d trailing bytes: %w", r.remaining(), ErrBadMessage)
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("fleet: %d trailing bytes: %w", r.Remaining(), ErrBadMessage)
 	}
 	return m, nil
 }
 
-func decodeBody(r *reader, m *Message, lim Limits) error {
+func decodeBody(r reader, m *Message, lim Limits) error {
+	var err error
 	switch m.Type {
 	case MsgOpen, MsgResume:
-		if err := r.spec(&m.Spec, lim); err != nil {
+		if err = r.spec(&m.Spec, lim); err != nil {
 			return err
 		}
 		if m.Type == MsgResume {
-			ckpt, err := r.blob(lim.MaxCkpt)
-			if err != nil {
+			if m.Ckpt, err = r.blob(lim.MaxCkpt); err != nil {
 				return err
 			}
-			m.Ckpt = ckpt
 		}
 	case MsgFeed:
-		id, err := r.str(lim.MaxIDLen)
-		if err != nil {
+		if m.Spec.ID, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-		m.Spec.ID = id
 		f, err := r.frame(lim)
 		if err != nil {
 			return err
 		}
 		m.Frames = []core.Frame{f}
 	case MsgFeedBatch:
-		id, err := r.str(lim.MaxIDLen)
-		if err != nil {
+		if m.Spec.ID, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-		m.Spec.ID = id
-		n, err := r.u16()
+		n, err := r.U16()
 		if err != nil {
 			return err
 		}
@@ -528,36 +566,28 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 			m.Frames = append(m.Frames, f)
 		}
 	case MsgSnapshot, MsgCheckpoint, MsgClose, MsgDetach, MsgDrain:
-		id, err := r.str(lim.MaxIDLen)
-		if err != nil {
+		if m.Spec.ID, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-		m.Spec.ID = id
 	case MsgStats, MsgOK, MsgPing, MsgHealth, MsgLoad, MsgAutopilotStatus:
 		// empty body
 	case MsgFence:
-		epoch, err := r.u64()
-		if err != nil {
+		if m.Epoch, err = r.U64(); err != nil {
 			return err
 		}
-		m.Epoch = epoch
 	case MsgJoin, MsgDrainShard:
-		addr, err := r.str(lim.MaxIDLen)
-		if err != nil {
+		if m.Addr, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-		m.Addr = addr
 	case MsgSetWeight:
-		addr, err := r.str(lim.MaxIDLen)
-		if err != nil {
+		if m.Addr, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-		m.Addr = addr
-		if m.Weight, err = r.u16(); err != nil {
+		if m.Weight, err = r.U16(); err != nil {
 			return err
 		}
 	case MsgLoadResp:
-		n, err := r.u16()
+		n, err := r.U16()
 		if err != nil {
 			return err
 		}
@@ -568,7 +598,7 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 		// 8 mem + 8 latency + 2 err len + 2 session count), so the
 		// advertised count is verified against what is present before any
 		// reserve.
-		if err := r.need(25 * int64(n)); err != nil {
+		if err := r.Need(25 * int64(n)); err != nil {
 			return err
 		}
 		if n > 0 {
@@ -576,25 +606,25 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 		}
 		for i := 0; i < int(n); i++ {
 			var row ShardLoad
-			if row.Addr, err = r.str(lim.MaxIDLen); err != nil {
+			if row.Addr, err = r.Str(lim.MaxIDLen); err != nil {
 				return err
 			}
-			if row.State, err = r.u8(); err != nil {
+			if row.State, err = r.U8(); err != nil {
 				return err
 			}
-			if row.Weight, err = r.u16(); err != nil {
+			if row.Weight, err = r.U16(); err != nil {
 				return err
 			}
-			if row.Mem, err = r.u64(); err != nil {
+			if row.Mem, err = r.U64(); err != nil {
 				return err
 			}
-			if row.FeedMicros, err = r.u64(); err != nil {
+			if row.FeedMicros, err = r.U64(); err != nil {
 				return err
 			}
-			if row.Err, err = r.str(lim.MaxText); err != nil {
+			if row.Err, err = r.Str(lim.MaxText); err != nil {
 				return err
 			}
-			ns, err := r.u16()
+			ns, err := r.U16()
 			if err != nil {
 				return err
 			}
@@ -603,7 +633,7 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 			}
 			// Each session entry costs >= 18 bytes (2 id len + 8 mem +
 			// 8 frames).
-			if err := r.need(18 * int64(ns)); err != nil {
+			if err := r.Need(18 * int64(ns)); err != nil {
 				return err
 			}
 			if ns > 0 {
@@ -611,13 +641,13 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 			}
 			for j := 0; j < int(ns); j++ {
 				var s SessionLoad
-				if s.ID, err = r.str(lim.MaxIDLen); err != nil {
+				if s.ID, err = r.Str(lim.MaxIDLen); err != nil {
 					return err
 				}
-				if s.Mem, err = r.u64(); err != nil {
+				if s.Mem, err = r.U64(); err != nil {
 					return err
 				}
-				if s.Frames, err = r.u64(); err != nil {
+				if s.Frames, err = r.U64(); err != nil {
 					return err
 				}
 				row.Sess = append(row.Sess, s)
@@ -626,7 +656,7 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 		}
 	case MsgAutopilotResp:
 		a := &m.Auto
-		flags, err := r.u8()
+		flags, err := r.U8()
 		if err != nil {
 			return err
 		}
@@ -634,48 +664,47 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 			return fmt.Errorf("fleet: nonzero autopilot flag padding: %w", ErrBadMessage)
 		}
 		a.Enabled, a.LeaseHeld = flags&1 != 0, flags&2 != 0
-		bits, err := r.u64()
+		bits, err := r.U64()
 		if err != nil {
 			return err
 		}
 		a.Imbalance = math.Float64frombits(bits)
-		if bits, err = r.u64(); err != nil {
+		if bits, err = r.U64(); err != nil {
 			return err
 		}
 		a.Threshold = math.Float64frombits(bits)
 		for _, dst := range []*uint64{&a.Passes, &a.Moves, &a.Readmitted, &a.Promoted} {
-			if *dst, err = r.u64(); err != nil {
+			if *dst, err = r.U64(); err != nil {
 				return err
 			}
 		}
-		if a.Probation, err = r.u32(); err != nil {
+		if a.Probation, err = r.U32(); err != nil {
 			return err
 		}
 		for _, dst := range []*uint64{&a.ScrubChecked, &a.ScrubRepairs, &a.ScrubSwept, &a.ScrubStuck, &a.OrphanDels} {
-			if *dst, err = r.u64(); err != nil {
+			if *dst, err = r.U64(); err != nil {
 				return err
 			}
 		}
-		if a.LeaseHolder, err = r.str(lim.MaxIDLen); err != nil {
+		if a.LeaseHolder, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-		if a.LeaseTerm, err = r.u64(); err != nil {
+		if a.LeaseTerm, err = r.U64(); err != nil {
 			return err
 		}
-		if a.LeaseEpoch, err = r.u64(); err != nil {
+		if a.LeaseEpoch, err = r.U64(); err != nil {
 			return err
 		}
-		expires, err := r.u64()
+		expires, err := r.U64()
 		if err != nil {
 			return err
 		}
 		a.LeaseExpires = int64(expires)
 	case MsgHealthResp:
-		var err error
-		if m.Health.Epoch, err = r.u64(); err != nil {
+		if m.Health.Epoch, err = r.U64(); err != nil {
 			return err
 		}
-		n, err := r.u16()
+		n, err := r.U16()
 		if err != nil {
 			return err
 		}
@@ -685,7 +714,7 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 		// Each entry costs >= 7 bytes (2 len + 1 state + 4 fails), so the
 		// advertised count is verified against what is present before any
 		// reserve.
-		if err := r.need(7 * int64(n)); err != nil {
+		if err := r.Need(7 * int64(n)); err != nil {
 			return err
 		}
 		if n > 0 {
@@ -693,37 +722,33 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 		}
 		for i := 0; i < int(n); i++ {
 			var s ShardHealthInfo
-			if s.Addr, err = r.str(lim.MaxIDLen); err != nil {
+			if s.Addr, err = r.Str(lim.MaxIDLen); err != nil {
 				return err
 			}
-			if s.State, err = r.u8(); err != nil {
+			if s.State, err = r.U8(); err != nil {
 				return err
 			}
-			if s.Fails, err = r.u32(); err != nil {
+			if s.Fails, err = r.U32(); err != nil {
 				return err
 			}
 			m.Health.Shards = append(m.Health.Shards, s)
 		}
 	case MsgErr:
-		code, err := r.u16()
-		if err != nil {
+		if m.Code, err = r.U16(); err != nil {
 			return err
 		}
-		text, err := r.str(lim.MaxText)
-		if err != nil {
+		if m.Text, err = r.Str(lim.MaxText); err != nil {
 			return err
 		}
-		m.Code, m.Text = code, text
 	case MsgSnapResp:
 		s := &m.Snap
-		var err error
-		if s.ID, err = r.str(lim.MaxIDLen); err != nil {
+		if s.ID, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-		if s.Health, err = r.u8(); err != nil {
+		if s.Health, err = r.U8(); err != nil {
 			return err
 		}
-		flags, err := r.u8()
+		flags, err := r.U8()
 		if err != nil {
 			return err
 		}
@@ -732,36 +757,33 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 		}
 		s.Identified, s.Restored, s.Finalized = flags&1 != 0, flags&2 != 0, flags&4 != 0
 		for _, dst := range []*uint64{&s.Fed, &s.Dropped, &s.Rejected, &s.Processed, &s.StreamFrames} {
-			if *dst, err = r.u64(); err != nil {
+			if *dst, err = r.U64(); err != nil {
 				return err
 			}
 		}
-		bits, err := r.u64()
+		bits, err := r.U64()
 		if err != nil {
 			return err
 		}
 		s.Coverage = math.Float64frombits(bits)
-		if s.VBName, err = r.str(lim.MaxText); err != nil {
+		if s.VBName, err = r.Str(lim.MaxText); err != nil {
 			return err
 		}
 	case MsgCkptResp:
-		ckpt, err := r.blob(lim.MaxCkpt)
-		if err != nil {
+		if m.Ckpt, err = r.blob(lim.MaxCkpt); err != nil {
 			return err
 		}
-		m.Ckpt = ckpt
 	case MsgStatsResp:
 		st := &m.Stats
-		var err error
-		if st.Open, err = r.u32(); err != nil {
+		if st.Open, err = r.U32(); err != nil {
 			return err
 		}
 		for _, dst := range []*uint64{&st.Opened, &st.Restores, &st.Restarts, &st.Migrations} {
-			if *dst, err = r.u64(); err != nil {
+			if *dst, err = r.U64(); err != nil {
 				return err
 			}
 		}
-		n, err := r.u32()
+		n, err := r.U32()
 		if err != nil {
 			return err
 		}
@@ -771,14 +793,14 @@ func decodeBody(r *reader, m *Message, lim Limits) error {
 		// Each id costs >= 2 bytes on the wire, so the advertised count
 		// is cheap to sanity-check against what is actually present
 		// before reserving anything.
-		if err := r.need(2 * int64(n)); err != nil {
+		if err := r.Need(2 * int64(n)); err != nil {
 			return err
 		}
 		if n > 0 {
 			st.IDs = make([]string, 0, n)
 		}
 		for i := uint32(0); i < n; i++ {
-			id, err := r.str(lim.MaxIDLen)
+			id, err := r.Str(lim.MaxIDLen)
 			if err != nil {
 				return err
 			}
@@ -827,93 +849,22 @@ func ReadMessage(r io.Reader, lim Limits) (*Message, error) {
 	return DecodeWithLimits(buf, lim)
 }
 
-// reader is the bounds-checked cursor (checkpoint codec idiom): every
-// accessor validates remaining length before reading, and every
-// variable-size section calls need() with its full advertised size
-// before its first allocation.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) remaining() int64 { return int64(len(r.data) - r.off) }
-
-func (r *reader) need(n int64) error {
-	if n < 0 || n > r.remaining() {
-		return fmt.Errorf("fleet: section of %d bytes exceeds %d remaining: %w", n, r.remaining(), ErrBadMessage)
-	}
-	return nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if err := r.need(int64(n)); err != nil {
-		return nil, err
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) u8() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	b, err := r.bytes(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// str reads a u16-length-prefixed string bounded by maxLen.
-func (r *reader) str(maxLen int) (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > maxLen {
-		return "", fmt.Errorf("fleet: %d-byte string exceeds budget %d: %w", n, maxLen, ErrBadMessage)
-	}
-	b, err := r.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
+// reader adds the wire-only sections (blob, spec, frame) to the shared
+// bounded cursor.
+type reader struct{ *binfmt.Reader }
 
 // blob reads a u32-length-prefixed byte section bounded by maxLen,
 // copying it out of the message buffer (checkpoint bytes outlive the
 // request).
-func (r *reader) blob(maxLen int64) ([]byte, error) {
-	n, err := r.u32()
+func (r reader) blob(maxLen int64) ([]byte, error) {
+	n, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
 	if int64(n) > maxLen {
 		return nil, fmt.Errorf("fleet: %d-byte blob exceeds budget %d: %w", n, maxLen, ErrBadMessage)
 	}
-	b, err := r.bytes(int(n))
+	b, err := r.Bytes(int(n))
 	if err != nil {
 		return nil, err
 	}
@@ -921,30 +872,30 @@ func (r *reader) blob(maxLen int64) ([]byte, error) {
 }
 
 // spec reads an OpenSpec, bounding geometry by lim.MaxDim.
-func (r *reader) spec(s *OpenSpec, lim Limits) error {
-	id, err := r.str(lim.MaxIDLen)
+func (r reader) spec(s *OpenSpec, lim Limits) error {
+	id, err := r.Str(lim.MaxIDLen)
 	if err != nil {
 		return err
 	}
-	w, err := r.u16()
+	w, err := r.U16()
 	if err != nil {
 		return err
 	}
-	h, err := r.u16()
+	h, err := r.U16()
 	if err != nil {
 		return err
 	}
 	if int(w) > lim.MaxDim || int(h) > lim.MaxDim || w == 0 || h == 0 {
 		return fmt.Errorf("fleet: %dx%d spec outside [1,%d]: %w", w, h, lim.MaxDim, ErrBadMessage)
 	}
-	uvb, err := r.u8()
+	uvb, err := r.U8()
 	if err != nil {
 		return err
 	}
 	if uvb > 1 {
 		return fmt.Errorf("fleet: non-boolean unknown-vb flag %d: %w", uvb, ErrBadMessage)
 	}
-	seed, err := r.u64()
+	seed, err := r.U64()
 	if err != nil {
 		return err
 	}
@@ -952,15 +903,15 @@ func (r *reader) spec(s *OpenSpec, lim Limits) error {
 	return nil
 }
 
-// frame reads one frame: the geometry is budget-checked and the full
-// raster size need()-verified before the image allocation, so a
-// crafted header cannot force a large allocation.
-func (r *reader) frame(lim Limits) (core.Frame, error) {
-	w16, err := r.u16()
+// frame reads one frame: the geometry is budget-checked, and the raster
+// plus the oracle flag byte Need-verified, before the image allocation,
+// so a crafted header cannot force a large allocation.
+func (r reader) frame(lim Limits) (core.Frame, error) {
+	w16, err := r.U16()
 	if err != nil {
 		return core.Frame{}, err
 	}
-	h16, err := r.u16()
+	h16, err := r.U16()
 	if err != nil {
 		return core.Frame{}, err
 	}
@@ -968,18 +919,14 @@ func (r *reader) frame(lim Limits) (core.Frame, error) {
 	if w == 0 || h == 0 || w > lim.MaxDim || h > lim.MaxDim {
 		return core.Frame{}, fmt.Errorf("fleet: %dx%d frame outside [1,%d]: %w", w, h, lim.MaxDim, ErrBadMessage)
 	}
-	if err := r.need(int64(3*w*h) + 1); err != nil {
+	if err := r.Need(int64(3*w*h) + 1); err != nil {
 		return core.Frame{}, err
 	}
-	b, err := r.bytes(3 * w * h)
+	img, err := r.Image(w, h)
 	if err != nil {
 		return core.Frame{}, err
 	}
-	img := imagex.New(w, h)
-	for i := range img.Pix {
-		img.Pix[i] = imagex.RGB{R: b[3*i], G: b[3*i+1], B: b[3*i+2]}
-	}
-	hasOracle, err := r.u8()
+	hasOracle, err := r.U8()
 	if err != nil {
 		return core.Frame{}, err
 	}
@@ -987,37 +934,14 @@ func (r *reader) frame(lim Limits) (core.Frame, error) {
 	case 0:
 		return core.Frame{Img: img}, nil
 	case 1:
-		mb := 8 * h * ((w + 63) >> 6)
-		wb, err := r.bytes(mb)
+		m, err := r.Mask(w, h)
 		if err != nil {
 			return core.Frame{}, err
-		}
-		m := imagex.NewMask(w, h)
-		if err := m.LoadWords(wb); err != nil {
-			return core.Frame{}, fmt.Errorf("fleet: %w: %w", err, ErrBadMessage)
 		}
 		return core.Frame{Img: img, Oracle: m}, nil
 	default:
 		return core.Frame{}, fmt.Errorf("fleet: non-boolean oracle flag %d: %w", hasOracle, ErrBadMessage)
 	}
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = appendU16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-func appendU16(buf []byte, v uint16) []byte {
-	return append(buf, byte(v), byte(v>>8))
-}
-
-func appendU32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 func b2u8(b bool) byte {

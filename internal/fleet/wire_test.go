@@ -464,3 +464,53 @@ func TestSnapRespCoverageBits(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeRejectsFieldOverflow pins that a field wider than its u16
+// wire slot is an encode error. Truncating it to len%65536 produced a
+// message every decoder rejected (a 65540-byte id decoded to "65536
+// trailing bytes").
+func TestEncodeRejectsFieldOverflow(t *testing.T) {
+	long := strings.Repeat("x", math.MaxUint16+5)
+	tiny := core.Frame{Img: imagex.New(1, 1)}
+	batch := make([]core.Frame, math.MaxUint16+1)
+	for i := range batch {
+		batch[i] = tiny
+	}
+	for _, c := range []struct {
+		name string
+		m    *Message
+	}{
+		{"session id", &Message{Type: MsgClose, Spec: OpenSpec{ID: long}}},
+		{"feed id", &Message{Type: MsgFeed, Spec: OpenSpec{ID: long}, Frames: []core.Frame{tiny}}},
+		{"address", &Message{Type: MsgJoin, Addr: long}},
+		{"error text", &Message{Type: MsgErr, Code: CodeInternal, Text: long}},
+		{"VB name", &Message{Type: MsgSnapResp, Snap: SnapInfo{ID: "s", VBName: long}}},
+		{"spec width", &Message{Type: MsgOpen, Spec: OpenSpec{ID: "s", W: math.MaxUint16 + 1, H: 1}}},
+		{"frame width", &Message{Type: MsgFeed, Spec: OpenSpec{ID: "s"}, Frames: []core.Frame{{Img: imagex.New(math.MaxUint16+1, 1)}}}},
+		{"frame height", &Message{Type: MsgFeed, Spec: OpenSpec{ID: "s"}, Frames: []core.Frame{{Img: imagex.New(1, math.MaxUint16+1)}}}},
+		{"batch count", &Message{Type: MsgFeedBatch, Spec: OpenSpec{ID: "s"}, Frames: batch}},
+		{"load rows", &Message{Type: MsgLoadResp, Loads: make([]ShardLoad, math.MaxUint16+1)}},
+		{"session loads", &Message{Type: MsgLoadResp, Loads: []ShardLoad{{Sess: make([]SessionLoad, math.MaxUint16+1)}}}},
+		{"shard healths", &Message{Type: MsgHealthResp, Health: HealthInfo{Shards: make([]ShardHealthInfo, math.MaxUint16+1)}}},
+	} {
+		if b, err := Encode(c.m); err == nil {
+			_, derr := Decode(b)
+			t.Errorf("%s overflowing u16: Encode returned %d bytes and no error (Decode: %v)", c.name, len(b), derr)
+		}
+	}
+
+	// The widest values that fit still round-trip.
+	lim := Limits{MaxIDLen: math.MaxUint16, MaxBatch: math.MaxUint16}
+	for _, m := range []*Message{
+		{Type: MsgClose, Spec: OpenSpec{ID: long[:math.MaxUint16]}},
+		{Type: MsgFeedBatch, Spec: OpenSpec{ID: "s"}, Frames: batch[:math.MaxUint16]},
+	} {
+		b, err := Encode(m)
+		if err != nil {
+			t.Fatalf("%v at the u16 limit: %v", m.Type, err)
+		}
+		if _, err := DecodeWithLimits(b, lim); err != nil {
+			t.Fatalf("%v at the u16 limit: decode: %v", m.Type, err)
+		}
+	}
+}

@@ -16,8 +16,9 @@ import (
 //
 //	magic "BBV1" | u32 fps | u32 w | u32 h | u32 frames | frames × w*h RGB triples
 //
-// All integers are little-endian. The format is intentionally
-// uncompressed; the simulator's resolutions keep files small.
+// All integers are little-endian; each frame is an imagex.AppendPix
+// raster. The format is intentionally uncompressed; the simulator's
+// resolutions keep files small.
 
 const codecMagic = "BBV1"
 
@@ -40,13 +41,9 @@ func Encode(w io.Writer, v *Video) error {
 			return fmt.Errorf("vidstream: encode header: %w", err)
 		}
 	}
-	buf := make([]byte, 3*fw*fh)
+	buf := make([]byte, 0, 3*fw*fh)
 	for _, f := range v.Frames {
-		for i, p := range f.Pix {
-			buf[3*i] = p.R
-			buf[3*i+1] = p.G
-			buf[3*i+2] = p.B
-		}
+		buf = imagex.AppendPix(buf[:0], f.Pix)
 		if _, err := bw.Write(buf); err != nil {
 			return fmt.Errorf("vidstream: encode frame: %w", err)
 		}
@@ -139,9 +136,7 @@ func DecodeWithLimits(r io.Reader, lim DecodeLimits) (*Video, error) {
 			return nil, fmt.Errorf("vidstream: decode frame %d: %w", i, err)
 		}
 		f := imagex.New(int(w), int(h))
-		for p := range f.Pix {
-			f.Pix[p] = imagex.RGB{R: buf[3*p], G: buf[3*p+1], B: buf[3*p+2]}
-		}
+		imagex.DecodePix(f.Pix, buf)
 		v.Frames = append(v.Frames, f)
 	}
 	return v, nil
