@@ -411,8 +411,6 @@ type (
 	FleetHealthConfig = fleet.HealthConfig
 	// FleetHealthState is a shard's routing state: up, suspect or down.
 	FleetHealthState = fleet.HealthState
-	// FleetHealthInfo snapshots the fleet's epoch and per-shard health.
-	FleetHealthInfo = fleet.HealthInfo
 	// QuorumCheckpointStore replicates checkpoints W-of-N over stores.
 	QuorumCheckpointStore = session.QuorumStore
 )

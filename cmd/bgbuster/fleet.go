@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -301,12 +302,12 @@ func runServe(args []string) error {
 	}
 }
 
-// runStats dials a running coordinator and prints its aggregate fleet
-// stats, per-shard load/health table, and — when the autopilot is
-// engaged — its policy counters and lease, so an operator can watch a
-// rebalance, re-admission, or election converge. Per-shard sample
-// failures degrade to a DOWN/? placeholder row; they never fail the
-// whole command.
+// runStats dials a running coordinator and prints, from one status
+// snapshot, its aggregate fleet counters, per-shard table and — when
+// the autopilot is engaged — its policy counters and lease, so an
+// operator can watch a rebalance, re-admission, drain or election
+// converge. Per-shard sample failures degrade to a DOWN/? placeholder
+// row; they never fail the whole command.
 func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7600", "coordinator address")
@@ -319,21 +320,29 @@ func runStats(args []string) error {
 		return err
 	}
 	defer cl.Close()
-	st, err := cl.Stats()
+	st, err := cl.Status()
 	if err != nil {
 		return err
 	}
-	hi, err := cl.Health()
-	if err != nil {
-		return err
+	var opened, restores, restarts uint64
+	var ids []string
+	probation := 0
+	for _, r := range st.Shards {
+		opened, restores, restarts = opened+r.Opened, restores+r.Restores, restarts+r.Restarts
+		for _, s := range r.Sess {
+			ids = append(ids, s.ID)
+		}
+		if r.Role == fleet.RoleProbation {
+			probation++
+		}
 	}
-	fmt.Printf("fleet %s  epoch %d\n", *addr, hi.Epoch)
+	fmt.Printf("fleet %s  epoch %d\n", *addr, st.Epoch)
 	fmt.Printf("sessions open %d  opened %d  restores %d  restarts %d  migrations %d\n",
-		st.Open, st.Opened, st.Restores, st.Restarts, st.Migrations)
+		len(ids), opened, restores, restarts, st.Migrations)
 
-	if ai, aerr := cl.AutopilotStatus(); aerr == nil && ai.Enabled {
+	if ai := st.Auto; ai.Enabled {
 		fmt.Printf("autopilot: imbalance %.3f (threshold %.2f)  passes %d  moves %d  readmitted %d  promoted %d  probation %d\n",
-			ai.Imbalance, ai.Threshold, ai.Passes, ai.Moves, ai.Readmitted, ai.Promoted, ai.Probation)
+			ai.Imbalance, ai.Threshold, ai.Passes, ai.Moves, ai.Readmitted, ai.Promoted, probation)
 		fmt.Printf("scrub: checked %d  repaired %d  swept %d  stuck %d  orphaned-deletes %d\n",
 			ai.ScrubChecked, ai.ScrubRepairs, ai.ScrubSwept, ai.ScrubStuck, ai.OrphanDels)
 		if ai.LeaseHolder != "" {
@@ -347,31 +356,19 @@ func runStats(args []string) error {
 		}
 	}
 
-	// Health rows are authoritative for membership; load rows (which
-	// degrade per shard) fill in the capacity columns when available.
-	loads := map[string]fleet.ShardLoad{}
-	if rows, lerr := cl.Load(); lerr == nil {
-		for _, r := range rows {
-			loads[r.Addr] = r
-		}
-	}
-	fmt.Printf("%-28s %-8s %3s %5s %9s %8s %s\n", "SHARD", "HEALTH", "WT", "SESS", "MEM", "FEED-us", "FAILS")
-	for _, s := range hi.Shards {
-		state := fleet.HealthState(s.State).String()
-		row, ok := loads[s.Addr]
-		if !ok || row.Err != "" {
+	fmt.Printf("%-28s %-9s %-8s %3s %5s %9s %8s %s\n", "SHARD", "ROLE", "HEALTH", "WT", "SESS", "MEM", "FEED-us", "FAILS")
+	for _, r := range st.Shards {
+		if r.Err != "" {
 			// Placeholder row: the shard could not be sampled.
-			if row.Err != "" {
-				state = "DOWN"
-			}
-			fmt.Printf("%-28s %-8s %3s %5s %9s %8s %d\n", s.Addr, state, "?", "?", "?", "?", s.Fails)
+			fmt.Printf("%-28s %-9s %-8s %3s %5s %9s %8s %d\n", r.Addr, r.Role, "DOWN", "?", "?", "?", "?", r.Fails)
 			continue
 		}
-		fmt.Printf("%-28s %-8s %3d %5d %9s %8d %d\n",
-			s.Addr, state, row.Weight, len(row.Sess), fmtBytes(row.Mem), row.FeedMicros, s.Fails)
+		fmt.Printf("%-28s %-9s %-8s %3d %5d %9s %8d %d\n",
+			r.Addr, r.Role, r.Health, r.Weight, len(r.Sess), fmtBytes(r.Mem), r.FeedMicros, r.Fails)
 	}
 	if *verbose {
-		for _, id := range st.IDs {
+		sort.Strings(ids)
+		for _, id := range ids {
 			fmt.Printf("session %s\n", id)
 		}
 	}

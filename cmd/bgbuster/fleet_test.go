@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -41,7 +42,9 @@ func TestFleetSubcommandFlagValidation(t *testing.T) {
 // startFacadeShard boots the topology the shard subcommand assembles —
 // a SessionManager served over the fleet wire protocol with
 // StreamAttackOptions as the per-spec options hook — on a loopback port.
-func startFacadeShard(t *testing.T) string {
+// Closing the returned listener kills the shard: Serve drops every
+// connection.
+func startFacadeShard(t *testing.T) net.Listener {
 	t.Helper()
 	mgr := bgbuster.NewSessionManager(bgbuster.SessionConfig{})
 	sh, err := bgbuster.NewFleetShard(bgbuster.FleetShardConfig{
@@ -60,7 +63,7 @@ func startFacadeShard(t *testing.T) string {
 	done := make(chan struct{})
 	go func() { defer close(done); sh.Serve(ln) }()
 	t.Cleanup(func() { ln.Close(); <-done; mgr.Close() })
-	return ln.Addr().String()
+	return ln
 }
 
 // TestFleetFacadeEndToEnd drives the exact topology the shard
@@ -69,7 +72,7 @@ func startFacadeShard(t *testing.T) string {
 // through the public facade: open, feed, snapshot, checkpoint.
 func TestFleetFacadeEndToEnd(t *testing.T) {
 	const w, h = 48, 36
-	cl, err := bgbuster.DialFleet(startFacadeShard(t), bgbuster.FleetLimits{})
+	cl, err := bgbuster.DialFleet(startFacadeShard(t).Addr().String(), bgbuster.FleetLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +116,63 @@ func TestFleetFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStatsLeavesDeadShardUp runs `bgbuster stats` against a loopback
+// coordinator with one shard killed: the dead shard degrades to a
+// DOWN/? row, the command succeeds, and reading status marks nothing
+// down — health transitions belong to the prober and the request path.
+func TestStatsLeavesDeadShardUp(t *testing.T) {
+	live, dead := startFacadeShard(t), startFacadeShard(t)
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
+		Shards:      []string{live.Addr().String(), dead.Addr().String()},
+		LoadTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if err := coord.Open(fleet.OpenSpec{ID: liveCallID(0), W: 48, H: 36, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { defer close(served); fleet.Serve(ln, coord, fleet.Limits{}, nil) }()
+	defer func() { ln.Close(); <-served }()
+	dead.Close()
+
+	// Capture what runStats prints.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan string)
+	go func() { b, _ := io.ReadAll(r); printed <- string(b) }()
+	stdout := os.Stdout
+	os.Stdout = w
+	serr := runStats([]string{"-addr", ln.Addr().String()})
+	os.Stdout = stdout
+	w.Close()
+	out := <-printed
+
+	if serr != nil {
+		t.Fatalf("stats with a dead shard: %v", serr)
+	}
+	row := ""
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, dead.Addr().String()+" ") {
+			row = line
+		}
+	}
+	if !strings.Contains(row, " DOWN ") || !strings.Contains(row, " ? ") {
+		t.Fatalf("no DOWN/? row for the dead shard %s in:\n%s", dead.Addr(), out)
+	}
+	if down := coord.Down(); len(down) != 0 {
+		t.Fatalf("stats marked %v down", down)
+	}
+}
+
 // electionFixture is two shards and three in-memory checkpoint
 // replicas that serve -elect candidates share, under a fake clock.
 type electionFixture struct {
@@ -126,7 +186,7 @@ type electionFixture struct {
 func newElectionFixture(t *testing.T) *electionFixture {
 	f := &electionFixture{
 		t:      t,
-		shards: []string{startFacadeShard(t), startFacadeShard(t)},
+		shards: []string{startFacadeShard(t).Addr().String(), startFacadeShard(t).Addr().String()},
 		stores: []session.CheckpointStore{session.NewMemStore(), session.NewMemStore(), session.NewMemStore()},
 		clk:    faultinject.NewFakeClock(time.Unix(1_700_000_000, 0)),
 		stop:   make(chan os.Signal, 1),

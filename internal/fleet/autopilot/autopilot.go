@@ -154,7 +154,7 @@ func (a *Autopilot) leading() bool {
 	return ok
 }
 
-// PlanOnce runs one rebalancing pass: sample loads, score the
+// PlanOnce runs one rebalancing pass: sample the fleet status, score the
 // imbalance, and — when the hysteresis band says so — migrate up to
 // MaxMoves cheapest sessions from the hottest shard to the coldest.
 // Returns the sessions moved. Per-move failures are joined, not fatal;
@@ -164,12 +164,7 @@ func (a *Autopilot) PlanOnce() (moved int, err error) {
 		return 0, ErrNotLeader
 	}
 	a.passes.Add(1)
-	rows := a.coord.Loads()
-	probation := map[string]bool{}
-	for _, p := range a.coord.Probation() {
-		probation[p] = true
-	}
-	costs := planCosts(rows, probation)
+	costs := planCosts(a.coord.Status().Shards)
 	score := imbalanceOf(costs)
 	a.imbalance.Store(math.Float64bits(score))
 
@@ -337,7 +332,7 @@ func verifyRecord(id string, data []byte) error {
 	}
 }
 
-// Status assembles the wire-visible policy state (MsgAutopilotResp).
+// Status assembles the policy state a coordinator's Status carries.
 func (a *Autopilot) Status() fleet.AutopilotInfo {
 	readmitted, promoted := a.coord.Readmissions()
 	info := fleet.AutopilotInfo{
@@ -348,7 +343,6 @@ func (a *Autopilot) Status() fleet.AutopilotInfo {
 		Moves:        a.moves.Load(),
 		Readmitted:   readmitted,
 		Promoted:     promoted,
-		Probation:    uint32(len(a.coord.Probation())),
 		ScrubChecked: a.scrubChecked.Load(),
 		ScrubRepairs: a.scrubRepairs.Load(),
 		ScrubSwept:   a.scrubSwept.Load(),

@@ -134,25 +134,30 @@ func testTimeouts() fleet.Timeouts {
 // --- planner unit tests ----------------------------------------------
 
 func TestPlannerImbalanceAndMoves(t *testing.T) {
-	mkRow := func(addr string, weight uint16, sess ...fleet.SessionLoad) fleet.ShardLoad {
+	mkRow := func(addr string, weight uint16, sess ...fleet.SessionLoad) fleet.ShardStatus {
 		var mem uint64
 		for _, s := range sess {
 			mem += s.Mem
 		}
-		return fleet.ShardLoad{Addr: addr, Weight: weight, Mem: mem, Sess: sess}
+		return fleet.ShardStatus{Addr: addr, Weight: weight, Mem: mem, Sess: sess}
 	}
-	rows := []fleet.ShardLoad{
+	probed := mkRow("probed:1", 1)
+	probed.Role = fleet.RoleProbation
+	leaving := mkRow("leaving:1", 1, fleet.SessionLoad{ID: "s-stuck", Mem: 9000})
+	leaving.Role = fleet.RoleDraining
+	rows := []fleet.ShardStatus{
 		mkRow("hot:1", 1,
 			fleet.SessionLoad{ID: "s-big", Mem: 4000},
 			fleet.SessionLoad{ID: "s-mid", Mem: 2000},
 			fleet.SessionLoad{ID: "s-small", Mem: 1000}),
 		mkRow("cold:1", 1),
-		mkRow("probed:1", 1),
+		probed,
+		leaving,
 		{Addr: "dead:1", Weight: 1, Err: "down"},
 	}
-	costs := planCosts(rows, map[string]bool{"probed:1": true})
+	costs := planCosts(rows)
 	if len(costs) != 2 {
-		t.Fatalf("planCosts kept %d rows, want 2 (probation and failed rows dropped)", len(costs))
+		t.Fatalf("planCosts kept %d rows, want 2 (probation, draining and failed rows dropped)", len(costs))
 	}
 	if score := imbalanceOf(costs); score < 1.9 {
 		t.Fatalf("imbalance %f, want ~2 for one loaded + one empty shard", score)
@@ -177,27 +182,27 @@ func TestPlannerImbalanceAndMoves(t *testing.T) {
 	}
 
 	// Cooldown: skipping every hot session plans nothing.
-	if got := planMoves(planCosts(rows, nil), 0.25, 8, func(string) bool { return true }); len(got) != 0 {
+	if got := planMoves(planCosts(rows), 0.25, 8, func(string) bool { return true }); len(got) != 0 {
 		t.Fatalf("planned %d moves with every session cooling down", len(got))
 	}
 
 	// Overshoot guard: one giant session on the hot shard stays put —
 	// handing it over would just swap which shard is hot.
-	giant := []fleet.ShardLoad{
+	giant := []fleet.ShardStatus{
 		mkRow("hot:1", 1, fleet.SessionLoad{ID: "s-giant", Mem: 4000}),
 		mkRow("cold:1", 1),
 	}
-	if got := planMoves(planCosts(giant, nil), 0.25, 8, nil); len(got) != 0 {
+	if got := planMoves(planCosts(giant), 0.25, 8, nil); len(got) != 0 {
 		t.Fatalf("planned %d moves that cannot reduce the spread", len(got))
 	}
 
 	// Weight awareness: identical raw load is NOT imbalance when the
 	// loaded shard advertises proportionally more capacity.
-	weighted := []fleet.ShardLoad{
+	weighted := []fleet.ShardStatus{
 		mkRow("big:1", 4, fleet.SessionLoad{ID: "a", Mem: 4000}),
 		mkRow("small:1", 1, fleet.SessionLoad{ID: "b", Mem: 1000}),
 	}
-	if score := imbalanceOf(planCosts(weighted, nil)); score > 0.01 {
+	if score := imbalanceOf(planCosts(weighted)); score > 0.01 {
 		t.Fatalf("weighted imbalance %f, want ~0", score)
 	}
 }
@@ -225,11 +230,11 @@ func TestLoadsDegradeGracefully(t *testing.T) {
 	}
 	s1.ln.Kill()
 
-	rows := coord.Loads()
+	rows := coord.Status().Shards
 	if len(rows) != 2 {
 		t.Fatalf("%d load rows, want one per member", len(rows))
 	}
-	byAddr := map[string]fleet.ShardLoad{}
+	byAddr := map[string]fleet.ShardStatus{}
 	for _, r := range rows {
 		byAddr[r.Addr] = r
 	}
@@ -258,18 +263,14 @@ func TestLoadsDegradeGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	wrows, err := cl.Load()
+	wst, err := cl.Status()
 	if err != nil {
-		t.Fatalf("wire load: %v", err)
+		t.Fatalf("wire status: %v", err)
 	}
-	if len(wrows) != 2 {
-		t.Fatalf("%d wire rows, want 2", len(wrows))
+	if len(wst.Shards) != 2 {
+		t.Fatalf("%d wire rows, want 2", len(wst.Shards))
 	}
-	info, err := cl.AutopilotStatus()
-	if err != nil {
-		t.Fatalf("wire autopilot status: %v", err)
-	}
-	if info.Enabled {
+	if info := wst.Auto; info.Enabled {
 		t.Fatal("autopilot reports enabled with none registered")
 	}
 }
@@ -484,7 +485,7 @@ func TestAutopilotSoak(t *testing.T) {
 		}
 	}
 
-	st := coord.AutopilotStatus()
+	st := coord.Status().Auto
 	if !st.Enabled || st.Passes == 0 || st.Moves == 0 || st.Readmitted != 1 ||
 		st.Promoted != 1 || st.ScrubChecked == 0 || st.ScrubRepairs == 0 {
 		t.Fatalf("autopilot status %+v missing policy counters", st)

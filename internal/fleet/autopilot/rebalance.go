@@ -52,7 +52,7 @@ type shardCost struct {
 // rawLoad scores one shard's absolute load: its summed session memory
 // footprint, with one byte-equivalent per session so empty-memory
 // fleets still rank by session count.
-func rawLoad(row fleet.ShardLoad) float64 {
+func rawLoad(row fleet.ShardStatus) float64 {
 	return float64(row.Mem) + float64(len(row.Sess))
 }
 
@@ -79,14 +79,15 @@ func imbalanceOf(costs []shardCost) float64 {
 	return (max - min) / mean
 }
 
-// planCosts projects load rows onto planning costs, dropping rows the
-// planner cannot act on: failed samples (Err set — the load is
-// unknown, not zero) and probation shards (Migrate refuses them as
-// targets, and draining a shard that holds nothing is moot).
-func planCosts(rows []fleet.ShardLoad, probation map[string]bool) []shardCost {
+// planCosts projects status rows onto planning costs, dropping rows
+// the planner cannot act on: failed samples (Err set — the load is
+// unknown, not zero; down shards carry one), probation shards (Migrate
+// refuses them as targets, and draining a shard that holds nothing is
+// moot) and draining shards (their sessions are already leaving).
+func planCosts(rows []fleet.ShardStatus) []shardCost {
 	var costs []shardCost
 	for _, row := range rows {
-		if row.Err != "" || probation[row.Addr] {
+		if row.Err != "" || row.Role == fleet.RoleProbation || row.Role == fleet.RoleDraining {
 			continue
 		}
 		w := float64(row.Weight)

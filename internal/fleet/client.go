@@ -253,13 +253,27 @@ func (c *Client) CloseSession(id string) error {
 	return err
 }
 
-// Stats fetches the peer's fleet-level counters and session ids.
-func (c *Client) Stats() (StatsInfo, error) {
-	resp, err := c.expect(&Message{Type: MsgStats}, MsgStatsResp)
+// Status fetches the peer's status snapshot: one row from a shard, one
+// row per shard record from a coordinator — with placeholder rows (Err
+// set) for shards it could not sample.
+func (c *Client) Status() (Status, error) {
+	resp, err := c.expect(&Message{Type: MsgStatus}, MsgStatusResp)
 	if err != nil {
-		return StatsInfo{}, err
+		return Status{}, err
 	}
-	return resp.Stats, nil
+	return resp.Status, nil
+}
+
+// shardStatus fetches a shard's one status row.
+func (c *Client) shardStatus() (ShardStatus, error) {
+	st, err := c.Status()
+	if err != nil {
+		return ShardStatus{}, err
+	}
+	if len(st.Shards) != 1 {
+		return ShardStatus{}, fmt.Errorf("fleet: %s: %d status rows from a shard, want 1: %w", c.addr, len(st.Shards), ErrBadMessage)
+	}
+	return st.Shards[0], nil
 }
 
 // Ping performs the lightweight liveness round trip health probes run.
@@ -289,26 +303,6 @@ func (c *Client) DrainShard(addr string) error {
 	return err
 }
 
-// Health fetches a coordinator's epoch and per-shard health states.
-func (c *Client) Health() (HealthInfo, error) {
-	resp, err := c.expect(&Message{Type: MsgHealth}, MsgHealthResp)
-	if err != nil {
-		return HealthInfo{}, err
-	}
-	return resp.Health, nil
-}
-
-// Load fetches a load sample: one row from a shard (its own sessions,
-// mem, feed latency), one row per member from a coordinator — with
-// placeholder rows (Err set) for members it could not sample.
-func (c *Client) Load() ([]ShardLoad, error) {
-	resp, err := c.expect(&Message{Type: MsgLoad}, MsgLoadResp)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Loads, nil
-}
-
 // SetWeight asks a coordinator to set the capacity weight of the shard
 // at addr (weighted vnodes). Sessions whose arcs move migrate.
 func (c *Client) SetWeight(addr string, weight int) error {
@@ -317,13 +311,4 @@ func (c *Client) SetWeight(addr string, weight int) error {
 	}
 	_, err := c.expect(&Message{Type: MsgSetWeight, Addr: addr, Weight: uint16(weight)}, MsgOK)
 	return err
-}
-
-// AutopilotStatus fetches a coordinator's autopilot policy state.
-func (c *Client) AutopilotStatus() (AutopilotInfo, error) {
-	resp, err := c.expect(&Message{Type: MsgAutopilotStatus}, MsgAutopilotResp)
-	if err != nil {
-		return AutopilotInfo{}, err
-	}
-	return resp.Auto, nil
 }

@@ -51,9 +51,9 @@ type CoordinatorConfig struct {
 	// vnodes (missing/<=0: 1; clamped to maxWeight). SetWeight changes
 	// them live.
 	Weights map[string]int
-	// LoadTimeout bounds one shard's MsgLoad sample inside Loads
-	// (<=0: 3s). Sampling uses short dedicated connections so a slow
-	// shard costs one placeholder row, never a hung stats command.
+	// LoadTimeout bounds one shard's sample inside Status (<=0: 3s).
+	// Sampling uses short dedicated connections so a slow shard costs
+	// one placeholder row, never a hung stats command.
 	LoadTimeout time.Duration
 	// Epoch is this coordinator's fencing epoch (0: 1). Every shard
 	// connection declares it before carrying requests; shards reject
@@ -253,7 +253,7 @@ func (c *Coordinator) fenced(addr string, err error) error {
 // barrier are.
 func idempotent(t MsgType) bool {
 	switch t {
-	case MsgSnapshot, MsgCheckpoint, MsgStats, MsgPing, MsgDrain, MsgHealth:
+	case MsgSnapshot, MsgCheckpoint, MsgPing, MsgDrain:
 		return true
 	}
 	return false
@@ -569,9 +569,9 @@ func (c *Coordinator) Migrate(id string, addr string) error {
 		err = &RemoteError{Code: CodeNoSession, Text: fmt.Sprintf("session %q not routed", id)}
 	case s == nil:
 		err = fmt.Errorf("fleet: migrate %q: %s is not a fleet member", id, addr)
-	case s.role == roleDown:
+	case s.role == RoleDown:
 		err = fmt.Errorf("fleet: migrate %q: target %s is down", id, addr)
-	case s.role == roleProbation:
+	case s.role == RoleProbation:
 		err = fmt.Errorf("fleet: migrate %q: target %s is in probation (new sessions only)", id, addr)
 	}
 	c.mu.Unlock()
@@ -585,41 +585,66 @@ func (c *Coordinator) Migrate(id string, addr string) error {
 func (c *Coordinator) Down() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.shardsLocked(roleDown)
+	return c.shardsLocked(RoleDown)
 }
 
-// Stats aggregates counters across live shards plus the coordinator's
-// own routing state. Unreachable shards are skipped (and handled as
-// lost), not errors.
-func (c *Coordinator) Stats() StatsInfo {
-	c.mu.Lock()
-	addrs := c.shardsLocked(roleActive, roleProbation)
-	c.mu.Unlock()
-	agg := StatsInfo{Migrations: c.migrations.Load() + c.recoveries.Load()}
-	for _, addr := range addrs {
-		c.mu.Lock()
-		cl, err := c.clientLocked(addr)
-		c.mu.Unlock()
-		if err != nil {
-			c.handleShardLoss(addr)
-			continue
-		}
-		st, err := cl.Stats()
-		if err != nil {
-			var remote *RemoteError
-			if !errors.As(err, &remote) {
-				c.handleShardLoss(addr)
-			}
-			continue
-		}
-		agg.Open += st.Open
-		agg.Opened += st.Opened
-		agg.Restores += st.Restores
-		agg.Restarts += st.Restarts
-		agg.IDs = append(agg.IDs, st.IDs...)
+// Status is the one fleet status snapshot: the fencing epoch, the
+// migration count and the autopilot state, plus one row per shard
+// record in address order — draining shards included, so a session a
+// failed drain left behind stays visible. The table is read once under
+// c.mu; every shard not down is then sampled passively (sampleShard).
+// Down shards and shards that fail to answer within LoadTimeout get
+// placeholder rows with Err set — the graceful-degradation contract
+// `bgbuster stats` renders as DOWN/? rows. Status never marks a shard
+// down: health transitions stay the prober's and the request path's.
+func (c *Coordinator) Status() Status {
+	st := Status{Epoch: c.epoch, Migrations: c.migrations.Load() + c.recoveries.Load()}
+	c.statusMu.Lock()
+	fn := c.statusFn
+	c.statusMu.Unlock()
+	if fn != nil {
+		st.Auto = fn()
 	}
-	sort.Strings(agg.IDs)
-	return agg
+	st.Auto.OrphanDels = c.orphanDels.Load()
+
+	c.mu.Lock()
+	for _, a := range c.shardsLocked(RoleActive, RoleProbation, RoleDraining, RoleDown) {
+		s := c.shards[a]
+		row := ShardStatus{Addr: a, Role: s.role, Health: s.health, Fails: s.fails, Weight: uint16(s.weight)}
+		if s.role == RoleDown {
+			row.Err = "down"
+		}
+		st.Shards = append(st.Shards, row)
+	}
+	c.mu.Unlock()
+
+	for i := range st.Shards {
+		row := &st.Shards[i]
+		if row.Err != "" {
+			continue
+		}
+		sample, err := c.sampleShard(row.Addr)
+		if err != nil {
+			row.Err = err.Error()
+			continue
+		}
+		row.Mem, row.FeedMicros, row.Sess = sample.Mem, sample.FeedMicros, sample.Sess
+		row.Opened, row.Restores, row.Restarts = sample.Opened, sample.Restores, sample.Restarts
+	}
+	return st
+}
+
+// sampleShard fetches one shard's own status row over a short
+// dedicated connection. The LoadTimeout deadline is what keeps one
+// slow shard from stalling the whole snapshot.
+func (c *Coordinator) sampleShard(addr string) (ShardStatus, error) {
+	t := Timeouts{Dial: c.cfg.LoadTimeout, Read: c.cfg.LoadTimeout, Write: c.cfg.LoadTimeout}
+	cl, err := DialTimeouts(addr, c.cfg.Limits, t)
+	if err != nil {
+		return ShardStatus{}, err
+	}
+	defer cl.Close()
+	return cl.shardStatus()
 }
 
 // Recoveries returns (sessions re-resumed from checkpoints, sessions
@@ -640,7 +665,7 @@ func (c *Coordinator) OrphanedDeletes() uint64 { return c.orphanDels.Load() }
 func (c *Coordinator) Probation() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.shardsLocked(roleProbation)
+	return c.shardsLocked(RoleProbation)
 }
 
 // WeightOf returns addr's capacity weight (its configured weight, or 1,
@@ -671,27 +696,14 @@ func (c *Coordinator) RoutedIDs() []string {
 	return ids
 }
 
-// SetStatusProvider registers the autopilot's status hook; the
-// coordinator answers MsgAutopilotStatus through it. A nil provider
-// reports a zero (disabled) status.
+// SetStatusProvider registers the autopilot's status hook; Status
+// reports its policy state through it, folding in the coordinator-side
+// orphaned-delete counter. A nil provider reports a zero (disabled)
+// autopilot state.
 func (c *Coordinator) SetStatusProvider(fn func() AutopilotInfo) {
 	c.statusMu.Lock()
 	c.statusFn = fn
 	c.statusMu.Unlock()
-}
-
-// AutopilotStatus reports the registered autopilot's policy state,
-// folding in the coordinator-side orphaned-delete counter.
-func (c *Coordinator) AutopilotStatus() AutopilotInfo {
-	c.statusMu.Lock()
-	fn := c.statusFn
-	c.statusMu.Unlock()
-	var info AutopilotInfo
-	if fn != nil {
-		info = fn()
-	}
-	info.OrphanDels = c.orphanDels.Load()
-	return info
 }
 
 // Members returns the current ring membership, sorted.
@@ -722,18 +734,14 @@ func (c *Coordinator) Handle(req *Message) *Message {
 	switch req.Type {
 	case MsgPing:
 		return okMsg()
-	case MsgHealth:
-		return &Message{Type: MsgHealthResp, Health: c.HealthSnapshot()}
+	case MsgStatus:
+		return &Message{Type: MsgStatusResp, Status: c.Status()}
 	case MsgJoin:
 		return wireStatus(c.Join(req.Addr))
 	case MsgDrainShard:
 		return wireStatus(c.DrainShard(req.Addr))
 	case MsgSetWeight:
 		return wireStatus(c.SetWeight(req.Addr, int(req.Weight)))
-	case MsgLoad:
-		return &Message{Type: MsgLoadResp, Loads: c.Loads()}
-	case MsgAutopilotStatus:
-		return &Message{Type: MsgAutopilotResp, Auto: c.AutopilotStatus()}
 	case MsgOpen:
 		return wireStatus(c.Open(req.Spec))
 	case MsgResume:
@@ -764,8 +772,6 @@ func (c *Coordinator) Handle(req *Message) *Message {
 		return wireStatus(c.Drain(req.Spec.ID))
 	case MsgClose:
 		return wireStatus(c.CloseSession(req.Spec.ID))
-	case MsgStats:
-		return &Message{Type: MsgStatsResp, Stats: c.Stats()}
 	default:
 		return errMsg(CodeBadReq, fmt.Sprintf("unexpected message type 0x%02x", byte(req.Type)))
 	}

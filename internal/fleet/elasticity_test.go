@@ -151,6 +151,7 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: store,
 		Timeouts: shortTimeouts(), Health: fastHealth(), Logf: t.Logf,
+		LoadTimeout: shortTimeouts().Read, // Status samples the stalled shard too
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +172,7 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	if err := coord.Replicate(); err != nil {
 		t.Fatal(err)
 	}
-	if st := coord.HealthSnapshot(); st.Epoch != 1 {
+	if st := coord.Status(); st.Epoch != 1 {
 		t.Fatalf("fresh coordinator epoch = %d, want 1", st.Epoch)
 	}
 
@@ -189,8 +190,8 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 		t.Fatalf("feed blocked %v past a 250ms read deadline", elapsed)
 	}
 	states := map[string]HealthState{}
-	for _, sh := range coord.HealthSnapshot().Shards {
-		states[sh.Addr] = HealthState(sh.State)
+	for _, sh := range coord.Status().Shards {
+		states[sh.Addr] = sh.Health
 	}
 	if states[sA.addr] != HealthSuspect {
 		t.Fatalf("one strike left %s %v, want suspect", sA.addr, states[sA.addr])
@@ -211,9 +212,9 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	if got := coord.RouteOf(id); got != sB.addr {
 		t.Fatalf("session routed to %s after recovery, want %s", got, sB.addr)
 	}
-	for _, sh := range coord.HealthSnapshot().Shards {
-		if sh.Addr == sA.addr && HealthState(sh.State) != HealthDown {
-			t.Fatalf("stalled shard reads %v after %d strikes, want down", HealthState(sh.State), 2)
+	for _, sh := range coord.Status().Shards {
+		if sh.Addr == sA.addr && sh.Health != HealthDown {
+			t.Fatalf("stalled shard reads %v after %d strikes, want down", sh.Health, 2)
 		}
 	}
 	if resumed, _, _ := coord.Recoveries(); resumed != 1 {
@@ -600,15 +601,15 @@ func TestDrainShardEndsProbation(t *testing.T) {
 func TestTransitionPinsEverySessionInPlace(t *testing.T) {
 	const target = "10.0.0.9:7601"
 	live := []string{"10.0.0.1:7601", "10.0.0.2:7601", "10.0.0.3:7601"}
-	const absent, lostDraining shardRole = 255, 254
-	legal := map[shardOp][]shardRole{
-		opJoin:      {absent, roleDown, lostDraining},
-		opSetWeight: {roleActive, roleProbation, roleDown},
-		opReadmit:   {roleDown},
-		opPromote:   {roleProbation},
-		opDrain:     {roleActive, roleProbation, roleDown, roleDraining},
+	const absent, lostDraining Role = 255, 254
+	legal := map[shardOp][]Role{
+		opJoin:      {absent, RoleDown, lostDraining},
+		opSetWeight: {RoleActive, RoleProbation, RoleDown},
+		opReadmit:   {RoleDown},
+		opPromote:   {RoleProbation},
+		opDrain:     {RoleActive, RoleProbation, RoleDown, RoleDraining},
 	}
-	roleName := func(r shardRole) string {
+	roleName := func(r Role) string {
 		switch r {
 		case absent:
 			return "absent"
@@ -619,11 +620,11 @@ func TestTransitionPinsEverySessionInPlace(t *testing.T) {
 	}
 	type row struct {
 		op   shardOp
-		from shardRole
+		from Role
 	}
 	var rows []row
 	for op := range opNames {
-		for _, from := range []shardRole{absent, roleActive, roleProbation, roleDraining, lostDraining, roleDown} {
+		for _, from := range []Role{absent, RoleActive, RoleProbation, RoleDraining, lostDraining, RoleDown} {
 			rows = append(rows, row{shardOp(op), from})
 		}
 	}
@@ -672,15 +673,15 @@ func TestTransitionPinsEverySessionInPlace(t *testing.T) {
 				}
 			}
 			switch r.from {
-			case roleProbation:
+			case RoleProbation:
 				lose(target)
 				step(opReadmit)
-			case roleDraining:
+			case RoleDraining:
 				step(opDrain)
 			case lostDraining:
 				step(opDrain)
 				lose(target)
-			case roleDown:
+			case RoleDown:
 				lose(target)
 			}
 			open(200, 300) // sessions opened while the shard is in its role
@@ -693,7 +694,7 @@ func TestTransitionPinsEverySessionInPlace(t *testing.T) {
 				return out
 			}
 			before := routes()
-			roleBefore := shardRole(absent)
+			roleBefore := Role(absent)
 			if s := c.shards[target]; s != nil {
 				roleBefore = s.role
 			}
@@ -981,16 +982,14 @@ func TestDeposedCoordinatorWritesNoMeta(t *testing.T) {
 	}
 }
 
-// TestFailedDrainRetriesAndRejoins drains a shard whose one session
-// cannot move (the target already holds its id). The shard stays
-// draining and keeps serving the session; a retried DrainShard finishes
-// the drain, and the address may Join again. Then a second failed drain
-// is followed by the shard's death and a restart at the same address
-// (`shard -drain-on-sigterm`, then `shard -join`): the probe must catch
-// the draining shard's loss, recover its session, and let it Join.
-func TestFailedDrainRetriesAndRejoins(t *testing.T) {
+// newFailedDrain boots two shards and a coordinator with one session
+// homed on sA. feed delivers frame i of three; failDrain drains sA
+// while sB holds a session under the same id, so the one migration
+// fails and rolls back, and returns that duplicate.
+func newFailedDrain(t *testing.T) (coord *Coordinator, sA, sB *testShard, id string, feed func(i int), failDrain func() *session.Session) {
+	t.Helper()
 	frames, sils := leakFrames(3)
-	sA, sB := startShard(t), startShard(t)
+	sA, sB = startShard(t), startShard(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
 		Health: fastHealth(), Logf: t.Logf,
@@ -998,22 +997,20 @@ func TestFailedDrainRetriesAndRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
+	t.Cleanup(func() { coord.Close() })
 	_, byShard := pickIDs(coord.ring, []string{sA.addr, sB.addr}, 1)
-	id := byShard[sA.addr][0]
+	id = byShard[sA.addr][0]
 	spec := OpenSpec{ID: id, W: fw, H: fh, Seed: 1}
 	if err := coord.Open(spec); err != nil {
 		t.Fatal(err)
 	}
-	feed := func(i int) {
+	feed = func(i int) {
 		t.Helper()
 		if err := coord.Feed(id, core.Frame{Img: frames[i], Oracle: sils[i]}); err != nil {
 			t.Fatalf("feed %d: %v", i, err)
 		}
 	}
-	// failDrain drains sA while sB holds a session under the same id,
-	// so the one migration fails and rolls back.
-	failDrain := func() *session.Session {
+	failDrain = func() *session.Session {
 		t.Helper()
 		dup, err := sB.mgr.Open(id, fw, fh, fleetTestOptions(spec))
 		if err != nil {
@@ -1033,6 +1030,44 @@ func TestFailedDrainRetriesAndRejoins(t *testing.T) {
 		}
 		return dup
 	}
+	return coord, sA, sB, id, feed, failDrain
+}
+
+// TestStatusShowsDrainingShard: a session that a failed drain leaves on
+// its draining shard is still routed and fed there, so the status
+// snapshot must carry the draining shard's row with that session in it.
+func TestStatusShowsDrainingShard(t *testing.T) {
+	coord, sA, _, id, feed, failDrain := newFailedDrain(t)
+	feed(0)
+	failDrain().Close()
+	feed(1)
+	if err := coord.Drain(id); err != nil {
+		t.Fatal(err)
+	}
+	var row *ShardStatus
+	st := coord.Status()
+	for i := range st.Shards {
+		if st.Shards[i].Addr == sA.addr {
+			row = &st.Shards[i]
+		}
+	}
+	if row == nil || row.Role != RoleDraining || row.Err != "" {
+		t.Fatalf("status rows %+v: no sampled draining row for %s", st.Shards, sA.addr)
+	}
+	if len(row.Sess) != 1 || row.Sess[0].ID != id || row.Sess[0].Frames != 2 {
+		t.Fatalf("draining row sessions = %+v, want %q at 2 frames", row.Sess, id)
+	}
+}
+
+// TestFailedDrainRetriesAndRejoins drains a shard whose one session
+// cannot move (the target already holds its id). The shard stays
+// draining and keeps serving the session; a retried DrainShard finishes
+// the drain, and the address may Join again. Then a second failed drain
+// is followed by the shard's death and a restart at the same address
+// (`shard -drain-on-sigterm`, then `shard -join`): the probe must catch
+// the draining shard's loss, recover its session, and let it Join.
+func TestFailedDrainRetriesAndRejoins(t *testing.T) {
+	coord, sA, sB, id, feed, failDrain := newFailedDrain(t)
 
 	feed(0)
 	dup := failDrain()

@@ -18,7 +18,7 @@ import (
 // epoch: it reads the blob from any surviving replica, fences every
 // shard at the new epoch (deposing the old coordinator — shards reject
 // its mutations with CodeFenced from that moment), rebuilds routing
-// from live shard stats, and recovers any session found on no shard
+// from live shard status, and recovers any session found on no shard
 // from its replicated checkpoint.
 
 // ErrDeposed is returned by every coordinator operation after a peer
@@ -291,7 +291,7 @@ func (c *Coordinator) saveMeta() {
 		return
 	}
 	c.mu.Lock()
-	members := c.shardsLocked(roleActive, roleProbation, roleDown, roleDraining)
+	members := c.shardsLocked(RoleActive, RoleProbation, RoleDown, RoleDraining)
 	m := fleetMeta{Epoch: c.epoch, Vnodes: c.cfg.Vnodes, Members: members, Weights: map[string]int{}}
 	for _, a := range m.Members {
 		m.Weights[a] = c.shards[a].weight
@@ -336,7 +336,7 @@ func resolveStore(cfg CoordinatorConfig) (session.CheckpointStore, error) {
 //  2. assumes cfg.Epoch, or the blob's epoch+1 when that is higher,
 //     and fences every member shard with it — from that instant the
 //     old coordinator's mutations die with CodeFenced,
-//  3. rebuilds routing from live shard stats (reality wins over any
+//  3. rebuilds routing from live shard status (reality wins over any
 //     stale record of placement),
 //  4. re-resumes every session found on no shard from its replicated
 //     checkpoint.
@@ -383,15 +383,16 @@ func TakeOver(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mu.Unlock()
 
 	// Fence every shard at the new epoch and learn what actually lives
-	// where: dialing fences (clientLocked), stats enumerate placement,
-	// and a located session is pinned where it was found.
+	// where: dialing fences (clientLocked), the shard's status row
+	// enumerates placement, and a located session is pinned where it was
+	// found.
 	for _, addr := range m.Members {
 		c.mu.Lock()
 		cl, cerr := c.clientLocked(addr)
 		c.mu.Unlock()
-		var st StatsInfo
+		var row ShardStatus
 		if cerr == nil {
-			st, cerr = cl.Stats()
+			row, cerr = cl.shardStatus()
 		}
 		if cerr != nil {
 			if errors.Is(cerr, ErrDeposed) {
@@ -405,12 +406,12 @@ func TakeOver(cfg CoordinatorConfig) (*Coordinator, error) {
 			continue
 		}
 		c.mu.Lock()
-		for _, id := range st.IDs {
-			switch p := c.sessions[id]; {
+		for _, sl := range row.Sess {
+			switch p := c.sessions[sl.ID]; {
 			case p == nil:
-				c.logf("fleet: takeover: session %q on %s is not in the fleet meta; ignoring it", id, addr)
+				c.logf("fleet: takeover: session %q on %s is not in the fleet meta; ignoring it", sl.ID, addr)
 			case p.pin != "":
-				c.logf("fleet: takeover: session %q found on %s and %s; keeping the first", id, p.pin, addr)
+				c.logf("fleet: takeover: session %q found on %s and %s; keeping the first", sl.ID, p.pin, addr)
 			default:
 				p.pin = addr
 			}

@@ -180,12 +180,12 @@ func TestShardEndToEnd(t *testing.T) {
 	if len(ckpt) == 0 || string(ckpt[:4]) != "BBCK" {
 		t.Fatalf("checkpoint bytes do not start with BBCK container magic: %d bytes", len(ckpt))
 	}
-	st, err := cl.Stats()
+	st, err := cl.Status()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Open != 1 || len(st.IDs) != 1 || st.IDs[0] != spec.ID {
-		t.Fatalf("stats: %+v", st)
+	if len(st.Shards) != 1 || len(st.Shards[0].Sess) != 1 || st.Shards[0].Sess[0].ID != spec.ID {
+		t.Fatalf("status: %+v", st)
 	}
 	if err := cl.CloseSession(spec.ID); err != nil {
 		t.Fatal(err)
@@ -506,9 +506,13 @@ func TestFleetShardLossRecovery(t *testing.T) {
 		}
 	}
 
-	st := coord.Stats()
-	if st.Open != 4 || len(st.IDs) != 4 {
-		t.Fatalf("aggregate stats after recovery: %+v", st)
+	st := coord.Status()
+	open := 0
+	for _, row := range st.Shards {
+		open += len(row.Sess)
+	}
+	if open != 4 {
+		t.Fatalf("aggregate status after recovery: %+v", st)
 	}
 }
 

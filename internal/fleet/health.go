@@ -127,11 +127,12 @@ func (c *Coordinator) backoff(retry int) {
 // ProbeOnce pings every shard that may serve sessions — active,
 // probation, or draining — once and feeds the results to the health
 // machine: a hard transport error is shard loss, a timeout is a strike
-// (escalating to loss past DownAfter), success resets to up. It returns the post-probe states. The background loop calls
+// (escalating to loss past DownAfter), success resets to up. It returns
+// the post-probe states of the ring members. The background loop calls
 // this on ProbeInterval; tests call it directly for determinism.
 func (c *Coordinator) ProbeOnce() map[string]HealthState {
 	c.mu.Lock()
-	addrs := c.shardsLocked(roleActive, roleProbation, roleDraining)
+	addrs := c.shardsLocked(RoleActive, RoleProbation, RoleDraining)
 	c.mu.Unlock()
 	for _, addr := range addrs {
 		c.mu.Lock()
@@ -155,9 +156,11 @@ func (c *Coordinator) ProbeOnce() map[string]HealthState {
 			c.handleShardLoss(addr)
 		}
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	states := map[string]HealthState{}
-	for _, sh := range c.HealthSnapshot().Shards {
-		states[sh.Addr] = HealthState(sh.State)
+	for _, a := range c.membersLocked() {
+		states[a] = c.shards[a].health
 	}
 	return states
 }
@@ -192,17 +195,4 @@ func (c *Coordinator) jittered(d time.Duration) time.Duration {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
 	return d - q + time.Duration(c.rng.Int63n(int64(2*q)+1))
-}
-
-// HealthSnapshot projects the fencing epoch and per-member health onto
-// the wire struct (MsgHealthResp), sorted by address.
-func (c *Coordinator) HealthSnapshot() HealthInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	info := HealthInfo{Epoch: c.epoch}
-	for _, a := range c.membersLocked() {
-		s := c.shards[a]
-		info.Shards = append(info.Shards, ShardHealthInfo{Addr: a, State: uint8(s.health), Fails: s.fails})
-	}
-	return info
 }

@@ -27,28 +27,29 @@ import (
 // consistent-hash minimal-movement property, verified by
 // TestRingJoinMovesMinimally.
 
-// shardRole is a shard's place in the membership lifecycle:
+// Role is a shard's place in the membership lifecycle (ShardStatus
+// reports it per shard):
 //
 //	(new) --Join--> active --loss--> down --Readmit--> probation --Promote--> active
 //	                                 down --Join--> active
 //	active|probation|down|draining --DrainShard--> draining --> removed
 //	draining --loss--> removed
-type shardRole uint8
+type Role uint8
 
 const (
-	roleActive    shardRole = iota // on the ring, takes any placement
-	roleProbation                  // on the ring, new sessions only; existing ones pinned off
-	roleDraining                   // off the ring; its sessions are migrating away
-	roleDown                       // lost: on the ring but skipped until Readmit or Join
+	RoleActive    Role = iota // on the ring, takes any placement
+	RoleProbation             // on the ring, new sessions only; existing ones pinned off
+	RoleDraining              // off the ring; its sessions are migrating away
+	RoleDown                  // lost: on the ring but skipped until Readmit or Join
 )
 
-func (r shardRole) String() string {
+func (r Role) String() string {
 	return [...]string{"active", "probation", "draining", "down"}[r]
 }
 
 // shard is one shard's record. A zero record is a healthy active shard.
 type shard struct {
-	role   shardRole
+	role   Role
 	weight int // capacity weight for weighted vnodes, in [1, maxWeight]
 	health HealthState
 	fails  uint32   // consecutive timeout strikes
@@ -60,8 +61,8 @@ type shard struct {
 // resets the health machine (a drained down shard keeps reading down);
 // any role change ends a probation, whose pins either go to Promote or
 // stay as plain route overrides.
-func (s *shard) setRole(role shardRole) {
-	if s.role == roleDown && (role == roleActive || role == roleProbation) {
+func (s *shard) setRole(role Role) {
+	if s.role == RoleDown && (role == RoleActive || role == RoleProbation) {
 		s.health, s.fails = HealthUp, 0
 	}
 	s.role, s.pins = role, nil
@@ -88,18 +89,18 @@ type placement struct {
 func (c *Coordinator) loseLocked(addr string) {
 	s := c.shards[addr]
 	s.dropClient()
-	if s.role == roleDraining {
+	if s.role == RoleDraining {
 		delete(c.shards, addr)
 		return
 	}
-	s.setRole(roleDown)
+	s.setRole(RoleDown)
 	s.health, s.fails = HealthDown, 0
 }
 
 // eligible reports whether addr takes new placements. Caller holds c.mu.
 func (c *Coordinator) eligible(addr string) bool {
 	s := c.shards[addr]
-	return s != nil && (s.role == roleActive || s.role == roleProbation)
+	return s != nil && (s.role == RoleActive || s.role == RoleProbation)
 }
 
 // homeLocked returns id's ring home: the first eligible shard on its
@@ -111,7 +112,7 @@ func (c *Coordinator) homeLocked(id string) string {
 // memberLocked returns addr's record when addr is a ring member (any
 // role but draining), else nil. Caller holds c.mu.
 func (c *Coordinator) memberLocked(addr string) *shard {
-	if s := c.shards[addr]; s != nil && s.role != roleDraining {
+	if s := c.shards[addr]; s != nil && s.role != RoleDraining {
 		return s
 	}
 	return nil
@@ -119,12 +120,12 @@ func (c *Coordinator) memberLocked(addr string) *shard {
 
 // membersLocked returns the ring members, sorted. Caller holds c.mu.
 func (c *Coordinator) membersLocked() []string {
-	return c.shardsLocked(roleActive, roleProbation, roleDown)
+	return c.shardsLocked(RoleActive, RoleProbation, RoleDown)
 }
 
 // shardsLocked returns the shards in any of roles, sorted. Caller
 // holds c.mu.
-func (c *Coordinator) shardsLocked(roles ...shardRole) []string {
+func (c *Coordinator) shardsLocked(roles ...Role) []string {
 	var out []string
 	for a, s := range c.shards {
 		if slices.Contains(roles, s.role) {
@@ -179,16 +180,16 @@ func (c *Coordinator) transitionLocked(op shardOp, addr string, weight int) ([]s
 			s = &shard{weight: clampWeight(c.cfg.Weights[addr])}
 			c.shards[addr] = s
 		}
-		s.setRole(roleActive)
+		s.setRole(RoleActive)
 	case opSetWeight:
 		s.weight = weight
 	case opReadmit:
-		s.setRole(roleProbation)
+		s.setRole(RoleProbation)
 	case opPromote:
 		migrate = s.pins
-		s.setRole(roleActive)
+		s.setRole(RoleActive)
 	case opDrain:
-		s.setRole(roleDraining)
+		s.setRole(RoleDraining)
 	}
 	c.ring = c.ringLocked()
 	var moved []string
@@ -223,14 +224,14 @@ func (c *Coordinator) checkLocked(op shardOp, addr string, s *shard) error {
 	case addr == "":
 		return errors.New("empty shard address")
 	case op == opJoin:
-		if s != nil && s.role != roleDown {
+		if s != nil && s.role != RoleDown {
 			return fmt.Errorf("%s is already a member (%s)", addr, s.role)
 		}
-	case s == nil || s.role == roleDraining && op != opDrain:
+	case s == nil || s.role == RoleDraining && op != opDrain:
 		return fmt.Errorf("%s is not a fleet member", addr)
-	case op == opReadmit && s.role != roleDown:
+	case op == opReadmit && s.role != RoleDown:
 		return fmt.Errorf("%s is not down", addr)
-	case op == opPromote && s.role != roleProbation:
+	case op == opPromote && s.role != RoleProbation:
 		return fmt.Errorf("%s is not in probation", addr)
 	case op == opDrain && c.eligible(addr):
 		for a := range c.shards {
@@ -277,7 +278,7 @@ func (c *Coordinator) transition(op shardOp, addr string, weight int) error {
 			stuck = stuck || c.routeLocked(id) == addr
 		}
 		// A loss meanwhile removed the record, or a Join replaced it.
-		if s := c.shards[addr]; !stuck && s != nil && s.role == roleDraining {
+		if s := c.shards[addr]; !stuck && s != nil && s.role == RoleDraining {
 			s.dropClient()
 			delete(c.shards, addr)
 		}
@@ -385,17 +386,17 @@ func (c *Coordinator) Readmit(addr string) error {
 // before it went down (the fleet re-homed them at loss time). On failure
 // the handshake connection is dropped.
 func (c *Coordinator) scrubStale(addr string, cl *Client) error {
-	st, err := cl.Stats()
-	for _, id := range st.IDs {
+	row, err := cl.shardStatus()
+	for _, s := range row.Sess {
 		if err != nil {
 			break
 		}
-		_, err = cl.Detach(id)
+		_, err = cl.Detach(s.ID)
 		var remote *RemoteError
 		if errors.As(err, &remote) && remote.Code == CodeNoSession {
 			err = nil
 		} else if err == nil {
-			c.logf("fleet: readmit %s: discarded stale session %q", addr, id)
+			c.logf("fleet: readmit %s: discarded stale session %q", addr, s.ID)
 		}
 	}
 	if err != nil {

@@ -214,7 +214,7 @@ func (s *Shard) Fenced() uint64 {
 }
 
 // mutates reports whether a request changes session state — the set
-// fencing guards. Reads (snapshot, checkpoint export, stats, ping)
+// fencing guards. Reads (snapshot, checkpoint export, status, ping)
 // stay answerable on any connection: a deposed coordinator observing
 // state is harmless, a deposed coordinator changing it is not.
 func mutates(t MsgType) bool {
@@ -269,13 +269,14 @@ func (s *Shard) HandleConn(cs *ConnState, req *Message) *Message {
 		resp := status(mgr.FeedN(req.Spec.ID, req.Frames))
 		s.observeFeed(time.Since(start), len(req.Frames))
 		return resp
-	case MsgLoad:
+	case MsgStatus:
 		st := mgr.Stats()
-		row := ShardLoad{Mem: st.MemUsed, FeedMicros: s.feedMicros.Load()}
+		row := ShardStatus{Mem: st.MemUsed, FeedMicros: s.feedMicros.Load(),
+			Opened: st.Opened, Restores: st.Restored, Restarts: st.Restarts}
 		for _, sn := range st.Sessions {
 			row.Sess = append(row.Sess, SessionLoad{ID: sn.ID, Mem: sn.MemBytes, Frames: sn.StreamFrames})
 		}
-		return &Message{Type: MsgLoadResp, Loads: []ShardLoad{row}}
+		return &Message{Type: MsgStatusResp, Status: Status{Epoch: s.Fenced(), Shards: []ShardStatus{row}}}
 	case MsgSnapshot:
 		sess, ok := mgr.Get(req.Spec.ID)
 		if !ok {
@@ -314,18 +315,6 @@ func (s *Shard) HandleConn(cs *ConnState, req *Message) *Message {
 			return errMsg(CodeNoSession, fmt.Sprintf("session %q not found", req.Spec.ID))
 		}
 		return status(sess.Close())
-	case MsgStats:
-		st := mgr.Stats()
-		info := StatsInfo{
-			Open:     uint32(st.Open),
-			Opened:   st.Opened,
-			Restores: st.Restored,
-			Restarts: st.Restarts,
-		}
-		for _, sn := range st.Sessions {
-			info.IDs = append(info.IDs, sn.ID)
-		}
-		return &Message{Type: MsgStatsResp, Stats: info}
 	default:
 		return errMsg(CodeBadReq, fmt.Sprintf("unexpected message type 0x%02x", byte(req.Type)))
 	}

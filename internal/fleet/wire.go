@@ -63,8 +63,6 @@ const (
 	// MsgDetach drains and removes a session WITHOUT finalizing,
 	// returning its .bbck bytes — the sending half of live migration.
 	MsgDetach MsgType = 0x08
-	// MsgStats asks for the fleet-level counter snapshot and session ids.
-	MsgStats MsgType = 0x09
 	// MsgDrain blocks until every fed frame of a session is processed —
 	// the quiesce barrier a migration or parity check runs behind.
 	MsgDrain MsgType = 0x0A
@@ -84,23 +82,18 @@ const (
 	// MsgDrainShard asks the coordinator to migrate every session off
 	// the shard at Addr and remove it from the ring (graceful exit).
 	MsgDrainShard MsgType = 0x0E
-	// MsgHealth asks the coordinator for its epoch and per-shard health
-	// states.
-	MsgHealth MsgType = 0x0F
-	// MsgLoad asks for a load sample. A shard answers with one row
-	// (its own sessions, mem footprint, feed latency); a coordinator
-	// answers with one row per member — including placeholder rows for
-	// members it could not sample, so one dead shard never fails the
-	// whole query. This is the rebalancer's planning input.
-	MsgLoad MsgType = 0x10
 	// MsgSetWeight asks the coordinator to set the capacity weight of
 	// the shard at Addr — weighted vnodes for heterogeneous fleets. The
 	// ring is rebuilt and only the sessions whose arcs move migrate.
 	MsgSetWeight MsgType = 0x11
-	// MsgAutopilotStatus asks the coordinator for its autopilot policy
-	// state: imbalance score, rebalance/readmission/scrub counters and
-	// the current coordination lease.
-	MsgAutopilotStatus MsgType = 0x12
+	// MsgStatus asks for a status snapshot (empty body). A shard answers
+	// with one row (its own sessions, counters, mem footprint, feed
+	// latency); a coordinator answers with its epoch, migration and
+	// autopilot counters and one row per shard record — including
+	// placeholder rows for shards it could not sample, so one dead shard
+	// never fails the whole query. Both `bgbuster stats` and the
+	// rebalancer read it.
+	MsgStatus MsgType = 0x13
 
 	// MsgOK acknowledges a request with no payload.
 	MsgOK MsgType = 0x40
@@ -110,14 +103,8 @@ const (
 	MsgSnapResp MsgType = 0x42
 	// MsgCkptResp answers MsgCheckpoint/MsgDetach with .bbck bytes.
 	MsgCkptResp MsgType = 0x43
-	// MsgStatsResp answers MsgStats.
-	MsgStatsResp MsgType = 0x44
-	// MsgHealthResp answers MsgHealth.
-	MsgHealthResp MsgType = 0x45
-	// MsgLoadResp answers MsgLoad.
-	MsgLoadResp MsgType = 0x46
-	// MsgAutopilotResp answers MsgAutopilotStatus.
-	MsgAutopilotResp MsgType = 0x47
+	// MsgStatusResp answers MsgStatus.
+	MsgStatusResp MsgType = 0x48
 )
 
 // Error codes carried by MsgErr, mirroring the session layer's typed
@@ -155,31 +142,6 @@ type SnapInfo struct {
 	VBName                          string
 }
 
-// StatsInfo is the wire projection of a manager-level snapshot plus
-// the open session ids (what a recovering coordinator enumerates).
-type StatsInfo struct {
-	Open                       uint32
-	Opened, Restores, Restarts uint64
-	Migrations                 uint64
-	IDs                        []string
-}
-
-// ShardHealthInfo is one shard's routing health on the wire: the
-// health-state-machine value (HealthState) and the consecutive probe
-// or op failures counted against it.
-type ShardHealthInfo struct {
-	Addr  string
-	State uint8
-	Fails uint32
-}
-
-// HealthInfo is the wire projection of the coordinator's routing
-// health: its fencing epoch and every member shard's state.
-type HealthInfo struct {
-	Epoch  uint64
-	Shards []ShardHealthInfo
-}
-
 // SessionLoad is one session's placement cost on the wire — what the
 // rebalancer ranks when picking the cheapest sessions to move off a
 // hot shard.
@@ -189,25 +151,42 @@ type SessionLoad struct {
 	Frames uint64 // stream frames processed so far
 }
 
-// ShardLoad is one shard's load sample on the wire (MsgLoadResp). A
-// row with a non-empty Err is a placeholder: the shard could not be
-// sampled (down, timed out) and every other field except Addr/State is
-// unset — the graceful-degradation row `bgbuster stats` renders as
-// DOWN/? instead of failing the whole command.
-type ShardLoad struct {
-	Addr       string
-	State      uint8  // HealthState at sample time
-	Weight     uint16 // capacity weight (vnode multiplier), 0 on shard-local rows
-	Mem        uint64 // summed session stream footprint in bytes
-	FeedMicros uint64 // EWMA of feed request handling latency, microseconds
-	Sess       []SessionLoad
-	Err        string // non-empty: sample failed; row is a placeholder
+// Status is the one status snapshot (MsgStatusResp). A shard reports
+// the highest epoch it has been fenced at and one row; a coordinator
+// reports its fencing epoch, migration count and autopilot state and
+// one row per shard record, draining shards included.
+type Status struct {
+	Epoch      uint64
+	Migrations uint64        // live migrations plus shard-loss recoveries (coordinator)
+	Auto       AutopilotInfo // zero unless an autopilot is registered (coordinator)
+	Shards     []ShardStatus
 }
 
-// AutopilotInfo is the autopilot policy state on the wire
-// (MsgAutopilotResp): the latest imbalance score against its
-// threshold, cumulative rebalance/readmission/scrub counters, and the
-// coordination lease (when election is running).
+// ShardStatus is one shard's row. The coordinator fills in the
+// membership columns (Addr, Role, Health, Fails, Weight) from its
+// shard record and the rest from the shard's own row. A row with a
+// non-empty Err is a placeholder: the shard could not be sampled (down,
+// timed out) and only the membership columns are set — the
+// graceful-degradation row `bgbuster stats` renders as DOWN/? instead
+// of failing the whole command.
+type ShardStatus struct {
+	Addr                       string
+	Role                       Role
+	Health                     HealthState
+	Fails                      uint32 // consecutive timeout strikes
+	Weight                     uint16 // capacity weight (vnode multiplier), 0 on shard-local rows
+	Mem                        uint64 // summed session stream footprint in bytes
+	FeedMicros                 uint64 // EWMA of feed request handling latency, microseconds
+	Opened, Restores, Restarts uint64
+	Sess                       []SessionLoad // one entry per open session, by id
+	Err                        string        // non-empty: sample failed; row is a placeholder
+}
+
+// AutopilotInfo is the autopilot policy state in a coordinator's
+// Status: the latest imbalance score against its threshold, cumulative
+// rebalance/readmission/scrub counters, and the coordination lease
+// (when election is running). Shards in probation are counted from the
+// Status rows.
 type AutopilotInfo struct {
 	Enabled      bool
 	Imbalance    float64 // latest planner score
@@ -216,7 +195,6 @@ type AutopilotInfo struct {
 	Moves        uint64  // sessions migrated by the rebalancer
 	Readmitted   uint64  // shards auto re-admitted after down
 	Promoted     uint64  // shards promoted out of probation
-	Probation    uint32  // shards currently in probation
 	ScrubChecked uint64
 	ScrubRepairs uint64
 	ScrubSwept   uint64
@@ -235,19 +213,16 @@ type AutopilotInfo struct {
 // invariant the fuzz harness enforces).
 type Message struct {
 	Type   MsgType
-	Spec   OpenSpec      // Open, Resume; Spec.ID alone for id-bearing requests
-	Frames []core.Frame  // Feed (exactly 1), FeedBatch (1..MaxBatch)
-	Ckpt   []byte        // Resume, CkptResp
-	Code   uint16        // Err
-	Text   string        // Err
-	Snap   SnapInfo      // SnapResp
-	Stats  StatsInfo     // StatsResp
-	Addr   string        // Join, DrainShard, SetWeight
-	Epoch  uint64        // Fence
-	Health HealthInfo    // HealthResp
-	Weight uint16        // SetWeight
-	Loads  []ShardLoad   // LoadResp
-	Auto   AutopilotInfo // AutopilotResp
+	Spec   OpenSpec     // Open, Resume; Spec.ID alone for id-bearing requests
+	Frames []core.Frame // Feed (exactly 1), FeedBatch (1..MaxBatch)
+	Ckpt   []byte       // Resume, CkptResp
+	Code   uint16       // Err
+	Text   string       // Err
+	Snap   SnapInfo     // SnapResp
+	Addr   string       // Join, DrainShard, SetWeight
+	Epoch  uint64       // Fence
+	Weight uint16       // SetWeight
+	Status Status       // StatusResp
 }
 
 // Limits bounds what a decoder will allocate for one message — the
@@ -265,7 +240,8 @@ type Limits struct {
 	MaxIDLen int
 	// MaxCkpt caps embedded checkpoint payloads (default 64 MiB).
 	MaxCkpt int64
-	// MaxIDs caps the id list in MsgStatsResp (default 1 << 16).
+	// MaxIDs caps the shard rows, and each row's sessions, in
+	// MsgStatusResp (default 1 << 16).
 	MaxIDs int
 	// MaxText caps MsgErr/VBName strings (default 4096).
 	MaxText int
@@ -386,7 +362,7 @@ func (e *encoder) body(m *Message) {
 		}
 	case MsgSnapshot, MsgCheckpoint, MsgClose, MsgDetach, MsgDrain:
 		e.str(m.Spec.ID, "session id length")
-	case MsgStats, MsgOK, MsgPing, MsgHealth, MsgLoad, MsgAutopilotStatus:
+	case MsgOK, MsgPing, MsgStatus:
 		// empty body
 	case MsgFence:
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, m.Epoch)
@@ -395,46 +371,8 @@ func (e *encoder) body(m *Message) {
 	case MsgSetWeight:
 		e.str(m.Addr, "address length")
 		e.buf = binary.LittleEndian.AppendUint16(e.buf, m.Weight)
-	case MsgLoadResp:
-		e.n16(len(m.Loads), "load row count")
-		for _, row := range m.Loads {
-			e.str(row.Addr, "address length")
-			e.buf = append(e.buf, row.State)
-			e.buf = binary.LittleEndian.AppendUint16(e.buf, row.Weight)
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, row.Mem)
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, row.FeedMicros)
-			e.str(row.Err, "error text length")
-			e.n16(len(row.Sess), "session load count")
-			for _, s := range row.Sess {
-				e.str(s.ID, "session id length")
-				e.buf = binary.LittleEndian.AppendUint64(e.buf, s.Mem)
-				e.buf = binary.LittleEndian.AppendUint64(e.buf, s.Frames)
-			}
-		}
-	case MsgAutopilotResp:
-		a := m.Auto
-		e.buf = append(e.buf, b2u8(a.Enabled)|b2u8(a.LeaseHeld)<<1)
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(a.Imbalance))
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(a.Threshold))
-		for _, v := range []uint64{a.Passes, a.Moves, a.Readmitted, a.Promoted} {
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-		}
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, a.Probation)
-		for _, v := range []uint64{a.ScrubChecked, a.ScrubRepairs, a.ScrubSwept, a.ScrubStuck, a.OrphanDels} {
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-		}
-		e.str(a.LeaseHolder, "lease holder length")
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, a.LeaseTerm)
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, a.LeaseEpoch)
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(a.LeaseExpires))
-	case MsgHealthResp:
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, m.Health.Epoch)
-		e.n16(len(m.Health.Shards), "shard health count")
-		for _, s := range m.Health.Shards {
-			e.str(s.Addr, "address length")
-			e.buf = append(e.buf, s.State)
-			e.buf = binary.LittleEndian.AppendUint32(e.buf, s.Fails)
-		}
+	case MsgStatusResp:
+		e.status(m.Status)
 	case MsgErr:
 		e.buf = binary.LittleEndian.AppendUint16(e.buf, m.Code)
 		e.str(m.Text, "error text length")
@@ -451,18 +389,44 @@ func (e *encoder) body(m *Message) {
 	case MsgCkptResp:
 		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(m.Ckpt)))
 		e.buf = append(e.buf, m.Ckpt...)
-	case MsgStatsResp:
-		st := m.Stats
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, st.Open)
-		for _, v := range []uint64{st.Opened, st.Restores, st.Restarts, st.Migrations} {
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-		}
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(st.IDs)))
-		for _, id := range st.IDs {
-			e.str(id, "session id length")
-		}
 	default:
 		e.err = fmt.Errorf("fleet: encode: unknown message type 0x%02x", byte(m.Type))
+	}
+}
+
+// status appends a Status: epoch, migrations, the autopilot block,
+// then the shard rows, each with its session list.
+func (e *encoder) status(st Status) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, st.Epoch)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, st.Migrations)
+	a := st.Auto
+	e.buf = append(e.buf, b2u8(a.Enabled)|b2u8(a.LeaseHeld)<<1)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(a.Imbalance))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(a.Threshold))
+	for _, v := range []uint64{a.Passes, a.Moves, a.Readmitted, a.Promoted,
+		a.ScrubChecked, a.ScrubRepairs, a.ScrubSwept, a.ScrubStuck, a.OrphanDels} {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	}
+	e.str(a.LeaseHolder, "lease holder length")
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, a.LeaseTerm)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, a.LeaseEpoch)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(a.LeaseExpires))
+	e.n16(len(st.Shards), "status row count")
+	for _, row := range st.Shards {
+		e.str(row.Addr, "address length")
+		e.buf = append(e.buf, byte(row.Role), byte(row.Health))
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, row.Fails)
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, row.Weight)
+		for _, v := range []uint64{row.Mem, row.FeedMicros, row.Opened, row.Restores, row.Restarts} {
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+		}
+		e.str(row.Err, "error text length")
+		e.n16(len(row.Sess), "session load count")
+		for _, s := range row.Sess {
+			e.str(s.ID, "session id length")
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, s.Mem)
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, s.Frames)
+		}
 	}
 }
 
@@ -569,7 +533,7 @@ func decodeBody(r reader, m *Message, lim Limits) error {
 		if m.Spec.ID, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-	case MsgStats, MsgOK, MsgPing, MsgHealth, MsgLoad, MsgAutopilotStatus:
+	case MsgOK, MsgPing, MsgStatus:
 		// empty body
 	case MsgFence:
 		if m.Epoch, err = r.U64(); err != nil {
@@ -586,152 +550,9 @@ func decodeBody(r reader, m *Message, lim Limits) error {
 		if m.Weight, err = r.U16(); err != nil {
 			return err
 		}
-	case MsgLoadResp:
-		n, err := r.U16()
-		if err != nil {
+	case MsgStatusResp:
+		if err = r.status(&m.Status, lim); err != nil {
 			return err
-		}
-		if int(n) > lim.MaxIDs {
-			return fmt.Errorf("fleet: %d load rows exceed budget %d: %w", n, lim.MaxIDs, ErrBadMessage)
-		}
-		// Each row costs >= 25 bytes (2 addr len + 1 state + 2 weight +
-		// 8 mem + 8 latency + 2 err len + 2 session count), so the
-		// advertised count is verified against what is present before any
-		// reserve.
-		if err := r.Need(25 * int64(n)); err != nil {
-			return err
-		}
-		if n > 0 {
-			m.Loads = make([]ShardLoad, 0, n)
-		}
-		for i := 0; i < int(n); i++ {
-			var row ShardLoad
-			if row.Addr, err = r.Str(lim.MaxIDLen); err != nil {
-				return err
-			}
-			if row.State, err = r.U8(); err != nil {
-				return err
-			}
-			if row.Weight, err = r.U16(); err != nil {
-				return err
-			}
-			if row.Mem, err = r.U64(); err != nil {
-				return err
-			}
-			if row.FeedMicros, err = r.U64(); err != nil {
-				return err
-			}
-			if row.Err, err = r.Str(lim.MaxText); err != nil {
-				return err
-			}
-			ns, err := r.U16()
-			if err != nil {
-				return err
-			}
-			if int(ns) > lim.MaxIDs {
-				return fmt.Errorf("fleet: %d session loads exceed budget %d: %w", ns, lim.MaxIDs, ErrBadMessage)
-			}
-			// Each session entry costs >= 18 bytes (2 id len + 8 mem +
-			// 8 frames).
-			if err := r.Need(18 * int64(ns)); err != nil {
-				return err
-			}
-			if ns > 0 {
-				row.Sess = make([]SessionLoad, 0, ns)
-			}
-			for j := 0; j < int(ns); j++ {
-				var s SessionLoad
-				if s.ID, err = r.Str(lim.MaxIDLen); err != nil {
-					return err
-				}
-				if s.Mem, err = r.U64(); err != nil {
-					return err
-				}
-				if s.Frames, err = r.U64(); err != nil {
-					return err
-				}
-				row.Sess = append(row.Sess, s)
-			}
-			m.Loads = append(m.Loads, row)
-		}
-	case MsgAutopilotResp:
-		a := &m.Auto
-		flags, err := r.U8()
-		if err != nil {
-			return err
-		}
-		if flags&^0x03 != 0 {
-			return fmt.Errorf("fleet: nonzero autopilot flag padding: %w", ErrBadMessage)
-		}
-		a.Enabled, a.LeaseHeld = flags&1 != 0, flags&2 != 0
-		bits, err := r.U64()
-		if err != nil {
-			return err
-		}
-		a.Imbalance = math.Float64frombits(bits)
-		if bits, err = r.U64(); err != nil {
-			return err
-		}
-		a.Threshold = math.Float64frombits(bits)
-		for _, dst := range []*uint64{&a.Passes, &a.Moves, &a.Readmitted, &a.Promoted} {
-			if *dst, err = r.U64(); err != nil {
-				return err
-			}
-		}
-		if a.Probation, err = r.U32(); err != nil {
-			return err
-		}
-		for _, dst := range []*uint64{&a.ScrubChecked, &a.ScrubRepairs, &a.ScrubSwept, &a.ScrubStuck, &a.OrphanDels} {
-			if *dst, err = r.U64(); err != nil {
-				return err
-			}
-		}
-		if a.LeaseHolder, err = r.Str(lim.MaxIDLen); err != nil {
-			return err
-		}
-		if a.LeaseTerm, err = r.U64(); err != nil {
-			return err
-		}
-		if a.LeaseEpoch, err = r.U64(); err != nil {
-			return err
-		}
-		expires, err := r.U64()
-		if err != nil {
-			return err
-		}
-		a.LeaseExpires = int64(expires)
-	case MsgHealthResp:
-		if m.Health.Epoch, err = r.U64(); err != nil {
-			return err
-		}
-		n, err := r.U16()
-		if err != nil {
-			return err
-		}
-		if int(n) > lim.MaxIDs {
-			return fmt.Errorf("fleet: %d shard healths exceed budget %d: %w", n, lim.MaxIDs, ErrBadMessage)
-		}
-		// Each entry costs >= 7 bytes (2 len + 1 state + 4 fails), so the
-		// advertised count is verified against what is present before any
-		// reserve.
-		if err := r.Need(7 * int64(n)); err != nil {
-			return err
-		}
-		if n > 0 {
-			m.Health.Shards = make([]ShardHealthInfo, 0, n)
-		}
-		for i := 0; i < int(n); i++ {
-			var s ShardHealthInfo
-			if s.Addr, err = r.Str(lim.MaxIDLen); err != nil {
-				return err
-			}
-			if s.State, err = r.U8(); err != nil {
-				return err
-			}
-			if s.Fails, err = r.U32(); err != nil {
-				return err
-			}
-			m.Health.Shards = append(m.Health.Shards, s)
 		}
 	case MsgErr:
 		if m.Code, err = r.U16(); err != nil {
@@ -772,39 +593,6 @@ func decodeBody(r reader, m *Message, lim Limits) error {
 	case MsgCkptResp:
 		if m.Ckpt, err = r.blob(lim.MaxCkpt); err != nil {
 			return err
-		}
-	case MsgStatsResp:
-		st := &m.Stats
-		if st.Open, err = r.U32(); err != nil {
-			return err
-		}
-		for _, dst := range []*uint64{&st.Opened, &st.Restores, &st.Restarts, &st.Migrations} {
-			if *dst, err = r.U64(); err != nil {
-				return err
-			}
-		}
-		n, err := r.U32()
-		if err != nil {
-			return err
-		}
-		if int64(n) > int64(lim.MaxIDs) {
-			return fmt.Errorf("fleet: %d ids exceed budget %d: %w", n, lim.MaxIDs, ErrBadMessage)
-		}
-		// Each id costs >= 2 bytes on the wire, so the advertised count
-		// is cheap to sanity-check against what is actually present
-		// before reserving anything.
-		if err := r.Need(2 * int64(n)); err != nil {
-			return err
-		}
-		if n > 0 {
-			st.IDs = make([]string, 0, n)
-		}
-		for i := uint32(0); i < n; i++ {
-			id, err := r.Str(lim.MaxIDLen)
-			if err != nil {
-				return err
-			}
-			st.IDs = append(st.IDs, id)
 		}
 	default:
 		return fmt.Errorf("fleet: unknown message type 0x%02x: %w", byte(m.Type), ErrBadMessage)
@@ -901,6 +689,128 @@ func (r reader) spec(s *OpenSpec, lim Limits) error {
 	}
 	s.ID, s.W, s.H, s.UnknownVB, s.Seed = id, int(w), int(h), uvb == 1, int64(seed)
 	return nil
+}
+
+// status reads a Status body, budget-checking every list count before
+// its reserve.
+func (r reader) status(st *Status, lim Limits) error {
+	var err error
+	if st.Epoch, err = r.U64(); err != nil {
+		return err
+	}
+	if st.Migrations, err = r.U64(); err != nil {
+		return err
+	}
+	a := &st.Auto
+	flags, err := r.U8()
+	if err != nil {
+		return err
+	}
+	if flags&^0x03 != 0 {
+		return fmt.Errorf("fleet: nonzero autopilot flag padding: %w", ErrBadMessage)
+	}
+	a.Enabled, a.LeaseHeld = flags&1 != 0, flags&2 != 0
+	for _, dst := range []*float64{&a.Imbalance, &a.Threshold} {
+		bits, err := r.U64()
+		if err != nil {
+			return err
+		}
+		*dst = math.Float64frombits(bits)
+	}
+	for _, dst := range []*uint64{&a.Passes, &a.Moves, &a.Readmitted, &a.Promoted,
+		&a.ScrubChecked, &a.ScrubRepairs, &a.ScrubSwept, &a.ScrubStuck, &a.OrphanDels} {
+		if *dst, err = r.U64(); err != nil {
+			return err
+		}
+	}
+	if a.LeaseHolder, err = r.Str(lim.MaxIDLen); err != nil {
+		return err
+	}
+	for _, dst := range []*uint64{&a.LeaseTerm, &a.LeaseEpoch} {
+		if *dst, err = r.U64(); err != nil {
+			return err
+		}
+	}
+	expires, err := r.U64()
+	if err != nil {
+		return err
+	}
+	a.LeaseExpires = int64(expires)
+
+	// A row costs >= 54 bytes (2 addr len + 1 role + 1 health + 4 fails
+	// + 2 weight + 5x8 counters + 2 err len + 2 session count).
+	n, err := r.count(54, lim.MaxIDs, "status rows")
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		st.Shards = make([]ShardStatus, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		var row ShardStatus
+		if row.Addr, err = r.Str(lim.MaxIDLen); err != nil {
+			return err
+		}
+		b, err := r.Bytes(2)
+		if err != nil {
+			return err
+		}
+		if b[0] > byte(RoleDown) || b[1] > byte(HealthDown) {
+			return fmt.Errorf("fleet: status row role %d or health %d out of range: %w", b[0], b[1], ErrBadMessage)
+		}
+		row.Role, row.Health = Role(b[0]), HealthState(b[1])
+		if row.Fails, err = r.U32(); err != nil {
+			return err
+		}
+		if row.Weight, err = r.U16(); err != nil {
+			return err
+		}
+		for _, dst := range []*uint64{&row.Mem, &row.FeedMicros, &row.Opened, &row.Restores, &row.Restarts} {
+			if *dst, err = r.U64(); err != nil {
+				return err
+			}
+		}
+		if row.Err, err = r.Str(lim.MaxText); err != nil {
+			return err
+		}
+		// A session entry costs >= 18 bytes (2 id len + 8 mem + 8 frames).
+		ns, err := r.count(18, lim.MaxIDs, "session loads")
+		if err != nil {
+			return err
+		}
+		if ns > 0 {
+			row.Sess = make([]SessionLoad, 0, ns)
+		}
+		for j := 0; j < ns; j++ {
+			var s SessionLoad
+			if s.ID, err = r.Str(lim.MaxIDLen); err != nil {
+				return err
+			}
+			if s.Mem, err = r.U64(); err != nil {
+				return err
+			}
+			if s.Frames, err = r.U64(); err != nil {
+				return err
+			}
+			row.Sess = append(row.Sess, s)
+		}
+		st.Shards = append(st.Shards, row)
+	}
+	return nil
+}
+
+// count reads a u16 list count and rejects one over max, or one whose
+// entries (each at least minBytes) cannot fit in what is left of the
+// body — before the caller reserves anything.
+func (r reader) count(minBytes int64, max int, what string) (int, error) {
+	n, err := r.U16()
+	if err != nil {
+		return 0, err
+	}
+	if int(n) > max {
+		return 0, fmt.Errorf("fleet: %d %s exceed budget %d: %w", n, what, max, ErrBadMessage)
+	}
+	return int(n), r.Need(minBytes * int64(n))
 }
 
 // frame reads one frame: the geometry is budget-checked, and the raster

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -48,7 +49,6 @@ func sampleMessages() []*Message {
 		{Type: MsgClose, Spec: OpenSpec{ID: "call-06"}},
 		{Type: MsgDetach, Spec: OpenSpec{ID: "call-07"}},
 		{Type: MsgDrain, Spec: OpenSpec{ID: "call-08"}},
-		{Type: MsgStats},
 		{Type: MsgOK},
 		{Type: MsgErr, Code: CodeNoSession, Text: `session "x" not found`},
 		{Type: MsgSnapResp, Snap: SnapInfo{
@@ -57,38 +57,33 @@ func sampleMessages() []*Message {
 			Coverage: 0.4375, VBName: "beach",
 		}},
 		{Type: MsgCkptResp, Ckpt: []byte("BBCKpayload")},
-		{Type: MsgStatsResp, Stats: StatsInfo{
-			Open: 3, Opened: 9, Restores: 2, Restarts: 1, Migrations: 4,
-			IDs: []string{"call-00", "call-01", "call-02"},
-		}},
 		{Type: MsgPing},
 		{Type: MsgFence, Epoch: 7},
 		{Type: MsgJoin, Addr: "10.0.0.9:7601"},
 		{Type: MsgDrainShard, Addr: "10.0.0.4:7601"},
-		{Type: MsgHealth},
-		{Type: MsgHealthResp, Health: HealthInfo{
-			Epoch: 3,
-			Shards: []ShardHealthInfo{
-				{Addr: "10.0.0.1:7601", State: 0, Fails: 0},
-				{Addr: "10.0.0.2:7601", State: 1, Fails: 2},
-				{Addr: "10.0.0.3:7601", State: 2, Fails: 5},
+		{Type: MsgSetWeight, Addr: "10.0.0.5:7601", Weight: 4},
+		{Type: MsgStatus},
+		{Type: MsgStatusResp, Status: Status{
+			Epoch: 3, Migrations: 4,
+			Auto: AutopilotInfo{
+				Enabled: true, Imbalance: 0.4375, Threshold: 0.25,
+				Passes: 9, Moves: 3, Readmitted: 1, Promoted: 1,
+				ScrubChecked: 12, ScrubRepairs: 2, ScrubSwept: 3, ScrubStuck: 0, OrphanDels: 1,
+				LeaseHeld: true, LeaseHolder: "coord-a", LeaseTerm: 5, LeaseEpoch: 7,
+				LeaseExpires: 1754600000,
+			},
+			Shards: []ShardStatus{
+				{Addr: "10.0.0.1:7601", Weight: 2, Mem: 1 << 20, FeedMicros: 850, Opened: 9, Restores: 2, Restarts: 1,
+					Sess: []SessionLoad{{ID: "call-00", Mem: 4096, Frames: 77}, {ID: "call-01", Mem: 8192, Frames: 12}}},
+				{Addr: "10.0.0.2:7601", Role: RoleProbation, Health: HealthSuspect, Fails: 2, Weight: 1},
+				{Addr: "10.0.0.3:7601", Role: RoleDraining, Weight: 1, Sess: []SessionLoad{{ID: "call-02", Mem: 4096, Frames: 5}}},
+				{Addr: "10.0.0.4:7601", Role: RoleDown, Health: HealthDown, Weight: 1, Err: "down"},
 			},
 		}},
-		{Type: MsgLoad},
-		{Type: MsgSetWeight, Addr: "10.0.0.5:7601", Weight: 4},
-		{Type: MsgAutopilotStatus},
-		{Type: MsgLoadResp, Loads: []ShardLoad{
-			{Addr: "10.0.0.1:7601", State: 0, Weight: 2, Mem: 1 << 20, FeedMicros: 850,
-				Sess: []SessionLoad{{ID: "call-00", Mem: 4096, Frames: 77}, {ID: "call-01", Mem: 8192, Frames: 12}}},
-			{Addr: "10.0.0.2:7601", State: 2, Weight: 1, Err: "down"},
-		}},
-		{Type: MsgAutopilotResp, Auto: AutopilotInfo{
-			Enabled: true, Imbalance: 0.4375, Threshold: 0.25,
-			Passes: 9, Moves: 3, Readmitted: 1, Promoted: 1, Probation: 1,
-			ScrubChecked: 12, ScrubRepairs: 2, ScrubSwept: 3, ScrubStuck: 0, OrphanDels: 1,
-			LeaseHeld: true, LeaseHolder: "coord-a", LeaseTerm: 5, LeaseEpoch: 7,
-			LeaseExpires: 1754600000,
-		}},
+		// A shard's own answer: its fenced epoch and one row.
+		{Type: MsgStatusResp, Status: Status{Epoch: 7, Shards: []ShardStatus{
+			{Mem: 4096, FeedMicros: 310, Opened: 1, Sess: []SessionLoad{{ID: "call-03", Mem: 4096, Frames: 40}}},
+		}}},
 	}
 }
 
@@ -164,15 +159,8 @@ func messagesEqual(a, b *Message) bool {
 		}
 	}
 	return bytes.Equal(a.Ckpt, b.Ckpt) && a.Code == b.Code && a.Text == b.Text &&
-		a.Snap == b.Snap && a.Stats.Open == b.Stats.Open &&
-		a.Stats.Opened == b.Stats.Opened && a.Stats.Restores == b.Stats.Restores &&
-		a.Stats.Restarts == b.Stats.Restarts && a.Stats.Migrations == b.Stats.Migrations &&
-		reflect.DeepEqual(a.Stats.IDs, b.Stats.IDs) &&
-		a.Addr == b.Addr && a.Epoch == b.Epoch &&
-		a.Health.Epoch == b.Health.Epoch &&
-		reflect.DeepEqual(a.Health.Shards, b.Health.Shards) &&
-		a.Weight == b.Weight && reflect.DeepEqual(a.Loads, b.Loads) &&
-		a.Auto == b.Auto
+		a.Snap == b.Snap && a.Addr == b.Addr && a.Epoch == b.Epoch &&
+		a.Weight == b.Weight && reflect.DeepEqual(a.Status, b.Status)
 }
 
 // TestWireGolden pins the byte layout of representative messages so an
@@ -240,22 +228,6 @@ func TestWireGolden(t *testing.T) {
 		t.Fatalf("MsgJoin golden mismatch:\n got %v\nwant %v", got, wantJoin)
 	}
 
-	health := &Message{Type: MsgHealthResp, Health: HealthInfo{
-		Epoch:  2,
-		Shards: []ShardHealthInfo{{Addr: "b:2", State: 1, Fails: 3}},
-	}}
-	wantHealth := []byte{
-		'B', 'B', 'F', 'L', 1, 0, 0x45, 0x00, 20, 0, 0, 0,
-		2, 0, 0, 0, 0, 0, 0, 0, // epoch
-		1, 0, // shard count
-		3, 0, 'b', ':', '2', // addr
-		1,          // state (suspect)
-		3, 0, 0, 0, // fails
-	}
-	if got, _ := Encode(health); !bytes.Equal(got, wantHealth) {
-		t.Fatalf("MsgHealthResp golden mismatch:\n got %v\nwant %v", got, wantHealth)
-	}
-
 	setw := &Message{Type: MsgSetWeight, Addr: "a:1", Weight: 3}
 	wantSetW := []byte{
 		'B', 'B', 'F', 'L', 1, 0, 0x11, 0x00, 7, 0, 0, 0,
@@ -266,26 +238,82 @@ func TestWireGolden(t *testing.T) {
 		t.Fatalf("MsgSetWeight golden mismatch:\n got %v\nwant %v", got, wantSetW)
 	}
 
-	load := &Message{Type: MsgLoadResp, Loads: []ShardLoad{
-		{Addr: "b:2", State: 1, Weight: 2, Mem: 5, FeedMicros: 6,
-			Sess: []SessionLoad{{ID: "s", Mem: 7, Frames: 8}}},
+	status := &Message{Type: MsgStatusResp, Status: Status{
+		Epoch: 2, Migrations: 3,
+		Auto: AutopilotInfo{
+			Enabled: true, LeaseHeld: true, Imbalance: 0.5, Threshold: 0.25,
+			Passes: 1, Moves: 2, Readmitted: 3, Promoted: 4,
+			ScrubChecked: 5, ScrubRepairs: 6, ScrubSwept: 7, ScrubStuck: 8, OrphanDels: 9,
+			LeaseHolder: "c", LeaseTerm: 10, LeaseEpoch: 11, LeaseExpires: 12,
+		},
+		Shards: []ShardStatus{{
+			Addr: "b:2", Role: RoleDraining, Health: HealthSuspect, Fails: 3, Weight: 2,
+			Mem: 5, FeedMicros: 6, Opened: 7, Restores: 8, Restarts: 9,
+			Sess: []SessionLoad{{ID: "s", Mem: 10, Frames: 11}},
+		}},
 	}}
-	wantLoad := []byte{
-		'B', 'B', 'F', 'L', 1, 0, 0x46, 0x00, 49, 0, 0, 0,
+	wantStatus := []byte{
+		'B', 'B', 'F', 'L', 1, 0, 0x48, 0x00, 210, 0, 0, 0,
+		2, 0, 0, 0, 0, 0, 0, 0, // epoch
+		3, 0, 0, 0, 0, 0, 0, 0, // migrations
+		0x03,                         // flags: enabled | lease held
+		0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // imbalance 0.5
+		0, 0, 0, 0, 0, 0, 0xD0, 0x3F, // threshold 0.25
+		1, 0, 0, 0, 0, 0, 0, 0, // passes
+		2, 0, 0, 0, 0, 0, 0, 0, // moves
+		3, 0, 0, 0, 0, 0, 0, 0, // readmitted
+		4, 0, 0, 0, 0, 0, 0, 0, // promoted
+		5, 0, 0, 0, 0, 0, 0, 0, // scrub checked
+		6, 0, 0, 0, 0, 0, 0, 0, // scrub repairs
+		7, 0, 0, 0, 0, 0, 0, 0, // scrub swept
+		8, 0, 0, 0, 0, 0, 0, 0, // scrub stuck
+		9, 0, 0, 0, 0, 0, 0, 0, // orphaned deletes
+		1, 0, 'c', // lease holder
+		10, 0, 0, 0, 0, 0, 0, 0, // lease term
+		11, 0, 0, 0, 0, 0, 0, 0, // lease epoch
+		12, 0, 0, 0, 0, 0, 0, 0, // lease expires
 		1, 0, // row count
 		3, 0, 'b', ':', '2', // addr
-		1,    // state (suspect)
+		2,          // role (draining)
+		1,          // health (suspect)
+		3, 0, 0, 0, // fails
 		2, 0, // weight
 		5, 0, 0, 0, 0, 0, 0, 0, // mem
 		6, 0, 0, 0, 0, 0, 0, 0, // feed micros
+		7, 0, 0, 0, 0, 0, 0, 0, // opened
+		8, 0, 0, 0, 0, 0, 0, 0, // restores
+		9, 0, 0, 0, 0, 0, 0, 0, // restarts
 		0, 0, // err (empty)
 		1, 0, // session count
 		1, 0, 's', // id
-		7, 0, 0, 0, 0, 0, 0, 0, // session mem
-		8, 0, 0, 0, 0, 0, 0, 0, // session frames
+		10, 0, 0, 0, 0, 0, 0, 0, // session mem
+		11, 0, 0, 0, 0, 0, 0, 0, // session frames
 	}
-	if got, _ := Encode(load); !bytes.Equal(got, wantLoad) {
-		t.Fatalf("MsgLoadResp golden mismatch:\n got %v\nwant %v", got, wantLoad)
+	if got, _ := Encode(status); !bytes.Equal(got, wantStatus) {
+		t.Fatalf("MsgStatusResp golden mismatch:\n got %v\nwant %v", got, wantStatus)
+	}
+}
+
+// craftStatus encodes a MsgStatusResp and lets patch corrupt it: the
+// crafted rejections and fuzz seeds below start from a valid message.
+func craftStatus(st Status, patch func(b []byte) []byte) []byte {
+	b, err := Encode(&Message{Type: MsgStatusResp, Status: st})
+	if err != nil {
+		panic(err)
+	}
+	return patch(b)
+}
+
+// statusFlagsAt is the offset of the autopilot flags byte in an
+// encoded MsgStatusResp (after the epoch and migration counts).
+const statusFlagsAt = headerLen + 16
+
+// setLastU16 overwrites the trailing u16 of b — the row count of a
+// rowless status, or the session count of a last row without sessions.
+func setLastU16(v uint16) func(b []byte) []byte {
+	return func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[len(b)-2:], v)
+		return b
 	}
 }
 
@@ -314,6 +342,15 @@ func TestWireDecodeRejections(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[8:12], 999)
 			return b
 		}), ErrBadMessage},
+	}
+	// The status-style codes retired in favour of MsgStatus/MsgStatusResp
+	// decode as unknown types.
+	for _, typ := range []byte{0x09, 0x0F, 0x10, 0x12, 0x44, 0x45, 0x46, 0x47} {
+		cases = append(cases, struct {
+			name string
+			data []byte
+			want error
+		}{fmt.Sprintf("retired 0x%02x", typ), []byte{'B', 'B', 'F', 'L', 1, 0, typ, 0, 0, 0, 0, 0}, ErrBadMessage})
 	}
 	for _, tc := range cases {
 		if _, err := Decode(tc.data); !errors.Is(err, tc.want) {
@@ -353,37 +390,33 @@ func TestWireDecodeRejections(t *testing.T) {
 	}
 
 	// Autopilot flags byte with an undefined bit set is non-canonical.
-	autoOK, _ := Encode(&Message{Type: MsgAutopilotResp, Auto: AutopilotInfo{Enabled: true}})
-	autoBad := append([]byte(nil), autoOK...)
-	autoBad[headerLen] |= 0x04
-	if _, err := Decode(autoBad); !errors.Is(err, ErrBadMessage) {
+	flagsBad := craftStatus(Status{Auto: AutopilotInfo{Enabled: true}}, func(b []byte) []byte {
+		b[statusFlagsAt] |= 0x04
+		return b
+	})
+	if _, err := Decode(flagsBad); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("autopilot flags: %v", err)
 	}
 
-	// A load-row bomb — huge claimed row count against a tiny body —
+	// A status-row bomb — huge claimed row count against a tiny body —
 	// must die on the length budget before any row allocation.
-	loadBomb := []byte{
-		'B', 'B', 'F', 'L', 1, 0, 0x46, 0x00, 2, 0, 0, 0,
-		0xFF, 0xFF, // 65535 rows claimed, zero row bytes
-	}
-	if _, err := Decode(loadBomb); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("load row bomb: %v", err)
+	if _, err := Decode(craftStatus(Status{}, setLastU16(0xFFFF))); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("status row bomb: %v", err)
 	}
 
 	// Same for the per-row session list.
-	sessBomb := []byte{
-		'B', 'B', 'F', 'L', 1, 0, 0x46, 0x00, 27, 0, 0, 0,
-		1, 0, // one row
-		0, 0, // empty addr
-		0,    // state
-		1, 0, // weight
-		0, 0, 0, 0, 0, 0, 0, 0, // mem
-		0, 0, 0, 0, 0, 0, 0, 0, // feed micros
-		0, 0, // err
-		0xFF, 0xFF, // 65535 sessions claimed, zero session bytes
+	oneRow := Status{Shards: []ShardStatus{{Weight: 1}}}
+	if _, err := Decode(craftStatus(oneRow, setLastU16(0xFFFF))); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("status session bomb: %v", err)
 	}
-	if _, err := Decode(sessBomb); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("load session bomb: %v", err)
+
+	// A role or health state past the last defined one is rejected. The
+	// empty-address row is the last 54 bytes: role at +2, health at +3.
+	for _, off := range []int{54 - 2, 54 - 3} {
+		bad := craftStatus(oneRow, func(b []byte) []byte { b[len(b)-off] = 4; return b })
+		if _, err := Decode(bad); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("status row byte %d out of range: %v", 54-off, err)
+		}
 	}
 }
 
@@ -489,9 +522,9 @@ func TestEncodeRejectsFieldOverflow(t *testing.T) {
 		{"frame width", &Message{Type: MsgFeed, Spec: OpenSpec{ID: "s"}, Frames: []core.Frame{{Img: imagex.New(math.MaxUint16+1, 1)}}}},
 		{"frame height", &Message{Type: MsgFeed, Spec: OpenSpec{ID: "s"}, Frames: []core.Frame{{Img: imagex.New(1, math.MaxUint16+1)}}}},
 		{"batch count", &Message{Type: MsgFeedBatch, Spec: OpenSpec{ID: "s"}, Frames: batch}},
-		{"load rows", &Message{Type: MsgLoadResp, Loads: make([]ShardLoad, math.MaxUint16+1)}},
-		{"session loads", &Message{Type: MsgLoadResp, Loads: []ShardLoad{{Sess: make([]SessionLoad, math.MaxUint16+1)}}}},
-		{"shard healths", &Message{Type: MsgHealthResp, Health: HealthInfo{Shards: make([]ShardHealthInfo, math.MaxUint16+1)}}},
+		{"status rows", &Message{Type: MsgStatusResp, Status: Status{Shards: make([]ShardStatus, math.MaxUint16+1)}}},
+		{"session loads", &Message{Type: MsgStatusResp, Status: Status{Shards: []ShardStatus{{Sess: make([]SessionLoad, math.MaxUint16+1)}}}}},
+		{"lease holder", &Message{Type: MsgStatusResp, Status: Status{Auto: AutopilotInfo{LeaseHolder: long}}}},
 	} {
 		if b, err := Encode(c.m); err == nil {
 			_, derr := Decode(b)
