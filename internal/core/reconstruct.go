@@ -384,7 +384,7 @@ func refineVCMsByColor(v *vidstream.Video, vcms []*imagex.Mask, threshold float6
 		histsMu.Lock()
 		hists = append(hists, hist)
 		histsMu.Unlock()
-		return func(i int) { histQuant12(hist, v.Frames[i], vcms[i]) }
+		return func(i int) { histQuant12(hist, v.Frames[i], vcms[i], nil, 0) }
 	})
 
 	hist := make([]int, 4096)
@@ -397,36 +397,47 @@ func refineVCMsByColor(v *vidstream.Video, vcms []*imagex.Mask, threshold float6
 	}
 	cut := int(threshold * float64(total))
 	forFrames(n, workers, func() func(i int) {
-		return func(i int) { dropRareColors(vcms[i], v.Frames[i], hist, cut) }
+		return func(i int) { dropRareColors(vcms[i], v.Frames[i], hist, cut, vcms[i]) }
 	})
 }
 
-// histQuant12 adds the quant12 bin of every VCM pixel of frame to hist
-// and returns how many pixels it added.
-func histQuant12(hist []int, frame *imagex.Image, vcm *imagex.Mask) int {
-	n, wpr := 0, vcm.WordsPerRow()
+// histQuant12 adds the quant12 bin of every VCM pixel of frame to hist.
+// When cand is non-nil it also overwrites every word of cand with the
+// drop candidates: the VCM pixels whose bin count right after their own
+// increment is at most cut. Bin counts only grow, so a pixel left out
+// ends above cut, and dropRareColors needs to re-check only the
+// candidates against the final histogram.
+func histQuant12(hist []int, frame *imagex.Image, vcm, cand *imagex.Mask, cut int) {
+	wpr := vcm.WordsPerRow()
 	for y := 0; y < vcm.H; y++ {
 		pix := frame.Pix[y*vcm.W:]
 		for j := 0; j < wpr; j++ {
-			w := vcm.Word(y, j)
-			n += bits.OnesCount64(w)
-			for ; w != 0; w &= w - 1 {
-				hist[quant12(pix[j<<6+bits.TrailingZeros64(w)])]++
+			var c uint64
+			for w := vcm.Word(y, j); w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				q := quant12(pix[j<<6+b])
+				n := hist[q] + 1
+				hist[q] = n
+				c |= uint64(n-cut-1) >> 63 << uint(b) // n <= cut, branch-free
+			}
+			if cand != nil {
+				cand.SetWord(y, j, c)
 			}
 		}
 	}
-	return n
 }
 
-// dropRareColors clears every VCM pixel whose quant12 bin count in hist
-// is at most cut, one word at a time.
-func dropRareColors(vcm *imagex.Mask, frame *imagex.Image, hist []int, cut int) {
+// dropRareColors clears from vcm every pixel of check whose quant12 bin
+// count in hist is at most cut, one word at a time. check is vcm itself
+// or a superset of the drop set within it, such as histQuant12's
+// candidates.
+func dropRareColors(vcm *imagex.Mask, frame *imagex.Image, hist []int, cut int, check *imagex.Mask) {
 	wpr := vcm.WordsPerRow()
 	for y := 0; y < vcm.H; y++ {
 		pix := frame.Pix[y*vcm.W:]
 		for j := 0; j < wpr; j++ {
 			var drop uint64
-			for w := vcm.Word(y, j); w != 0; w &= w - 1 {
+			for w := check.Word(y, j); w != 0; w &= w - 1 {
 				b := bits.TrailingZeros64(w)
 				if hist[quant12(pix[j<<6+b])] <= cut {
 					drop |= 1 << uint(b)

@@ -592,11 +592,12 @@ func (c *Coordinator) Down() []string {
 // migration count and the autopilot state, plus one row per shard
 // record in address order — draining shards included, so a session a
 // failed drain left behind stays visible. The table is read once under
-// c.mu; every shard not down is then sampled passively (sampleShard).
-// Down shards and shards that fail to answer within LoadTimeout get
-// placeholder rows with Err set — the graceful-degradation contract
-// `bgbuster stats` renders as DOWN/? rows. Status never marks a shard
-// down: health transitions stay the prober's and the request path's.
+// c.mu; every shard not down is then sampled passively (sampleShard),
+// all rows concurrently. Down shards and shards that fail to answer
+// within LoadTimeout get placeholder rows with Err set — the
+// graceful-degradation contract `bgbuster stats` renders as DOWN/?
+// rows. Status never marks a shard down: health transitions stay the
+// prober's and the request path's.
 func (c *Coordinator) Status() Status {
 	st := Status{Epoch: c.epoch, Migrations: c.migrations.Load() + c.recoveries.Load()}
 	c.statusMu.Lock()
@@ -618,19 +619,27 @@ func (c *Coordinator) Status() Status {
 	}
 	c.mu.Unlock()
 
+	// One sampler per row, each writing only its own row, so a snapshot
+	// waits one LoadTimeout however many shards are stalled.
+	var wg sync.WaitGroup
 	for i := range st.Shards {
 		row := &st.Shards[i]
 		if row.Err != "" {
 			continue
 		}
-		sample, err := c.sampleShard(row.Addr)
-		if err != nil {
-			row.Err = err.Error()
-			continue
-		}
-		row.Mem, row.FeedMicros, row.Sess = sample.Mem, sample.FeedMicros, sample.Sess
-		row.Opened, row.Restores, row.Restarts = sample.Opened, sample.Restores, sample.Restarts
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sample, err := c.sampleShard(row.Addr)
+			if err != nil {
+				row.Err = err.Error()
+				return
+			}
+			row.Mem, row.FeedMicros, row.Sess = sample.Mem, sample.FeedMicros, sample.Sess
+			row.Opened, row.Restores, row.Restarts = sample.Opened, sample.Restores, sample.Restarts
+		}()
 	}
+	wg.Wait()
 	return st
 }
 

@@ -1248,3 +1248,40 @@ func TestFleetElasticitySoak(t *testing.T) {
 		t.Fatalf("rebalances = (%d joins, %d drains)", joined, drained)
 	}
 }
+
+// TestStatusSamplesStalledShardsConcurrently: each row is sampled on
+// its own, so two stalled shards cost one LoadTimeout, not two. Both
+// rows carry the timeout in Err, and neither shard is marked down.
+func TestStatusSamplesStalledShardsConcurrently(t *testing.T) {
+	sA, stallA := startStallShard(t)
+	sB, stallB := startStallShard(t)
+	const loadTimeout = 250 * time.Millisecond
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
+		Timeouts: shortTimeouts(), Health: fastHealth(), Logf: t.Logf,
+		LoadTimeout: loadTimeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	stallA.stalled.Store(true)
+	stallB.stalled.Store(true)
+
+	start := time.Now()
+	st := coord.Status()
+	if elapsed := time.Since(start); elapsed >= 2*loadTimeout {
+		t.Fatalf("Status over two stalled shards took %v, want under %v", elapsed, 2*loadTimeout)
+	}
+	if len(st.Shards) != 2 {
+		t.Fatalf("Status has %d rows, want 2", len(st.Shards))
+	}
+	for _, row := range st.Shards {
+		if row.Err == "" {
+			t.Fatalf("stalled shard %s sampled without error: %+v", row.Addr, row)
+		}
+	}
+	if down := coord.Down(); len(down) != 0 {
+		t.Fatalf("Status marked %v down", down)
+	}
+}

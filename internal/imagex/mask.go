@@ -222,6 +222,17 @@ func (m *Mask) OrWord(y, wx int, bits uint64) {
 	m.words[y*wpr+wx] |= bits
 }
 
+// SetWord overwrites the packed word wx of row y with bits. Bits past
+// the row width are discarded, so the padding invariant holds for any
+// argument.
+func (m *Mask) SetWord(y, wx int, bits uint64) {
+	wpr := wordsPerRow(m.W)
+	if wx == wpr-1 {
+		bits &= edgeMask(m.W)
+	}
+	m.words[y*wpr+wx] = bits
+}
+
 // AndNotWord clears the bits of packed word wx of row y that are set
 // in bits. It only ever clears, so the padding invariant holds for any
 // argument.

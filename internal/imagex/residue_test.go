@@ -279,4 +279,9 @@ func TestWordAccessorsKeepPadding(t *testing.T) {
 	if m.Word(1, 1) != 0b111 || m.At(1, 0) || !m.At(3, 0) || m.Count() != 4 {
 		t.Fatalf("AndNotWord: row 1 word 1 = %#x, count %d", m.Word(1, 1), m.Count())
 	}
+	m.SetWord(1, 1, ^uint64(0)&^0b10) // overwrites, clipped to the 6 valid bits
+	m.SetWord(0, 0, 0b0100)
+	if m.Word(1, 1) != 0b111101 || m.At(3, 0) || !m.At(2, 0) || m.Count() != 6 {
+		t.Fatalf("SetWord: row 1 word 1 = %#x, count %d", m.Word(1, 1), m.Count())
+	}
 }
