@@ -47,6 +47,22 @@ func NewMask(w, h int) *Mask {
 	return &Mask{W: w, H: h, words: make([]uint64, h*wordsPerRow(w))}
 }
 
+// NewMasks returns n all-clear w×h masks cut from one word slab, so the
+// set costs two allocations whatever n is. It panics on non-positive
+// dimensions, matching NewMask.
+func NewMasks(w, h, n int) []Mask {
+	if w <= 0 || h <= 0 {
+		panic(fmt.Sprintf("imagex: invalid mask size %dx%d", w, h))
+	}
+	size := h * wordsPerRow(w)
+	slab := make([]uint64, n*size)
+	ms := make([]Mask, n)
+	for i := range ms {
+		ms[i] = Mask{W: w, H: h, words: slab[i*size : (i+1)*size : (i+1)*size]}
+	}
+	return ms
+}
+
 // NewFullMask returns an all-set mask.
 func NewFullMask(w, h int) *Mask {
 	m := NewMask(w, h)

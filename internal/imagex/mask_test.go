@@ -36,6 +36,35 @@ func TestMaskCountFraction(t *testing.T) {
 	}
 }
 
+// TestNewMasks checks that the masks cut from one slab start clear,
+// stay independent up to their row padding, and cost two allocations
+// whatever their number.
+func TestNewMasks(t *testing.T) {
+	ms := NewMasks(70, 3, 4)
+	if len(ms) != 4 {
+		t.Fatalf("got %d masks, want 4", len(ms))
+	}
+	for i := range ms {
+		if ms[i].W != 70 || ms[i].H != 3 || ms[i].Count() != 0 {
+			t.Fatalf("mask %d: %dx%d with %d set, want an empty 70x3", i, ms[i].W, ms[i].H, ms[i].Count())
+		}
+	}
+	ms[1].Invert()
+	ms[2].SetWord(2, 1, ^uint64(0))
+	if ms[0].Count() != 0 || ms[1].Count() != 210 || ms[2].Count() != 6 || ms[3].Count() != 0 {
+		t.Fatalf("counts %d/%d/%d/%d, want 0/210/6/0", ms[0].Count(), ms[1].Count(), ms[2].Count(), ms[3].Count())
+	}
+	if a := testing.AllocsPerRun(4, func() { NewMasks(70, 3, 100) }); a != 2 {
+		t.Fatalf("NewMasks allocates %.0f objects, want 2", a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a zero width must panic")
+		}
+	}()
+	NewMasks(0, 3, 1)
+}
+
 func TestMaskSetAtBounds(t *testing.T) {
 	m := NewMask(2, 2)
 	m.Set(-1, 0, true)
