@@ -265,7 +265,8 @@ func InferText(rec *Reconstruction) []TextResult {
 }
 
 // DynamicVirtualBackground returns the paper's Section IX-A mitigation
-// as a VBTransform for Compose/Attack.
+// as a VBTransform for Compose/Attack. The transform draws from its own
+// seeded generator and serves one call at a time.
 func DynamicVirtualBackground(seed int64) VBTransform {
 	return mitigate.DynamicVB(mitigate.DefaultDynamicVBConfig(), rand.New(rand.NewSource(seed)))
 }

@@ -305,19 +305,6 @@ func DeriveUnknownVideo(v *vidstream.Video, maxPeriod, tol int) (*DerivedVideo, 
 	return out, nil
 }
 
-// VBMaskKnown generates the binary virtual background mask VBM for a
-// frame against a fully known virtual image M: VBM=1 where µ(M ⊕ f)=1
-// (within tol).
-func VBMaskKnown(frame, vb *imagex.Image, tol int) *imagex.Mask {
-	return vbMaskInto(nil, frame, vb, nil, tol)
-}
-
-// VBMaskDerived generates VBM against a partially derived virtual image,
-// matching only at known positions.
-func VBMaskDerived(frame *imagex.Image, d *DerivedImage, tol int) *imagex.Mask {
-	return vbMaskInto(nil, frame, d.Img, d.Known, tol)
-}
-
 // vbMaskInto writes the VBM of frame against vb into dst: the pixels
 // matching within tol, restricted to known when it is non-nil. A vb of
 // another geometry matches nothing. It allocates only when dst is nil

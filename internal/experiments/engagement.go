@@ -82,8 +82,8 @@ func Fig12aPassiveActiveWild(cfg Config) ([]Fig12aRow, error) {
 }
 
 // groupRuns executes the standard pipeline over every group call, in
-// parallel across calls.
-func groupRuns(cfg Config, profile compositor.Profile, transform compositor.VBTransform) (map[Group][]*callRun, error) {
+// parallel across calls; transform is as for runCalls.
+func groupRuns(cfg Config, profile compositor.Profile, transform func(*dataset.Call) compositor.VBTransform) (map[Group][]*callRun, error) {
 	groups := groupCalls(cfg)
 	out := map[Group][]*callRun{}
 	for _, g := range []Group{GroupPassive, GroupActive, GroupWild} {

@@ -266,6 +266,33 @@ func TestFig15aMitigationInflatesClaims(t *testing.T) {
 	_ = Fig15aTable(mit).String()
 }
 
+// TestFig15aDeterministicAcrossWorkers requires identical Figure 15a
+// rows whether the calls run one at a time or four at once: every
+// call's dynamic-VB draws must come from that call's own seed, not from
+// the order in which concurrent calls reach a shared generator.
+func TestFig15aDeterministicAcrossWorkers(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Limit = 2
+	rows := func(workers int) []Fig15aRow {
+		c := cfg
+		c.Workers = workers
+		r, err := Fig15aMitigationRBRR(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	serial, parallel := rows(1), rows(4)
+	if len(serial) != len(parallel) {
+		t.Fatalf("%d rows at 1 worker, %d at 4", len(serial), len(parallel))
+	}
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("row %d: %+v at 1 worker, %+v at 4", i, serial[i], parallel[i])
+		}
+	}
+}
+
 func TestFig15bMitigationHurtsLocation(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Limit = 3

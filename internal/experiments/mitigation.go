@@ -3,6 +3,8 @@ package experiments
 import (
 	"math/rand"
 
+	"github.com/bgbuster/bgbuster/internal/compositor"
+	"github.com/bgbuster/bgbuster/internal/dataset"
 	"github.com/bgbuster/bgbuster/internal/mitigate"
 )
 
@@ -48,10 +50,13 @@ func Fig15aMitigationRBRR(cfg Config) ([]Fig15aRow, error) {
 }
 
 // mitigatedRuns executes the pipeline with the dynamic-VB transform.
+// Each call gets its own transform, seeded from the call, so its draws
+// do not depend on which calls run beside it.
 func mitigatedRuns(cfg Config) (map[Group][]*callRun, error) {
-	rng := rand.New(rand.NewSource(cfg.Data.Seed + 4242))
-	transform := mitigate.DynamicVB(mitigate.DefaultDynamicVBConfig(), rng)
-	return groupRuns(cfg, cfg.Profile, transform)
+	return groupRuns(cfg, cfg.Profile, func(call *dataset.Call) compositor.VBTransform {
+		rng := rand.New(rand.NewSource(cfg.callSeed(call.ID) + 4242))
+		return mitigate.DynamicVB(mitigate.DefaultDynamicVBConfig(), rng)
+	})
 }
 
 // Fig15aTable renders the mitigation recovery result.

@@ -71,9 +71,14 @@ func (c Config) parMap(calls []*dataset.Call, f func(*dataset.Call) (*callRun, e
 	return results, nil
 }
 
-// runCalls is the common parallel pipeline helper.
-func (c Config) runCalls(calls []*dataset.Call, profile compositor.Profile, transform compositor.VBTransform) ([]*callRun, error) {
+// runCalls is the common parallel pipeline helper. transform, when
+// non-nil, builds each call's own mitigation hook.
+func (c Config) runCalls(calls []*dataset.Call, profile compositor.Profile, transform func(*dataset.Call) compositor.VBTransform) ([]*callRun, error) {
 	return c.parMap(calls, func(call *dataset.Call) (*callRun, error) {
-		return c.runCall(call, profile, transform)
+		var tr compositor.VBTransform
+		if transform != nil {
+			tr = transform(call)
+		}
+		return c.runCall(call, profile, tr)
 	})
 }

@@ -7,7 +7,6 @@ package mitigate
 import (
 	"math"
 	"math/rand"
-	"sync"
 
 	"github.com/bgbuster/bgbuster/internal/compositor"
 	"github.com/bgbuster/bgbuster/internal/imagex"
@@ -40,6 +39,9 @@ func DefaultDynamicVBConfig() DynamicVBConfig {
 // fluctuates randomly across frames. Matching the virtual background
 // pixel-for-pixel (the first stage of the reconstruction framework) then
 // fails, flooding the attacker's residue with virtual pixels.
+//
+// The transform draws its hue jitter from rng, which is not safe for
+// concurrent use: give each call composed in parallel its own transform.
 func DynamicVB(cfg DynamicVBConfig, rng *rand.Rand) compositor.VBTransform {
 	if rng == nil {
 		panic("mitigate: nil rng")
@@ -47,14 +49,9 @@ func DynamicVB(cfg DynamicVBConfig, rng *rand.Rand) compositor.VBTransform {
 	if cfg.Kernel <= 0 {
 		cfg.Kernel = 8
 	}
-	// One transform serves calls composed in parallel, and rng is not
-	// safe for concurrent use: each frame takes its draws under mu.
-	var mu sync.Mutex
 	return func(vb, raw *imagex.Image, frameIdx int) *imagex.Image {
 		stats := localStats(raw, cfg.Kernel)
 		out := imagex.New(vb.W, vb.H)
-		mu.Lock()
-		defer mu.Unlock()
 		for y := 0; y < vb.H; y++ {
 			for x := 0; x < vb.W; x++ {
 				c := vb.At(x, y).ToHSV()
