@@ -470,7 +470,9 @@ func ResumeStream(data []byte, opts ReconstructOptions) (*StreamReconstructor, e
 // attacker uses — the built-in virtual-image dictionary (VBKnownImage)
 // or, when unknownVB is true, online unknown-image derivation — for
 // NewStreamAttack or SessionManager.Open. Seed drives the attacker-side
-// segmenter.
+// segmenter. The dictionary's images are rendered once per geometry and
+// shared by every caller in the process: the returned map is the
+// caller's own, but its images must not be mutated.
 func StreamAttackOptions(w, h int, unknownVB bool, seed int64) ReconstructOptions {
 	opts := core.DefaultOptions()
 	if unknownVB {

@@ -1,7 +1,9 @@
 package compositor
 
 import (
+	"maps"
 	"math"
+	"sync"
 
 	"github.com/bgbuster/bgbuster/internal/imagex"
 )
@@ -34,17 +36,48 @@ func BuiltinImage(name string, w, h int) *imagex.Image {
 	return img
 }
 
-// BuiltinImages returns all built-in virtual images at the geometry.
-func BuiltinImages(w, h int) map[string]*imagex.Image {
-	out := make(map[string]*imagex.Image, len(BuiltinImageNames))
-	for _, n := range BuiltinImageNames {
-		out[n] = BuiltinImage(n, w, h)
-	}
-	return out
+// builtinMemoCap bounds how many geometries' dictionaries BuiltinImages
+// keeps rendered. Geometry reaches BuiltinImages from the wire (a fleet
+// shard builds options per opened call), so the memo must not grow with
+// the geometries callers ask for; a process serves one or a few call
+// geometries, and overflowing the cap clears the memo.
+const builtinMemoCap = 4
+
+type geometry struct{ w, h int }
+
+// builtinMemo holds the rendered dictionary per geometry. Its images are
+// shared by every BuiltinImages caller and never written after rendering.
+var builtinMemo struct {
+	mu   sync.Mutex
+	sets map[geometry]map[string]*imagex.Image
 }
 
-// BuiltinVideoNames lists the built-in virtual videos.
-var BuiltinVideoNames = []string{"waves", "aurora"}
+// BuiltinImages returns all built-in virtual images at the geometry. Each
+// geometry's images are rendered once per process and shared: every call
+// returns a fresh map (edit it freely), but its values are the shared
+// images, which callers must not mutate. Use BuiltinImage for a private
+// copy.
+func BuiltinImages(w, h int) map[string]*imagex.Image {
+	return maps.Clone(builtinSet(w, h))
+}
+
+func builtinSet(w, h int) map[string]*imagex.Image {
+	builtinMemo.mu.Lock()
+	defer builtinMemo.mu.Unlock()
+	g := geometry{w, h}
+	if set, ok := builtinMemo.sets[g]; ok {
+		return set
+	}
+	if builtinMemo.sets == nil || len(builtinMemo.sets) >= builtinMemoCap {
+		builtinMemo.sets = make(map[geometry]map[string]*imagex.Image, builtinMemoCap)
+	}
+	set := make(map[string]*imagex.Image, len(BuiltinImageNames))
+	for _, n := range BuiltinImageNames {
+		set[n] = BuiltinImage(n, w, h)
+	}
+	builtinMemo.sets[g] = set
+	return set
+}
 
 // BuiltinVideo renders the named looping virtual video with the given
 // geometry and loop period (frames). Unknown names yield "waves".
@@ -119,8 +152,8 @@ func renderSpace(img *imagex.Image) {
 
 func renderForest(img *imagex.Image) {
 	img.Fill(imagex.HSV{H: 130, S: 0.5, V: 0.35}.ToRGB())
-	// Tree trunks.
-	for x := img.W / 10; x < img.W; x += img.W / 5 {
+	// Tree trunks; the spacing stays positive below 5 px wide.
+	for x := img.W / 10; x < img.W; x += max(1, img.W/5) {
 		img.FillRect(x, img.H/4, x+img.W/30+1, img.H, imagex.RGB{R: 70, G: 45, B: 25})
 		img.FillCircle(x+img.W/60, img.H/4, img.H/7, imagex.HSV{H: 120, S: 0.7, V: 0.45}.ToRGB())
 	}

@@ -150,7 +150,13 @@ func ResumeStreamWithLimits(data []byte, opts Options, lim checkpoint.Limits) (*
 		s.scores[sc.Name] = int(sc.Score)
 	}
 	if st.Identified {
+		// A checkpoint's pinned VB is normally its dictionary image: share
+		// that rather than hold a decoded copy per resumed session. A
+		// container whose embedded image differs keeps its own.
 		s.vbImage = st.VBImage
+		if known := opts.KnownImages[st.VBName]; known != nil && known.Equal(st.VBImage) {
+			s.vbImage = known
+		}
 	}
 	s.pending = st.PendingFrames
 	s.pendingOracles = st.PendingOracles
@@ -251,9 +257,19 @@ func optionsFingerprint(w, h int, opts Options) uint64 {
 	return fp.Sum64()
 }
 
+// fingerprintChunk is how many pixels fingerprintImage encodes per hash
+// write; FNV consumes a byte stream, so the chunking leaves the value
+// as if the whole raster had been written at once.
+const fingerprintChunk = 1024
+
 func fingerprintImage(fp hash.Hash64, img *imagex.Image) {
-	buf := make([]byte, 0, 16+3*len(img.Pix))
+	buf := make([]byte, 0, 3*fingerprintChunk)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(img.W))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(img.H))
-	fp.Write(imagex.AppendPix(buf, img.Pix))
+	fp.Write(buf)
+	for pix := img.Pix; len(pix) > 0; {
+		n := min(len(pix), fingerprintChunk)
+		fp.Write(imagex.AppendPix(buf[:0], pix[:n]))
+		pix = pix[n:]
+	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"github.com/bgbuster/bgbuster/internal/checkpoint"
@@ -268,6 +270,56 @@ func TestCheckpointResumeAfterFinalize(t *testing.T) {
 	assertSameState(t, "resume-finalized", s, r2)
 }
 
+// TestResumeSharesDictionaryVB pins both branches of the resumed pinned
+// VB: a checkpoint whose embedded image equals the dictionary's resumes
+// onto the dictionary's own image, and one whose image differs (a
+// crafted container; the fingerprint covers only the dictionary) keeps
+// its decoded copy. Either way the container re-encodes byte for byte.
+func TestResumeSharesDictionaryVB(t *testing.T) {
+	res, sils := testCall(t, 55, DefaultIdentifyAfter+2, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
+	opts := oracleOpts()
+	opts.KnownImages = compositor.BuiltinImages(160, 120)
+	s, err := NewStream(160, 120, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Blended.Frames {
+		if err := s.Feed(res.Blended.Frames[i], sils[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Identified() || s.vbName != "beach" {
+		t.Fatalf("stream pinned %q (identified %v), want beach", s.vbName, s.Identified())
+	}
+	data := mustCheckpoint(t, s)
+	known := opts.KnownImages["beach"]
+
+	r := mustResume(t, data, opts)
+	if r.vbImage != known {
+		t.Error("resume kept a decoded copy of a VB identical to the dictionary's")
+	}
+	if !bytes.Equal(mustCheckpoint(t, r), data) {
+		t.Error("shared-VB resume changed the checkpoint bytes")
+	}
+
+	st, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.VBImage.Pix[0].R ^= 1
+	crafted, err := checkpoint.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := mustResume(t, crafted, opts)
+	if r2.vbImage == known || !r2.vbImage.Equal(st.VBImage) {
+		t.Error("resume replaced a differing embedded VB with the dictionary's")
+	}
+	if !bytes.Equal(mustCheckpoint(t, r2), crafted) {
+		t.Error("decoded-VB resume changed the checkpoint bytes")
+	}
+}
+
 func TestResumeRejectsMismatch(t *testing.T) {
 	res, sils := testCall(t, 54, 5, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
 	opts := oracleOpts()
@@ -430,5 +482,24 @@ func TestOptionsFingerprintSensitivity(t *testing.T) {
 	o.Workers = 7
 	if optionsFingerprint(8, 6, o) != baseFP {
 		t.Error("Workers (execution detail) must not change the fingerprint")
+	}
+}
+
+// TestFingerprintImageMatchesWholeRaster pins the chunked image hash to
+// the hash of the whole 16+3·W·H-byte raster it replaced, at pixel
+// counts on and around the chunk boundary.
+func TestFingerprintImageMatchesWholeRaster(t *testing.T) {
+	for _, g := range [][2]int{{1, 1}, {7, 5}, {1023, 1}, {32, 32}, {1025, 1}, {fingerprintChunk, 3}, {161, 120}} {
+		img := compositor.BuiltinImage("space", g[0], g[1])
+		whole := make([]byte, 0, 16+3*len(img.Pix))
+		whole = binary.LittleEndian.AppendUint64(whole, uint64(img.W))
+		whole = binary.LittleEndian.AppendUint64(whole, uint64(img.H))
+		ref := fnv.New64a()
+		ref.Write(imagex.AppendPix(whole, img.Pix))
+		got := fnv.New64a()
+		fingerprintImage(got, img)
+		if got.Sum64() != ref.Sum64() {
+			t.Errorf("%dx%d: fingerprint %016x, whole raster hashes to %016x", g[0], g[1], got.Sum64(), ref.Sum64())
+		}
 	}
 }
