@@ -1,10 +1,10 @@
 // Package checkpoint defines the durable on-disk format for streaming
 // reconstruction state (.bbck): a compact versioned binary container
 // holding everything a core.StreamReconstructor accumulates — VB
-// identification state, pinned/derived VB images, coverage and
-// localKnown masks, the accumulated residue and the frame counter — so
-// an interrupted live session can resume at any frame boundary with
-// bit-identical output (DESIGN.md §11).
+// identification state (the pinned VB by name), the derived VB image,
+// coverage and localKnown masks, the accumulated residue and the frame
+// counter — so an interrupted live session can resume at any frame
+// boundary with bit-identical output (DESIGN.md §11).
 //
 // The package is a dumb data layer: State is a plain carrier struct and
 // Encode/Decode translate it to and from bytes. internal/core owns the
@@ -40,7 +40,7 @@ const Magic = "BBCK"
 // pinned to the core pipeline, so cross-version resume would silently
 // diverge instead of being bit-identical (versioning rules: DESIGN.md
 // §11).
-const Version = 1
+const Version = 2
 
 // histBins is the color-refinement histogram size (quant12 bins).
 const histBins = 4096
@@ -108,8 +108,8 @@ type Score struct {
 
 // State is the serializable snapshot of a streaming reconstruction.
 // Which sections are meaningful depends on Mode (the core.VBMode
-// value): known-image streams carry Scores, the pinned VB and the
-// pre-identification buffer; unknown-image streams carry the online
+// value): known-image streams carry Scores, the pinned VB's name and
+// the pre-identification buffer; unknown-image streams carry the online
 // derivation state. The accumulated residue (Recovered + Coverage) is
 // always present. Per-frame LB masks are deliberately NOT part of the
 // format — they grow linearly with call length, against the whole point
@@ -124,12 +124,12 @@ type State struct {
 	Fingerprint uint64
 	Finalized   bool
 
-	// Known-image identification state.
+	// Known-image identification state. The pinned VB is stored by
+	// name only: it is an entry of the known-image dictionary, which the
+	// Fingerprint already binds, so core resolves it on resume.
 	Identified bool
 	VBName     string
-	// VBImage is the pinned virtual background (nil unless Identified).
-	VBImage *imagex.Image
-	Scores  []Score
+	Scores     []Score
 	// Pending is the buffered pre-identification prefix.
 	PendingFrames  []*imagex.Image
 	PendingOracles []*imagex.Mask
@@ -201,7 +201,6 @@ func Encode(st *State) ([]byte, error) {
 	if st.Identified {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(st.VBName)))
 		buf = append(buf, st.VBName...)
-		buf = imagex.AppendPix(buf, st.VBImage.Pix)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.PendingFrames)))
 	for i, f := range st.PendingFrames {
@@ -256,9 +255,6 @@ func (st *State) validate() error {
 		return fmt.Errorf("checkpoint: encode: %d pending frames, %d oracles",
 			len(st.PendingFrames), len(st.PendingOracles))
 	}
-	if st.Identified && st.VBImage == nil {
-		return errors.New("checkpoint: encode: identified without a pinned VB image")
-	}
 	if len(st.VBName) > math.MaxUint16 {
 		return fmt.Errorf("checkpoint: encode: VB name %d bytes", len(st.VBName))
 	}
@@ -286,19 +282,30 @@ func (st *State) validate() error {
 	return nil
 }
 
-// encodedSizeHint pre-sizes the encode buffer (exact for the fixed
-// sections, close for the rest).
+// encodedSizeHint returns the exact length Encode produces for a
+// validated state, so the encode buffer is allocated once.
 func (st *State) encodedSizeHint() int {
-	px := 3 * st.W * st.H
-	n := 64 + px + st.Coverage.WordBytes()
-	if st.DerivedImg != nil {
-		n += 2*px + 4*st.W*st.H + 2*st.Coverage.WordBytes()
+	px, mw := 3*st.W*st.H, imagex.MaskWordBytes(st.W, st.H)
+	n := len(Magic) + 2 + 2 + 4    // header
+	n += 4 + 4 + 8 + 1 + 1 + 8 + 4 // geometry, frames, mode, flags, fingerprint, score count
+	for _, sc := range st.Scores {
+		n += 2 + len(sc.Name) + 8
 	}
-	n += len(st.PendingFrames) * (px + st.Coverage.WordBytes())
+	if st.Identified {
+		n += 2 + len(st.VBName)
+	}
+	n += 4 + len(st.PendingFrames)*(px+mw)
+	n++ // derivation presence byte
+	if st.DerivedImg != nil {
+		n += px + 2*mw + 4*st.W*st.H
+		if st.Prev != nil {
+			n += px
+		}
+	}
 	if st.Hist != nil {
 		n += 8*histBins + 8
 	}
-	return n
+	return n + px + mw // accumulated residue
 }
 
 // Decode parses a .bbck container under DefaultLimits.
@@ -394,9 +401,6 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 	}
 	if st.Identified {
 		if st.VBName, err = d.Str(lim.MaxNameLen); err != nil {
-			return nil, err
-		}
-		if st.VBImage, err = d.Image(st.W, st.H); err != nil {
 			return nil, err
 		}
 	}

@@ -38,21 +38,29 @@ func testMask(w, h int, seed int) *imagex.Mask {
 }
 
 // knownState builds a representative known-image state: a score table,
-// a pinned VB and a non-empty pending buffer (the buffer would be empty
-// after identification in a real stream, but the format does not care —
-// core.validateResumeState does).
+// a pinned VB name and a non-empty pending buffer (the buffer would be
+// empty after identification in a real stream, but the format does not
+// care — core.validateResumeState does).
 func knownState(w, h int) *State {
 	hist := make([]int, histBins)
 	hist[0], hist[17], hist[histBins-1] = 4, 9, 1
 	return &State{
 		W: w, H: h, Mode: 0, Frames: 42, Fingerprint: 0xdeadbeefcafe,
-		Identified: true, VBName: "beach", VBImage: testImage(w, h, 5),
+		Identified: true, VBName: "beach",
 		Scores:         []Score{{Name: "beach", Score: 900}, {Name: "office", Score: 120}},
 		PendingFrames:  []*imagex.Image{testImage(w, h, 1), testImage(w, h, 2)},
 		PendingOracles: []*imagex.Mask{testMask(w, h, 1), testMask(w, h, 2)},
 		Hist:           hist, HistTotal: 14,
 		Recovered: testImage(w, h, 9), Coverage: testMask(w, h, 9),
 	}
+}
+
+// pendingState builds a known-image state still inside the
+// identification window: scores and buffered frames, no pinned VB.
+func pendingState(w, h int) *State {
+	st := knownState(w, h)
+	st.Identified, st.VBName = false, ""
+	return st
 }
 
 // unknownState builds a representative unknown-image state.
@@ -112,6 +120,7 @@ func TestRoundTrip(t *testing.T) {
 		st   *State
 	}{
 		{"known", knownState(13, 9)},     // 13 exercises mask row padding
+		{"pending", pendingState(13, 9)}, // pre-identification buffer only
 		{"unknown", unknownState(64, 4)}, // word-aligned width
 		{"unknown-noprev", func() *State { s := unknownState(5, 5); s.Prev = nil; return s }()},
 		{"finalized-min", &State{W: 1, H: 1, Mode: 0, Finalized: true,
@@ -119,6 +128,10 @@ func TestRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := mustEncode(t, tc.st)
+			// encodedSizeHint is exact, so the buffer never regrows.
+			if cap(data) != len(data) {
+				t.Errorf("encode buffer cap %d for %d bytes: size hint is not exact", cap(data), len(data))
+			}
 			got, err := Decode(data)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
@@ -136,9 +149,6 @@ func TestRoundTrip(t *testing.T) {
 				if sc != tc.st.Scores[i] {
 					t.Errorf("score[%d] = %+v, want %+v", i, sc, tc.st.Scores[i])
 				}
-			}
-			if !imagesEqual(got.VBImage, tc.st.VBImage) {
-				t.Error("VBImage diverged")
 			}
 			if len(got.PendingFrames) != len(tc.st.PendingFrames) {
 				t.Fatalf("got %d pending frames, want %d", len(got.PendingFrames), len(tc.st.PendingFrames))
@@ -203,7 +213,6 @@ func TestEncodeRejects(t *testing.T) {
 		{"zero-width", func(st *State) { st.W = 0 }},
 		{"nil-recovered", func(st *State) { st.Recovered = nil }},
 		{"pending-mismatch", func(st *State) { st.PendingOracles = st.PendingOracles[:1] }},
-		{"identified-without-image", func(st *State) { st.VBImage = nil }},
 		{"mode-out-of-range", func(st *State) { st.Mode = 256 }},
 		{"long-name", func(st *State) { st.VBName = strings.Repeat("x", 1<<16+1) }},
 		{"bad-hist-len", func(st *State) { st.Hist = make([]int, 7) }},
@@ -225,10 +234,47 @@ func TestEncodeRejects(t *testing.T) {
 	})
 }
 
+// TestIdentifiedKnownEncodedLength pins the layout of a pinned known-image
+// state (no pending buffer, as after identification): the VB travels as
+// its name only, so the container is the header, the score table, the
+// name, the empty pending and derivation sections, the histogram and the
+// residue — with no raster for the pinned VB.
+func TestIdentifiedKnownEncodedLength(t *testing.T) {
+	for _, g := range []struct{ w, h int }{{13, 9}, {320, 240}} {
+		st := knownState(g.w, g.h)
+		st.PendingFrames, st.PendingOracles = nil, nil
+		px, mw := 3*g.w*g.h, imagex.MaskWordBytes(g.w, g.h)
+		want := 12 + // magic, version, reserved, CRC
+			26 + // geometry, frames, mode, flags, fingerprint
+			4 + (2 + len("beach") + 8) + (2 + len("office") + 8) + // score table
+			2 + len("beach") + // pinned VB name
+			4 + // pending count (0)
+			1 + // derivation presence byte (absent)
+			8*histBins + 8 + // histogram and its total
+			px + mw // accumulated residue
+		if got := len(mustEncode(t, st)); got != want {
+			t.Errorf("%dx%d: identified known state encodes to %d bytes, layout gives %d", g.w, g.h, got, want)
+		}
+	}
+}
+
 // patchCRC recomputes the payload CRC after a deliberate mutation, so
 // the test reaches the parser instead of the CRC gate.
 func patchCRC(data []byte) {
 	binary.LittleEndian.PutUint32(data[8:], crc32.ChecksumIEEE(data[12:]))
+}
+
+// TestDecodeRejectsVersion1 checks that a container from the previous
+// format version, which embedded the pinned VB raster, is refused as
+// version skew rather than parsed: the version field is patched to 1 on
+// an otherwise valid container, with its CRC recomputed.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	data := mustEncode(t, knownState(8, 6))
+	binary.LittleEndian.PutUint16(data[4:], 1)
+	patchCRC(data)
+	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 container: %v does not wrap ErrVersion", err)
+	}
 }
 
 func TestDecodeRejects(t *testing.T) {

@@ -45,7 +45,6 @@ func (s *StreamReconstructor) Checkpoint() ([]byte, error) {
 		Finalized:   s.finalized,
 		Identified:  s.identified,
 		VBName:      s.vbName,
-		VBImage:     s.vbImage,
 		Recovered:   s.rec.Recovered,
 		Coverage:    s.rec.Coverage,
 		HistTotal:   uint64(s.histTotal),
@@ -150,13 +149,10 @@ func ResumeStreamWithLimits(data []byte, opts Options, lim checkpoint.Limits) (*
 		s.scores[sc.Name] = int(sc.Score)
 	}
 	if st.Identified {
-		// A checkpoint's pinned VB is normally its dictionary image: share
-		// that rather than hold a decoded copy per resumed session. A
-		// container whose embedded image differs keeps its own.
-		s.vbImage = st.VBImage
-		if known := opts.KnownImages[st.VBName]; known != nil && known.Equal(st.VBImage) {
-			s.vbImage = known
-		}
+		// The checkpoint names the pinned VB; the fingerprint binds the
+		// dictionary and validateResumeState has checked the name is in
+		// it, so the resumed stream points at the shared image.
+		s.vbImage = opts.KnownImages[st.VBName]
 	}
 	s.pending = st.PendingFrames
 	s.pendingOracles = st.PendingOracles

@@ -270,11 +270,9 @@ func TestCheckpointResumeAfterFinalize(t *testing.T) {
 	assertSameState(t, "resume-finalized", s, r2)
 }
 
-// TestResumeSharesDictionaryVB pins both branches of the resumed pinned
-// VB: a checkpoint whose embedded image equals the dictionary's resumes
-// onto the dictionary's own image, and one whose image differs (a
-// crafted container; the fingerprint covers only the dictionary) keeps
-// its decoded copy. Either way the container re-encodes byte for byte.
+// TestResumeSharesDictionaryVB pins the resumed pinned VB: a checkpoint
+// names it, and the resumed stream points at the dictionary's own image
+// (the fingerprint binds the dictionary) and re-encodes byte for byte.
 func TestResumeSharesDictionaryVB(t *testing.T) {
 	res, sils := testCall(t, 55, DefaultIdentifyAfter+2, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
 	opts := oracleOpts()
@@ -296,27 +294,10 @@ func TestResumeSharesDictionaryVB(t *testing.T) {
 
 	r := mustResume(t, data, opts)
 	if r.vbImage != known {
-		t.Error("resume kept a decoded copy of a VB identical to the dictionary's")
+		t.Error("resumed stream's pinned VB is not the dictionary's image")
 	}
 	if !bytes.Equal(mustCheckpoint(t, r), data) {
-		t.Error("shared-VB resume changed the checkpoint bytes")
-	}
-
-	st, err := checkpoint.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.VBImage.Pix[0].R ^= 1
-	crafted, err := checkpoint.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := mustResume(t, crafted, opts)
-	if r2.vbImage == known || !r2.vbImage.Equal(st.VBImage) {
-		t.Error("resume replaced a differing embedded VB with the dictionary's")
-	}
-	if !bytes.Equal(mustCheckpoint(t, r2), crafted) {
-		t.Error("decoded-VB resume changed the checkpoint bytes")
+		t.Error("resume changed the checkpoint bytes")
 	}
 }
 
@@ -408,7 +389,6 @@ func TestResumeRejectsInconsistentState(t *testing.T) {
 		st := base()
 		st.Identified = true
 		st.VBName = "beach"
-		st.VBImage = compositor.BuiltinImage("beach", w, h)
 		st.PendingFrames = []*imagex.Image{imagex.New(w, h)}
 		st.PendingOracles = []*imagex.Mask{imagex.NewMask(w, h)}
 		if _, err := ResumeStream(encode(st), opts); !errors.Is(err, ErrCheckpointMismatch) {
@@ -419,7 +399,6 @@ func TestResumeRejectsInconsistentState(t *testing.T) {
 		st := base()
 		st.Identified = true
 		st.VBName = "no-such-vb"
-		st.VBImage = imagex.New(w, h)
 		if _, err := ResumeStream(encode(st), opts); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Fatalf("err = %v", err)
 		}
