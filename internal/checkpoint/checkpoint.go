@@ -329,6 +329,11 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 	if v := binary.LittleEndian.Uint16(data[4:]); v != Version {
 		return nil, fmt.Errorf("checkpoint: version %d, this build reads %d: %w", v, Version, ErrVersion)
 	}
+	// The reserved field lies outside the CRC, so it is checked here:
+	// Encode writes zero and encode(decode(x)) == x must hold.
+	if r := binary.LittleEndian.Uint16(data[6:]); r != 0 {
+		return nil, fmt.Errorf("checkpoint: reserved header field %04x is not zero: %w", r, ErrBadCheckpoint)
+	}
 	wantCRC := binary.LittleEndian.Uint32(data[8:])
 	payload := data[12:]
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {

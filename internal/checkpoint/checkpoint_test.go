@@ -307,6 +307,17 @@ func TestDecodeRejects(t *testing.T) {
 			t.Errorf("version skew: %v does not wrap ErrBadCheckpoint", err)
 		}
 	})
+	t.Run("nonzero-reserved", func(t *testing.T) {
+		// FuzzCheckpointDecode found a container with reserved = "00"
+		// (0x3030) that decoded and re-encoded with zero there.
+		for _, r := range []uint16{1, 0x3030, 0x8000} {
+			data := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint16(data[6:], r)
+			if _, err := Decode(data); !errors.Is(err, ErrBadCheckpoint) {
+				t.Errorf("reserved %04x: %v", r, err)
+			}
+		}
+	})
 	t.Run("crc-mismatch", func(t *testing.T) {
 		data := append([]byte(nil), valid...)
 		data[len(data)-1] ^= 0x40

@@ -253,19 +253,12 @@ func optionsFingerprint(w, h int, opts Options) uint64 {
 	return fp.Sum64()
 }
 
-// fingerprintChunk is how many pixels fingerprintImage encodes per hash
-// write; FNV consumes a byte stream, so the chunking leaves the value
-// as if the whole raster had been written at once.
-const fingerprintChunk = 1024
-
+// fingerprintImage hashes the image's geometry and then its pixel
+// raster, read in place through its byte view.
 func fingerprintImage(fp hash.Hash64, img *imagex.Image) {
-	buf := make([]byte, 0, 3*fingerprintChunk)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(img.W))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(img.H))
-	fp.Write(buf)
-	for pix := img.Pix; len(pix) > 0; {
-		n := min(len(pix), fingerprintChunk)
-		fp.Write(imagex.AppendPix(buf[:0], pix[:n]))
-		pix = pix[n:]
-	}
+	var geom [16]byte
+	binary.LittleEndian.PutUint64(geom[:], uint64(img.W))
+	binary.LittleEndian.PutUint64(geom[8:], uint64(img.H))
+	fp.Write(geom[:])
+	fp.Write(imagex.PixBytes(img.Pix))
 }

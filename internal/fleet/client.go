@@ -144,7 +144,6 @@ func (c *Client) do(req *Message) (*Message, error) {
 	if c.conn == nil {
 		return nil, fmt.Errorf("fleet: client %s: connection closed", c.addr)
 	}
-	op := fmt.Sprintf("request 0x%02x", byte(req.Type))
 	if c.t.Write > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.t.Write))
 	}
@@ -152,7 +151,7 @@ func (c *Client) do(req *Message) (*Message, error) {
 		c.conn.Close()
 		c.conn = nil
 		if isTimeout(err) {
-			return nil, &TimeoutError{Addr: c.addr, Op: op + " write", After: c.t.Write, Err: err}
+			return nil, &TimeoutError{Addr: c.addr, Op: fmt.Sprintf("request 0x%02x write", byte(req.Type)), After: c.t.Write, Err: err}
 		}
 		return nil, fmt.Errorf("fleet: %s: write: %w", c.addr, err)
 	}
@@ -164,7 +163,7 @@ func (c *Client) do(req *Message) (*Message, error) {
 		c.conn.Close()
 		c.conn = nil
 		if isTimeout(err) {
-			return nil, &TimeoutError{Addr: c.addr, Op: op + " read", After: c.t.Read, Err: err}
+			return nil, &TimeoutError{Addr: c.addr, Op: fmt.Sprintf("request 0x%02x read", byte(req.Type)), After: c.t.Read, Err: err}
 		}
 		return nil, fmt.Errorf("fleet: %s: read: %w", c.addr, err)
 	}

@@ -186,6 +186,9 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	if !errors.As(ferr, &to) {
 		t.Fatalf("feed into a stalled shard = %v, want *TimeoutError", ferr)
 	}
+	if to.Op != "request 0x02 read" {
+		t.Fatalf("timeout op = %q, want %q", to.Op, "request 0x02 read")
+	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("feed blocked %v past a 250ms read deadline", elapsed)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// refAppendPix is the one-pixel-at-a-time raster layout the word path
+// refAppendPix is the one-pixel-at-a-time raster layout the byte view
 // must reproduce byte for byte.
 func refAppendPix(buf []byte, pix []RGB) []byte {
 	for _, p := range pix {
@@ -101,6 +101,39 @@ func TestDecodePixPanicsOnShortInput(t *testing.T) {
 		}
 	}()
 	DecodePix(make([]RGB, 8), make([]byte, 23))
+}
+
+// TestPixBytesView checks that the view aliases the pixels both ways,
+// that a subslice's view starts at its parent's byte 3k, and that nil
+// and empty rasters give zero-length views.
+func TestPixBytesView(t *testing.T) {
+	pix := randPix(rand.New(rand.NewSource(3)), 11)
+	view := PixBytes(pix)
+	if len(view) != 33 || cap(view) != 33 {
+		t.Fatalf("view of 11 pixels has len %d cap %d, want 33 and 33", len(view), cap(view))
+	}
+	if !bytes.Equal(view, refAppendPix(nil, pix)) {
+		t.Fatalf("view = %x, want %x", view, refAppendPix(nil, pix))
+	}
+	view[3*4+1] = ^view[3*4+1]
+	if pix[4].G != view[13] {
+		t.Fatalf("write through the view: pixel 4 G = %d, want %d", pix[4].G, view[13])
+	}
+	pix[9] = RGB{R: 7, G: 8, B: 9}
+	if got := view[27:30]; !bytes.Equal(got, []byte{7, 8, 9}) {
+		t.Fatalf("write to pixel 9 shows in the view as %v, want [7 8 9]", got)
+	}
+	for k := 0; k <= len(pix); k++ {
+		if sub := PixBytes(pix[k:]); !bytes.Equal(sub, view[3*k:]) || (len(sub) > 0 && &sub[0] != &view[3*k]) {
+			t.Fatalf("view of pix[%d:] does not alias the parent view from byte %d", k, 3*k)
+		}
+	}
+	if v := PixBytes(nil); len(v) != 0 {
+		t.Fatalf("view of nil has length %d", len(v))
+	}
+	if v := PixBytes(pix[:0]); len(v) != 0 {
+		t.Fatalf("view of an empty slice has length %d", len(v))
+	}
 }
 
 // BenchmarkPixCodec times one 320×240 raster each way: encode into a

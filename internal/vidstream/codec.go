@@ -16,9 +16,9 @@ import (
 //
 //	magic "BBV1" | u32 fps | u32 w | u32 h | u32 frames | frames × w*h RGB triples
 //
-// All integers are little-endian; each frame is an imagex.AppendPix
-// raster. The format is intentionally uncompressed; the simulator's
-// resolutions keep files small.
+// All integers are little-endian; each frame is an imagex pixel raster
+// (imagex.PixBytes). The format is intentionally uncompressed; the
+// simulator's resolutions keep files small.
 
 const codecMagic = "BBV1"
 
@@ -41,10 +41,8 @@ func Encode(w io.Writer, v *Video) error {
 			return fmt.Errorf("vidstream: encode header: %w", err)
 		}
 	}
-	buf := make([]byte, 0, 3*fw*fh)
 	for _, f := range v.Frames {
-		buf = imagex.AppendPix(buf[:0], f.Pix)
-		if _, err := bw.Write(buf); err != nil {
+		if _, err := bw.Write(imagex.PixBytes(f.Pix)); err != nil {
 			return fmt.Errorf("vidstream: encode frame: %w", err)
 		}
 	}
@@ -129,14 +127,14 @@ func DecodeWithLimits(r io.Reader, lim DecodeLimits) (*Video, error) {
 		return nil, fmt.Errorf("vidstream: advertised payload %d bytes exceeds budget %d: %w",
 			total, lim.MaxTotalBytes, ErrBadFormat)
 	}
+	// Each frame is allocated just before its bytes are read into it, so
+	// a truncated container commits at most one frame beyond its data.
 	v := New(int(fps))
-	buf := make([]byte, frameBytes)
 	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
+		f := imagex.New(int(w), int(h))
+		if _, err := io.ReadFull(br, imagex.PixBytes(f.Pix)); err != nil {
 			return nil, fmt.Errorf("vidstream: decode frame %d: %w", i, err)
 		}
-		f := imagex.New(int(w), int(h))
-		imagex.DecodePix(f.Pix, buf)
 		v.Frames = append(v.Frames, f)
 	}
 	return v, nil

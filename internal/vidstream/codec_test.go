@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/bgbuster/bgbuster/internal/imagex"
@@ -68,5 +72,41 @@ func TestDecodeWithLimitsBudget(t *testing.T) {
 	}
 	if _, err := DecodeWithLimits(bytes.NewReader(data), DecodeLimits{MaxFrames: 1}); err != nil {
 		t.Fatalf("MaxFrames=1 must admit a 1-frame video: %v", err)
+	}
+}
+
+// TestDecodeRejectsTruncatedFrame cuts a three-frame container inside
+// frame 0, on the boundary before frame 1 and inside frame 1: each cut
+// fails with the error of the frame it falls in.
+func TestDecodeRejectsTruncatedFrame(t *testing.T) {
+	const w, h = 5, 3
+	rng := rand.New(rand.NewSource(4))
+	v := New(30)
+	for i := 0; i < 3; i++ {
+		f := imagex.New(w, h)
+		f.AddNoise(rng, 120)
+		if err := v.Append(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	header, frame := len(bbvHeader(0, 0, 0, 0)), 3*w*h
+	for _, c := range []struct {
+		cut, frame int
+		want       error
+	}{
+		{header + 1, 0, io.ErrUnexpectedEOF},
+		{header + frame - 1, 0, io.ErrUnexpectedEOF},
+		{header + frame, 1, io.EOF},
+		{header + frame + frame/2, 1, io.ErrUnexpectedEOF},
+	} {
+		_, err := Decode(bytes.NewReader(data[:c.cut]))
+		if !errors.Is(err, c.want) || !strings.Contains(fmt.Sprint(err), fmt.Sprintf("decode frame %d:", c.frame)) {
+			t.Errorf("cut at byte %d: error %v, want decode frame %d: %v", c.cut, err, c.frame, c.want)
+		}
 	}
 }
