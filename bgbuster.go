@@ -3,7 +3,7 @@
 // Backgrounds in Online Video Calls" (Sabra, Maiti, Jadliwala, DSN
 // 2022).
 //
-// The library has four layers, each re-exported here:
+// The library has four layers:
 //
 //   - Simulation substrate: synthetic scenes, an articulated caller, a
 //     virtual-background compositor with a calibrated leakage model
@@ -17,6 +17,11 @@
 //     inference.
 //   - Mitigations: dynamic virtual backgrounds, per-call random
 //     backgrounds, frame dropping, and deepfake replay.
+//
+// This facade covers the pipeline, the attacks, the mitigations, live
+// sessions, checkpoint resume, and the fleet's shard and dial side.
+// Gallery-view ingestion and the fleet coordinator are driven through
+// the bgbuster command (`bgbuster live -gallery`, `bgbuster serve`).
 //
 // Quickstart:
 //
@@ -39,7 +44,6 @@ import (
 	"github.com/bgbuster/bgbuster/internal/core"
 	"github.com/bgbuster/bgbuster/internal/dataset"
 	"github.com/bgbuster/bgbuster/internal/fleet"
-	"github.com/bgbuster/bgbuster/internal/gallery"
 	"github.com/bgbuster/bgbuster/internal/imagex"
 	"github.com/bgbuster/bgbuster/internal/metrics"
 	"github.com/bgbuster/bgbuster/internal/mitigate"
@@ -52,14 +56,10 @@ import (
 type (
 	// Image is a 24-bit RGB frame.
 	Image = imagex.Image
-	// RGB is one Truecolor pixel.
-	RGB = imagex.RGB
 	// Mask is a binary bitmap over a frame.
 	Mask = imagex.Mask
 	// Video is a time-ordered frame sequence.
 	Video = vidstream.Video
-	// CameraProfile models capture hardware.
-	CameraProfile = vidstream.CameraProfile
 )
 
 // Compositor types (the simulated video-calling software).
@@ -308,58 +308,10 @@ type (
 	SessionConfig = session.Config
 	// LiveSession is one live call being reconstructed.
 	LiveSession = session.Session
-	// SessionStats is an instantaneous per-session counters snapshot.
-	SessionStats = session.Snapshot
-	// SessionManagerStats aggregates the manager and all its sessions.
-	SessionManagerStats = session.ManagerSnapshot
 )
 
 // NewSessionManager returns a running live-call session manager.
 func NewSessionManager(cfg SessionConfig) *SessionManager { return session.NewManager(cfg) }
-
-// Self-healing supervision and fleet admission control (DESIGN.md §13):
-// with SessionConfig.AutoRestart a crashed session is resurrected from
-// its last-good checkpoint as a new incarnation, guarded by a per-id
-// circuit breaker; MaxSessions/MemBudget bound the fleet and shed
-// excess load with typed errors.
-type (
-	// SessionOptions carries per-session overrides (queue policy,
-	// block deadline) into SessionManager.Open.
-	SessionOptions = session.SessionOptions
-	// QueuePolicy selects what Feed does when a session queue is full.
-	QueuePolicy = session.QueuePolicy
-	// SessionRestartEvent records one supervisor resurrection.
-	SessionRestartEvent = session.RestartEvent
-)
-
-// Queue policies for SessionOptions.QueuePolicy.
-const (
-	// QueueDefault defers to SessionConfig.DefaultQueuePolicy.
-	QueueDefault = session.PolicyDefault
-	// QueueDropOldest evicts the oldest queued frame to admit the new one.
-	QueueDropOldest = session.PolicyDropOldest
-	// QueueReject refuses the new frame with ErrSessionQueueFull.
-	QueueReject = session.PolicyReject
-	// QueueBlock waits up to the block deadline for queue space.
-	QueueBlock = session.PolicyBlock
-)
-
-// Typed session-layer errors, for errors.Is against Open/Feed/Restore.
-var (
-	// ErrSessionManagerClosed: the manager was Closed (wraps the generic
-	// closed-session error, so errors.Is on either matches).
-	ErrSessionManagerClosed = session.ErrManagerClosed
-	// ErrFleetFull: Open refused because MaxSessions live sessions exist.
-	ErrFleetFull = session.ErrFleetFull
-	// ErrMemoryBudget: Open refused because the fleet's estimated stream
-	// footprint would exceed MemBudget.
-	ErrMemoryBudget = session.ErrMemoryBudget
-	// ErrSessionQueueFull: Feed dropped a frame under PolicyReject or a
-	// PolicyBlock deadline expiry.
-	ErrSessionQueueFull = session.ErrQueueFull
-	// ErrNoSession: the id is not (or no longer) live on the manager.
-	ErrNoSession = session.ErrNoSession
-)
 
 // Checkpoint/resume (DESIGN.md §11): a StreamReconstructor serialises
 // its complete state to a versioned, CRC-guarded .bbck container;
@@ -384,8 +336,9 @@ var ErrCheckpointMismatch = core.ErrCheckpointMismatch
 // consistent-hashes live sessions over worker shards speaking a
 // length-prefixed, budget-checked wire protocol, with checkpoint
 // replication, live migration and shard-loss recovery built on the
-// bit-identical .bbck resume guarantee. `bgbuster shard` and
-// `bgbuster serve` are the CLI front ends.
+// bit-identical .bbck resume guarantee. The facade serves a shard and
+// dials a shard or coordinator; `bgbuster shard` and `bgbuster serve`
+// are the CLI front ends.
 type (
 	// FleetOpenSpec describes a session to open or resume fleet-wide.
 	FleetOpenSpec = fleet.OpenSpec
@@ -393,63 +346,17 @@ type (
 	FleetShard = fleet.Shard
 	// FleetShardConfig wires a manager and an options hook into a shard.
 	FleetShardConfig = fleet.ShardConfig
-	// FleetCoordinator routes, replicates, migrates and recovers.
-	FleetCoordinator = fleet.Coordinator
-	// FleetCoordinatorConfig lists the shards and tuning knobs.
-	FleetCoordinatorConfig = fleet.CoordinatorConfig
 	// FleetClient is a synchronous wire-protocol client.
 	FleetClient = fleet.Client
 	// FleetLimits bounds what a wire decoder will allocate per message.
 	FleetLimits = fleet.Limits
-	// FleetTimeouts sets a client's per-op dial/read/write deadlines.
-	FleetTimeouts = fleet.Timeouts
-	// FleetTimeoutError reports an op that exceeded its deadline —
-	// distinct from FleetRemoteError (the shard answered with a fault).
-	FleetTimeoutError = fleet.TimeoutError
-	// FleetRemoteError is a typed fault answered over the wire.
-	FleetRemoteError = fleet.RemoteError
-	// FleetHealthConfig tunes probing, strike thresholds and retry.
-	FleetHealthConfig = fleet.HealthConfig
-	// FleetHealthState is a shard's routing state: up, suspect or down.
-	FleetHealthState = fleet.HealthState
-	// QuorumCheckpointStore replicates checkpoints W-of-N over stores.
-	QuorumCheckpointStore = session.QuorumStore
 )
 
 // NewFleetShard returns a worker shard serving cfg.Manager.
 func NewFleetShard(cfg FleetShardConfig) (*FleetShard, error) { return fleet.NewShard(cfg) }
 
-// NewFleetCoordinator returns a coordinator over cfg.Shards.
-func NewFleetCoordinator(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) {
-	return fleet.NewCoordinator(cfg)
-}
-
-// FleetTakeOver rebuilds a coordinator from the replicated stores'
-// fleet meta record and fences the predecessor out at a higher epoch —
-// the acquisition step an elected candidate runs at its lease epoch
-// (DESIGN.md §17, §18).
-func FleetTakeOver(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) {
-	return fleet.TakeOver(cfg)
-}
-
-// ErrFleetDeposed: a coordinator fenced out by a successor's higher
-// epoch refuses all further operations with this error.
-var ErrFleetDeposed = fleet.ErrDeposed
-
-// NewQuorumCheckpointStore replicates every checkpoint onto `replicas`
-// of the given stores, requiring `quorum` writes to succeed; reads
-// fall back across surviving replicas.
-func NewQuorumCheckpointStore(stores []CheckpointStore, replicas, quorum int) (*QuorumCheckpointStore, error) {
-	return session.NewQuorumStore(stores, replicas, quorum)
-}
-
 // DialFleet connects to a shard or coordinator wire endpoint.
 func DialFleet(addr string, lim FleetLimits) (*FleetClient, error) { return fleet.Dial(addr, lim) }
-
-// DialFleetTimeouts is DialFleet with explicit per-op deadlines.
-func DialFleetTimeouts(addr string, lim FleetLimits, to FleetTimeouts) (*FleetClient, error) {
-	return fleet.DialTimeouts(addr, lim, to)
-}
 
 // NewDirCheckpointStore opens (creating it if needed) a
 // directory-backed checkpoint store.
@@ -491,79 +398,4 @@ func StreamAttackOptions(w, h int, unknownVB bool, seed int64) ReconstructOption
 // sessions on a SessionManager with StreamAttackOptions instead.
 func NewStreamAttack(w, h int, unknownVB bool, seed int64) (*StreamReconstructor, error) {
 	return core.NewStream(w, h, StreamAttackOptions(w, h, unknownVB, seed))
-}
-
-// LoadVideo reads a .bbv recording from path under the default decode
-// limits (a crafted header cannot force a large allocation).
-func LoadVideo(path string) (*Video, error) { return vidstream.Load(path) }
-
-// SaveVideo writes a recording to path in .bbv format.
-func SaveVideo(path string, v *Video) error { return vidstream.Save(path, v) }
-
-// Gallery-view ingestion (DESIGN.md §16): compose N participant
-// streams into one platform-style composite, or demux a composite back
-// into per-participant sub-streams and fan them out onto supervised
-// sessions — locally via SessionConfig.Gallery + FeedComposite, or
-// across a fleet via NewFleetGalleryFanout.
-type (
-	// GallerySpec is the layout grammar: tile geometry, gutters,
-	// pagination and the active-speaker variant, deterministic from a
-	// seed.
-	GallerySpec = gallery.Spec
-	// GalleryParticipant is one per-participant stream with its join
-	// frame.
-	GalleryParticipant = gallery.Participant
-	// GalleryResult is a composed meeting: the composite video plus
-	// per-frame tile ground truth.
-	GalleryResult = gallery.Result
-	// GalleryRect is a tile rectangle on the composite canvas.
-	GalleryRect = gallery.Rect
-	// GalleryDemuxConfig bounds and tunes the tile detector/splitter.
-	GalleryDemuxConfig = gallery.Config
-	// GallerySplitLimits are the decode-style allocation bounds the
-	// demuxer enforces before every allocation.
-	GallerySplitLimits = gallery.SplitLimits
-	// GalleryUpdate reports one composite frame's demux outcome:
-	// leaves, joins, rejoins, then tile frames, in that order.
-	GalleryUpdate = gallery.Update
-	// GalleryStats are cumulative demuxer counters.
-	GalleryStats = gallery.Stats
-	// GalleryLaneStream is one demuxed participant sub-stream.
-	GalleryLaneStream = gallery.LaneStream
-	// GallerySessionConfig arms a SessionManager for composite ingest
-	// via FeedComposite (set it as SessionConfig.Gallery).
-	GallerySessionConfig = session.GalleryConfig
-	// FleetGallerySink adapts a coordinator or client into a gallery
-	// fan-out target.
-	FleetGallerySink = fleet.GallerySink
-)
-
-// Gallery layout variants.
-const (
-	GalleryGrid          = gallery.VariantGrid
-	GalleryActiveSpeaker = gallery.VariantActiveSpeaker
-)
-
-// ComposeGallery tiles the participants into one composite meeting
-// stream under spec's layout grammar.
-func ComposeGallery(parts []GalleryParticipant, spec GallerySpec) (*GalleryResult, error) {
-	return gallery.Compose(parts, spec)
-}
-
-// SplitGallery demuxes a composite meeting recording into
-// per-participant sub-streams (grid inference from gutter runs,
-// temporal stability voting, bounded allocation).
-func SplitGallery(v *Video, cfg GalleryDemuxConfig) ([]*GalleryLaneStream, GalleryStats, error) {
-	return gallery.SplitVideo(v, cfg)
-}
-
-// GalleryTileID is the default lane → session id mapping used by
-// gallery fan-out ("tile-00", "tile-01", ...).
-func GalleryTileID(lane int) string { return gallery.DefaultTileID(lane) }
-
-// NewFleetGalleryFanout wires a composite demuxer to a fleet
-// coordinator or client: one Feed per composite frame drives
-// shard-routed sessions for every participant tile.
-func NewFleetGalleryFanout(cfg GalleryDemuxConfig, api fleet.SessionAPI) (*gallery.Fanout, *FleetGallerySink) {
-	return fleet.NewGalleryFanout(cfg, api)
 }

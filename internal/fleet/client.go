@@ -58,9 +58,6 @@ type Timeouts struct {
 	Write time.Duration
 }
 
-// DefaultTimeouts returns the default per-op deadlines.
-func DefaultTimeouts() Timeouts { return Timeouts{}.withDefaults() }
-
 func (t Timeouts) withDefaults() Timeouts {
 	if t.Dial == 0 {
 		t.Dial = 5 * time.Second

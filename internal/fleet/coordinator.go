@@ -42,7 +42,7 @@ type CoordinatorConfig struct {
 	// of ReplicaFactor).
 	WriteQuorum int
 	// Timeouts bounds per-op I/O on shard connections opened by the
-	// default dialer (zero fields: DefaultTimeouts).
+	// default dialer (zero fields take the Timeouts defaults).
 	Timeouts Timeouts
 	// Health tunes the shard health state machine, probe cadence, and
 	// idempotent-op retry policy (zero fields: defaults).
@@ -518,8 +518,8 @@ func (c *Coordinator) Detach(id string) ([]byte, error) {
 // deleteCheckpoint removes the id's replicated checkpoint. An
 // *OrphanError — logical removal succeeded, some replica copies leaked
 // — is absorbed here: the session is gone either way, the leak is
-// counted (OrphanedDeletes) and logged, and the autopilot scrubber
-// sweeps the leftover copies on its next pass.
+// counted (Status reports it as Auto.OrphanDels) and logged, and the
+// autopilot scrubber sweeps the leftover copies on its next pass.
 func (c *Coordinator) deleteCheckpoint(id string) error {
 	err := c.cfg.Store.Delete(id)
 	var orphan *session.OrphanError
@@ -666,26 +666,11 @@ func (c *Coordinator) Recoveries() (resumed, reopened, failed uint64) {
 // Migrations returns completed live migrations since start.
 func (c *Coordinator) Migrations() uint64 { return c.migrations.Load() }
 
-// OrphanedDeletes returns the checkpoint deletes that met their quorum
-// but left replicas behind (swept later by the scrubber).
-func (c *Coordinator) OrphanedDeletes() uint64 { return c.orphanDels.Load() }
-
 // Probation returns the shards currently in probation, sorted.
 func (c *Coordinator) Probation() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.shardsLocked(RoleProbation)
-}
-
-// WeightOf returns addr's capacity weight (its configured weight, or 1,
-// when addr is not a shard).
-func (c *Coordinator) WeightOf(addr string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s := c.shards[addr]; s != nil {
-		return s.weight
-	}
-	return clampWeight(c.cfg.Weights[addr])
 }
 
 // Store exposes the coordinator's checkpoint store — what the

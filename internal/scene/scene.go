@@ -77,9 +77,6 @@ type Object struct {
 	Text string
 }
 
-// Area returns the object's bounding-box pixel area.
-func (o Object) Area() int { return (o.X1 - o.X0) * (o.Y1 - o.Y0) }
-
 // Scene is a generated room background: the fully lit base raster plus
 // the object inventory.
 type Scene struct {

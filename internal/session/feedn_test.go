@@ -1,8 +1,9 @@
 package session
 
 import (
-	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/bgbuster/bgbuster/internal/core"
 )
@@ -95,40 +96,72 @@ func TestSessionFeedNRecoverableFaults(t *testing.T) {
 	}
 }
 
-// TestSessionFeedNQueuePolicies: a batch occupies one queue slot; under
-// PolicyReject a full queue refuses it and counts every frame dropped.
-func TestSessionFeedNQueuePolicies(t *testing.T) {
+// TestSessionFeedNDropOldest: a batch occupies one queue slot, and a
+// later FeedN that finds the queue full evicts the queued batch whole,
+// counting every one of its frames dropped, without ever returning an
+// error to the feeder.
+func TestSessionFeedNDropOldest(t *testing.T) {
 	frames, sils := testFrames(8)
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
 	opts := testOpts()
-	opts.Segmenter = slowSegmenter{d: 50 * 1e6} // 50ms: hold the worker busy
-	mgr := NewManager(Config{QueueDepth: 1, DefaultQueuePolicy: PolicyReject})
+	opts.IdentifyAfter = 1 // the first fed frame reaches the segmenter
+	opts.Segmenter = gateSegmenter{release: release}
+	mgr := NewManager(Config{QueueDepth: 1})
 	defer mgr.Close()
+	defer unblock() // runs before Close, so a failure cannot wedge cleanup
 	s, err := mgr.Open("s", testW, testH, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(i, j int) []core.Frame {
+	batch := func(i, j int) []core.Frame {
 		var fs []core.Frame
 		for ; i < j; i++ {
 			fs = append(fs, core.Frame{Img: frames[i], Oracle: sils[i]})
 		}
 		return fs
 	}
-	// Fill the worker and the single queue slot, then overflow.
-	_ = s.FeedN(mk(0, 2))
-	_ = s.FeedN(mk(2, 4))
-	var rejected bool
-	for try := 0; try < 3; try++ {
-		if err := s.FeedN(mk(4, 8)); errors.Is(err, ErrQueueFull) {
-			rejected = true
-			break
+	feed := func(fs []core.Frame) {
+		t.Helper()
+		if err := s.FeedN(fs); err != nil {
+			t.Fatalf("FeedN under overload: %v", err)
 		}
 	}
-	if !rejected {
-		t.Fatal("full queue never rejected a batch under PolicyReject")
+
+	// Wedge the worker inside batch A, so the one queue slot is all the
+	// room there is. The worker holds the stream lock while wedged, so
+	// the counters are read directly rather than through Stats.
+	feed(batch(0, 1))
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.queue) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never took the first batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	feed(batch(1, 4)) // B (3 frames) takes the free slot
+	if d := s.dropped.Load(); d != 0 {
+		t.Fatalf("dropped=%d with a free slot, want 0", d)
+	}
+	feed(batch(4, 6)) // C evicts B
+	if d := s.dropped.Load(); d != 3 {
+		t.Fatalf("dropped=%d after evicting B, want its 3 frames", d)
+	}
+	feed(batch(6, 8)) // D evicts C
+	if d := s.dropped.Load(); d != 5 {
+		t.Fatalf("dropped=%d after evicting C, want 3+2", d)
+	}
+
+	unblock()
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.FramesDropped < 4 {
-		t.Fatalf("dropped=%d, want the whole rejected batch (≥4) counted", st.FramesDropped)
+	if st.FramesFed != 8 || st.FramesDropped != 5 {
+		t.Fatalf("fed=%d dropped=%d, want 8/5", st.FramesFed, st.FramesDropped)
+	}
+	if st.FramesFed != st.FramesProcessed+st.FramesDropped+st.FramesRejected {
+		t.Fatalf("frame accounting leaks: %+v", st)
 	}
 }

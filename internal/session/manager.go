@@ -15,8 +15,8 @@ import (
 	"github.com/bgbuster/bgbuster/internal/session/stats"
 )
 
-// ErrManagerClosed is returned by Open, OpenWith, Feed and Restore
-// once Manager.Close has begun. It wraps ErrClosed, so existing
+// ErrManagerClosed is returned by Open, Feed and Restore once
+// Manager.Close has begun. It wraps ErrClosed, so existing
 // errors.Is(err, ErrClosed) checks keep matching while callers that
 // care can distinguish a closed manager from one session's closed
 // intake.
@@ -31,80 +31,18 @@ var ErrFleetFull = errors.New("session: fleet full")
 // StreamReconstructor.MemFootprint past Config.MemBudget.
 var ErrMemoryBudget = errors.New("session: memory budget exhausted")
 
-// ErrQueueFull is returned by Feed under the PolicyReject and
-// PolicyBlock queue policies when the frame could not be enqueued.
-var ErrQueueFull = errors.New("session: queue full")
-
 // ErrNoSession is returned by Manager.Feed for an id with no open
 // session (never opened, closed, or evicted).
 var ErrNoSession = errors.New("session: no such session")
 
-// QueuePolicy selects what Feed does when a session's frame queue is
-// full. The zero value defers to Config.DefaultQueuePolicy (which
-// itself defaults to drop-oldest).
-type QueuePolicy int
-
-const (
-	// PolicyDefault defers to Config.DefaultQueuePolicy.
-	PolicyDefault QueuePolicy = iota
-	// PolicyDropOldest evicts the oldest queued frame to make room —
-	// a live adversary that falls behind loses stale frames, never the
-	// call. This is the historical (and default) behaviour.
-	PolicyDropOldest
-	// PolicyReject drops the new frame instead and returns ErrQueueFull,
-	// for callers that prefer explicit backpressure over silent loss.
-	PolicyReject
-	// PolicyBlock waits up to the block deadline for queue space, then
-	// drops the new frame and returns ErrQueueFull. Feed is no longer
-	// non-blocking under this policy; Close can wait up to one deadline
-	// per blocked feeder.
-	PolicyBlock
-)
-
-// String names the policy for logs and flags.
-func (p QueuePolicy) String() string {
-	switch p {
-	case PolicyDefault:
-		return "default"
-	case PolicyDropOldest:
-		return "drop-oldest"
-	case PolicyReject:
-		return "reject"
-	case PolicyBlock:
-		return "block"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// SessionOptions are per-session knobs for OpenWith; the zero value
-// inherits every default from the Config.
-type SessionOptions struct {
-	// QueuePolicy overrides Config.DefaultQueuePolicy for this session.
-	QueuePolicy QueuePolicy
-	// BlockDeadline overrides Config.BlockDeadline for PolicyBlock.
-	BlockDeadline time.Duration
-}
-
 // Config tunes the Manager. The zero value is usable: 32-frame queues,
 // drop-oldest intake, no idle eviction, no admission limits, no
-// auto-restart, 256 coverage samples per session.
+// auto-restart.
 type Config struct {
-	// BaseContext is the root of the manager's cancellation tree; the
-	// sweeper, watchdog, supervisor and every session worker descend
-	// from it, and Manager.Close cancels the whole tree. Nil means
-	// context.Background().
-	BaseContext context.Context
-
-	// QueueDepth bounds each session's frame queue; when full, the
-	// session's queue policy decides (non-positive: 32).
+	// QueueDepth bounds each session's frame queue; when it is full, the
+	// oldest queued item is dropped to admit the new one (non-positive:
+	// 32).
 	QueueDepth int
-	// DefaultQueuePolicy applies to sessions opened without an explicit
-	// per-session policy (PolicyDefault resolves to PolicyDropOldest).
-	DefaultQueuePolicy QueuePolicy
-	// BlockDeadline bounds how long a PolicyBlock Feed waits for queue
-	// space (non-positive: 250ms).
-	BlockDeadline time.Duration
 
 	// MaxSessions caps the number of concurrently open sessions; Open
 	// and Restore past the cap return ErrFleetFull (0: unlimited).
@@ -127,9 +65,6 @@ type Config struct {
 	// SweepEvery is the eviction sweep period (non-positive: 1s, or
 	// IdleTimeout/4 if smaller).
 	SweepEvery time.Duration
-	// CoverageSamples bounds each session's coverage-over-time ring
-	// (non-positive: 256).
-	CoverageSamples int
 	// Checkpoints, when set, makes every session durably checkpoint its
 	// stream: periodically while live (CheckpointInterval), and once
 	// more after Finalize — which covers eviction, so an idle-swept call
@@ -157,11 +92,6 @@ type Config struct {
 	// between attempts and a sliding-window circuit breaker
 	// (DESIGN.md §13).
 	AutoRestart bool
-	// RestartOptions, when set, supplies the reconstruction options for
-	// a restarted id; nil reuses the options the session was opened
-	// (or restored) with. Options must match the checkpoint fingerprint
-	// or the restart attempt fails and counts toward the breaker.
-	RestartOptions func(id string) core.Options
 	// MaxRestarts is the circuit-breaker cap: once an id has been
 	// restarted this many times within RestartWindow, the next trigger
 	// trips the breaker and the session becomes PermanentlyFailed
@@ -237,20 +167,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BaseContext == nil {
-		c.BaseContext = context.Background()
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
-	}
-	if c.DefaultQueuePolicy == PolicyDefault {
-		c.DefaultQueuePolicy = PolicyDropOldest
-	}
-	if c.BlockDeadline <= 0 {
-		c.BlockDeadline = 250 * time.Millisecond
-	}
-	if c.CoverageSamples <= 0 {
-		c.CoverageSamples = 256
 	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 5 * time.Second
@@ -319,7 +237,7 @@ type Manager struct {
 	cfg Config
 
 	// ctx is the root of the manager's cancellation tree (sweeper,
-	// watchdog, supervisor, blocked feeders); Close cancels it.
+	// watchdog, supervisor); Close cancels it.
 	ctx        context.Context
 	cancel     context.CancelFunc
 	closedFlag atomic.Bool
@@ -382,7 +300,7 @@ func NewManager(cfg Config) *Manager {
 		cfg:      cfg.withDefaults(),
 		sessions: map[string]*Session{},
 	}
-	m.ctx, m.cancel = context.WithCancel(m.cfg.BaseContext)
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	if m.cfg.IdleTimeout > 0 {
 		m.sweepDone = make(chan struct{})
 		go m.sweep()
@@ -399,29 +317,19 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Context returns the manager's root context; it is cancelled when
-// Close begins (or when Config.BaseContext is cancelled).
-func (m *Manager) Context() context.Context { return m.ctx }
-
 // Open starts a live session reconstructing a call of the given frame
-// geometry with the manager's default queue policy. opts follows
-// core.NewStream (VBKnownImage or VBUnknownImage). The id must be
-// unique among open sessions.
+// geometry. opts follows core.NewStream (VBKnownImage or
+// VBUnknownImage). The id must be unique among open sessions.
+// Admission control applies: past Config.MaxSessions it returns
+// ErrFleetFull, past Config.MemBudget it returns ErrMemoryBudget —
+// unless Config.EvictOnPressure sheds the least-recently-fed session
+// instead.
 func (m *Manager) Open(id string, w, h int, opts core.Options) (*Session, error) {
-	return m.OpenWith(id, w, h, opts, SessionOptions{})
-}
-
-// OpenWith is Open with per-session options (queue policy, block
-// deadline). Admission control applies: past Config.MaxSessions it
-// returns ErrFleetFull, past Config.MemBudget it returns
-// ErrMemoryBudget — unless Config.EvictOnPressure sheds the
-// least-recently-fed session instead.
-func (m *Manager) OpenWith(id string, w, h int, opts core.Options, so SessionOptions) (*Session, error) {
 	stream, err := core.NewStream(w, h, opts)
 	if err != nil {
 		return nil, fmt.Errorf("session %q: %w", id, err)
 	}
-	return m.register(id, stream, opts, so, regMeta{}, m.cfg.EvictOnPressure)
+	return m.register(id, stream, opts, regMeta{}, m.cfg.EvictOnPressure)
 }
 
 // admitLocked is the admission decision for one new session of
@@ -458,13 +366,13 @@ type regMeta struct {
 // register installs a (new or resumed) stream as a running session,
 // applying admission control. With evictOK, admission pressure evicts
 // the least-recently-fed session and retries instead of rejecting.
-func (m *Manager) register(id string, stream *core.StreamReconstructor, opts core.Options, so SessionOptions, meta regMeta, evictOK bool) (*Session, error) {
+func (m *Manager) register(id string, stream *core.StreamReconstructor, opts core.Options, meta regMeta, evictOK bool) (*Session, error) {
 	fp := stream.MemFootprint()
 	for attempt := 0; ; attempt++ {
 		m.mu.Lock()
 		err := m.admitLocked(id, fp)
 		if err == nil {
-			s := m.installLocked(id, stream, opts, so, fp, meta)
+			s := m.installLocked(id, stream, opts, fp, meta)
 			m.mu.Unlock()
 			m.opened.Inc()
 			if meta.restored {
@@ -511,23 +419,14 @@ func (m *Manager) pressureVictimLocked() *Session {
 // the provenance meta read by lock-free observers — is written before
 // the session is published into the map: once another goroutine can
 // reach the session through m.sessions, it is fully initialized.
-func (m *Manager) installLocked(id string, stream *core.StreamReconstructor, opts core.Options, so SessionOptions, fp uint64, meta regMeta) *Session {
-	s := newSession(m, id, stream, m.cfg.QueueDepth, m.cfg.CoverageSamples)
+func (m *Manager) installLocked(id string, stream *core.StreamReconstructor, opts core.Options, fp uint64, meta regMeta) *Session {
+	s := newSession(m, id, stream, m.cfg.QueueDepth)
 	s.opts = opts
 	s.incarnation = meta.incarnation
 	if s.incarnation <= 0 {
 		s.incarnation = 1
 	}
 	s.memBytes = fp
-	s.so = so
-	s.policy = so.QueuePolicy
-	if s.policy == PolicyDefault {
-		s.policy = m.cfg.DefaultQueuePolicy
-	}
-	s.blockDeadline = so.BlockDeadline
-	if s.blockDeadline <= 0 {
-		s.blockDeadline = m.cfg.BlockDeadline
-	}
 	s.restored = meta.restored
 	s.resumedFrames = meta.resumedFrames
 	s.resumedCov = meta.resumedCoverage
@@ -632,7 +531,7 @@ func (m *Manager) Restore(optsFor func(id string) core.Options) ([]*Session, err
 			errs = append(errs, &RestoreError{ID: id, Err: results[i].err})
 			continue
 		}
-		s, err := m.register(id, results[i].stream, results[i].opts, SessionOptions{}, regMeta{restored: true}, false)
+		s, err := m.register(id, results[i].stream, results[i].opts, regMeta{restored: true}, false)
 		if err != nil {
 			shed := errors.Is(err, ErrFleetFull) || errors.Is(err, ErrMemoryBudget)
 			if shed {
@@ -668,7 +567,7 @@ func (m *Manager) ResumeSession(id string, data []byte, opts core.Options) (*Ses
 		resumedFrames: uint64(stream.Frames()),
 	}
 	meta.resumedCoverage = stream.Snapshot().Coverage.Fraction()
-	return m.register(id, stream, opts, SessionOptions{}, meta, false)
+	return m.register(id, stream, opts, meta, false)
 }
 
 // Get returns the current incarnation of the open session with the

@@ -61,11 +61,10 @@ type Session struct {
 
 	// Supervision identity (immutable after install): the options the
 	// stream was opened with (what a restart resurrects from), the
-	// per-session overrides, the incarnation number (1 = original; each
-	// supervisor restart registers incarnation+1 under the same id), and
-	// the admission-time memory footprint charged to Config.MemBudget.
+	// incarnation number (1 = original; each supervisor restart
+	// registers incarnation+1 under the same id), and the admission-time
+	// memory footprint charged to Config.MemBudget.
 	opts        core.Options
-	so          SessionOptions
 	incarnation int
 	memBytes    uint64
 	// resumedFrames/resumedCov record the checkpoint state this
@@ -73,11 +72,6 @@ type Session struct {
 	// restart with no stored checkpoint).
 	resumedFrames uint64
 	resumedCov    float64
-
-	// Intake policy (resolved at install time; PolicyDefault never
-	// survives installation).
-	policy        QueuePolicy
-	blockDeadline time.Duration
 
 	// Intake: sendMu serialises queue sends against intake close.
 	sendMu       sync.Mutex
@@ -130,7 +124,10 @@ type Session struct {
 	detached atomic.Bool // Detach in progress: loop must not finalize
 }
 
-func newSession(mgr *Manager, id string, stream *core.StreamReconstructor, queueDepth, coverageSamples int) *Session {
+// coverageSamples bounds each session's coverage-over-time ring.
+const coverageSamples = 256
+
+func newSession(mgr *Manager, id string, stream *core.StreamReconstructor, queueDepth int) *Session {
 	s := &Session{
 		id:       id,
 		mgr:      mgr,
@@ -156,18 +153,16 @@ func (s *Session) ID() string { return s.id }
 // 1 for the original session, +1 per auto-restart.
 func (s *Session) Incarnation() int { return s.incarnation }
 
-// Feed enqueues one frame. Under the default drop-oldest policy it
-// never blocks: when the queue is full the oldest queued frame is
-// dropped (counted in Stats as FramesDropped). PolicyReject returns
-// ErrQueueFull instead; PolicyBlock waits up to the block deadline for
-// queue space before giving up with ErrQueueFull. After Manager.Close
-// begins, Feed returns ErrManagerClosed; after the supervisor replaced
-// this incarnation, the stale handle returns ErrFailed (route through
-// Manager.Feed to always reach the live incarnation). The session does
-// not copy the frame or oracle; the caller must not mutate them
-// afterwards. Malformed frames (wrong geometry, nil oracle) are not
-// detected here but at processing time, where they are counted as
-// FramesRejected and the session carries on.
+// Feed enqueues one frame. It never blocks: when the queue is full the
+// oldest queued item is dropped (counted in Stats as FramesDropped) to
+// admit the new frame. After Manager.Close begins, Feed returns
+// ErrManagerClosed; after the supervisor replaced this incarnation, the
+// stale handle returns ErrFailed (route through Manager.Feed to always
+// reach the live incarnation). The session does not copy the frame or
+// oracle; the caller must not mutate them afterwards. Malformed frames
+// (wrong geometry, nil oracle) are not detected here but at processing
+// time, where they are counted as FramesRejected and the session
+// carries on.
 func (s *Session) Feed(frame *imagex.Image, oracle *imagex.Mask) error {
 	return s.enqueue(item{frame: frame, oracle: oracle})
 }
@@ -177,11 +172,10 @@ func (s *Session) Feed(frame *imagex.Image, oracle *imagex.Mask) error {
 // stream lock (core.StreamReconstructor.FeedN), amortising the
 // per-frame queue and lock overhead — the intended intake for replay
 // and catch-up traffic, where frames arrive faster than real time. The
-// queue policies treat the batch atomically: it occupies one slot of
-// Config.QueueDepth, and dropping it (drop-oldest eviction, PolicyReject)
-// drops — and counts — all of its frames. The ownership contract
-// matches Feed: the session does not copy frames or oracles. An empty
-// batch is a no-op.
+// batch occupies one slot of Config.QueueDepth, and a drop-oldest
+// eviction of it drops — and counts — all of its frames. The ownership
+// contract matches Feed: the session does not copy frames or oracles.
+// An empty batch is a no-op.
 func (s *Session) FeedN(frames []core.Frame) error {
 	if len(frames) == 0 {
 		return nil
@@ -189,8 +183,9 @@ func (s *Session) FeedN(frames []core.Frame) error {
 	return s.enqueue(item{batch: frames})
 }
 
-// enqueue applies the intake policy to one queue item (a frame or a
-// whole batch); frame accounting is by item.size.
+// enqueue queues one item (a frame or a whole batch), evicting the
+// oldest queued item when the queue is full; frame accounting is by
+// item.size.
 func (s *Session) enqueue(it item) error {
 	if s.mgr.closedFlag.Load() {
 		return fmt.Errorf("session %q: %w", s.id, ErrManagerClosed)
@@ -210,29 +205,6 @@ func (s *Session) enqueue(it item) error {
 	case s.queue <- it:
 		return nil
 	default:
-	}
-	switch s.policy {
-	case PolicyReject:
-		// Explicit backpressure: the new frame is dropped and the caller
-		// told, so it can throttle its capture rate.
-		s.dropped.Add(it.size())
-		return fmt.Errorf("session %q: %w", s.id, ErrQueueFull)
-	case PolicyBlock:
-		// Bounded wait for queue space. sendMu stays held, so a
-		// concurrent closeIntake (Close, eviction) waits out at most one
-		// deadline; manager shutdown cancels the wait immediately.
-		timer := time.NewTimer(s.blockDeadline)
-		defer timer.Stop()
-		select {
-		case s.queue <- it:
-			return nil
-		case <-timer.C:
-			s.dropped.Add(it.size())
-			return fmt.Errorf("session %q: %w (blocked %s)", s.id, ErrQueueFull, s.blockDeadline)
-		case <-s.mgr.ctx.Done():
-			s.dropped.Add(it.size())
-			return fmt.Errorf("session %q: %w", s.id, ErrManagerClosed)
-		}
 	}
 	// Drop-oldest: evict the oldest queued item, then retry once. The
 	// receive races with the worker; if the worker drained a slot

@@ -109,16 +109,13 @@ func (m *Manager) tryRestart(s *Session, recs map[string]*restartRec) {
 }
 
 // restartSession resurrects one Failed session as a new incarnation:
-// resume the stream from the last good checkpoint (fresh when the
-// store has none), swap a new Session into the manager's table under
-// the same id, and start its worker. The old handle stays readable and
-// Failed. A non-nil error counts as a failed attempt toward the
-// breaker.
+// resume the stream, under the options the session was opened with,
+// from the last good checkpoint (fresh when the store has none), swap
+// a new Session into the manager's table under the same id, and start
+// its worker. The old handle stays readable and Failed. A non-nil
+// error counts as a failed attempt toward the breaker.
 func (m *Manager) restartSession(old *Session, now time.Time) error {
 	opts := old.opts
-	if m.cfg.RestartOptions != nil {
-		opts = m.cfg.RestartOptions(old.id)
-	}
 	var (
 		stream   *core.StreamReconstructor
 		fromCkpt bool
@@ -162,7 +159,7 @@ func (m *Manager) restartSession(old *Session, now time.Time) error {
 		return nil
 	}
 	m.memUsed -= old.memBytes
-	ns := m.installLocked(old.id, stream, opts, old.so, stream.MemFootprint(), regMeta{
+	ns := m.installLocked(old.id, stream, opts, stream.MemFootprint(), regMeta{
 		restored:        old.restored,
 		incarnation:     old.incarnation + 1,
 		resumedFrames:   resumedFrames,

@@ -3,7 +3,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -386,109 +385,6 @@ func TestManagerClosedTyped(t *testing.T) {
 	if _, err := m.Restore(func(string) core.Options { return testOpts() }); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("restore after close = %v, want ErrManagerClosed", err)
 	}
-}
-
-// TestSessionQueuePolicies exercises PolicyReject and PolicyBlock with
-// the worker held mid-frame, so queue pressure is deterministic.
-func TestSessionQueuePolicies(t *testing.T) {
-	frames, sils := testFrames(8)
-
-	// gatedOpts wedges the worker inside its first segmented frame;
-	// IdentifyAfter 1 makes that the first fed frame, so queue pressure
-	// is immediate and deterministic. unblock is registered before the
-	// manager's Close so a failing subtest cannot wedge cleanup.
-	gatedOpts := func() (core.Options, func()) {
-		release := make(chan struct{})
-		var once sync.Once
-		unblock := func() { once.Do(func() { close(release) }) }
-		opts := testOpts()
-		opts.IdentifyAfter = 1
-		opts.Segmenter = gateSegmenter{release: release}
-		return opts, unblock
-	}
-
-	t.Run("reject", func(t *testing.T) {
-		opts, unblock := gatedOpts()
-		defer unblock()
-		m := NewManager(Config{QueueDepth: 1})
-		defer m.Close()
-		s, err := m.OpenWith("r", testW, testH, opts, SessionOptions{QueuePolicy: PolicyReject})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var full int
-		for i := 0; i < 4; i++ { // worker holds ≤1, queue holds 1: a later feed must reject
-			if err := s.Feed(frames[i], sils[i]); errors.Is(err, ErrQueueFull) {
-				full++
-			} else if err != nil {
-				t.Fatalf("feed %d: %v", i, err)
-			}
-		}
-		if full == 0 {
-			t.Fatal("no ErrQueueFull from a wedged 1-deep queue")
-		}
-		unblock()
-		if err := s.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		st := s.Stats()
-		if st.FramesDropped != uint64(full) {
-			t.Fatalf("dropped=%d, rejected feeds=%d", st.FramesDropped, full)
-		}
-	})
-
-	t.Run("block-timeout", func(t *testing.T) {
-		opts, unblock := gatedOpts()
-		defer unblock()
-		m := NewManager(Config{QueueDepth: 1})
-		defer m.Close()
-		s, err := m.OpenWith("b", testW, testH, opts, SessionOptions{
-			QueuePolicy:   PolicyBlock,
-			BlockDeadline: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var full int
-		for i := 0; i < 4; i++ {
-			if err := s.Feed(frames[i], sils[i]); errors.Is(err, ErrQueueFull) {
-				full++
-			} else if err != nil {
-				t.Fatalf("feed %d: %v", i, err)
-			}
-		}
-		if full == 0 {
-			t.Fatal("blocked feeds never timed out on a wedged queue")
-		}
-		unblock()
-		if err := s.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("block-waits", func(t *testing.T) {
-		opts, unblock := gatedOpts()
-		defer unblock()
-		m := NewManager(Config{QueueDepth: 1, DefaultQueuePolicy: PolicyBlock, BlockDeadline: 10 * time.Second})
-		defer m.Close()
-		s, err := m.Open("w", testW, testH, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		time.AfterFunc(20*time.Millisecond, unblock)
-		for i := range frames { // blocks until the release, then all flow
-			if err := s.Feed(frames[i], sils[i]); err != nil {
-				t.Fatalf("feed %d: %v", i, err)
-			}
-		}
-		if err := s.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		st := s.Stats()
-		if st.FramesDropped != 0 || st.FramesProcessed != uint64(len(frames)) {
-			t.Fatalf("blocking policy lost frames: %+v", st)
-		}
-	})
 }
 
 // TestManagerRestoreAdmission: a fleet restarting over its limits sheds
