@@ -243,7 +243,7 @@ func runServe(args []string) error {
 		if *autopilotOn {
 			apCfg := autopilot.Config{
 				Coordinator:  coord,
-				Rebalance:    autopilot.RebalanceConfig{HighWater: *rebalThresh},
+				HighWater:    *rebalThresh,
 				PlanEvery:    *planEvery,
 				ReadmitAfter: *readmitAfter,
 				Quarantine:   *quarantine,

@@ -652,8 +652,8 @@ loop:
 	fmt.Printf("manager: opened=%d closed=%d evicted=%d panics=%d degraded=%d stalls=%d abandoned=%d\n",
 		ms.Opened, ms.Closed, ms.Evicted, ms.Panics, ms.Degraded, ms.Stalls, ms.Abandoned)
 	if *restart || *maxSessions > 0 || *memBudget > 0 {
-		fmt.Printf("supervision: restarts=%d breaker-trips=%d shed=%d pressure-evicted=%d mem-used=%d\n",
-			ms.Restarts, ms.BreakerTrips, ms.Shed, ms.PressureEvicted, ms.MemUsed)
+		fmt.Printf("supervision: restarts=%d breaker-trips=%d shed=%d mem-used=%d\n",
+			ms.Restarts, ms.BreakerTrips, ms.Shed, ms.MemUsed)
 	}
 	if cfg.Checkpoints != nil {
 		var saved, failed, retries uint64
@@ -661,7 +661,7 @@ loop:
 			st := s.Stats()
 			saved += st.Checkpoints
 			failed += st.CheckpointErrors
-			retries += st.CheckpointRetries
+			retries += st.CheckpointSaveRetries
 		}
 		fmt.Printf("checkpoints: dir=%s saved=%d errors=%d retries=%d resumed=%d\n",
 			*ckptDir, saved, failed, retries, ms.Restored)

@@ -51,7 +51,7 @@ func TestComposeComponentPartition(t *testing.T) {
 			{c.LB, c.BB}, {c.LB, c.VB}, {c.BB, c.VB},
 		}
 		for pi, p := range pairs {
-			if !p[0].Disjoint(p[1]) {
+			if p[0].Overlap(p[1]) != 0 {
 				t.Fatalf("frame %d: component pair %d overlaps", i, pi)
 			}
 		}

@@ -21,12 +21,14 @@ import (
 type Config struct {
 	// Coordinator is the control plane's target (required).
 	Coordinator *fleet.Coordinator
-	// Rebalance tunes the load-aware planner.
-	Rebalance RebalanceConfig
+	// HighWater is the imbalance score — (max − min) / mean of
+	// per-shard weighted cost — above which a pass plans moves
+	// (<=0: 0.25). Once triggered, planning continues on later passes
+	// until the score drops below HighWater/2, so the fleet converges
+	// instead of oscillating around HighWater.
+	HighWater float64
 	// PlanEvery is the rebalancing pass cadence (<=0: 15s).
 	PlanEvery time.Duration
-	// ProbeEvery is the down-shard recovery probe cadence (<=0: 5s).
-	ProbeEvery time.Duration
 	// ReadmitAfter is the consecutive successful probes a down shard
 	// must answer before automatic re-admission (<=0: 3).
 	ReadmitAfter int
@@ -37,8 +39,6 @@ type Config struct {
 	// ScrubEvery is the checkpoint scrub cadence (<=0: 60s; scrubbing
 	// also requires the coordinator's store to be a QuorumStore).
 	ScrubEvery time.Duration
-	// ProbeTimeout bounds one recovery probe's dial+ping (<=0: 2s).
-	ProbeTimeout time.Duration
 	// Limits bounds decode budgets on probe connections (zero:
 	// defaults).
 	Limits fleet.Limits
@@ -56,11 +56,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.HighWater <= 0 {
+		c.HighWater = 0.25
+	}
 	if c.PlanEvery <= 0 {
 		c.PlanEvery = 15 * time.Second
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 5 * time.Second
 	}
 	if c.ReadmitAfter <= 0 {
 		c.ReadmitAfter = 3
@@ -71,15 +71,18 @@ func (c Config) withDefaults() Config {
 	if c.ScrubEvery <= 0 {
 		c.ScrubEvery = 60 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.Clock == nil {
 		c.Clock = faultinject.SystemClock()
 	}
-	c.Rebalance = c.Rebalance.withDefaults()
 	return c
 }
+
+// probeEvery is the down-shard recovery probe cadence; probeTimeout
+// bounds one probe's dial and ping.
+const (
+	probeEvery   = 5 * time.Second
+	probeTimeout = 2 * time.Second
+)
 
 // Autopilot is the fleet's hands-off control plane: a planning loop
 // draining hot shards through gated migrations, a recovery loop
@@ -93,7 +96,7 @@ type Autopilot struct {
 	clock faultinject.Clock
 
 	mu        sync.Mutex
-	active    bool                 // hysteresis: planning until below LowWater
+	active    bool                 // hysteresis: planning until below HighWater/2
 	lastMoved map[string]int64     // session id -> UnixNano of its last move
 	probeOK   map[string]int       // down shard -> consecutive probe successes
 	probStart map[string]time.Time // probation shard -> probation entry time
@@ -156,7 +159,7 @@ func (a *Autopilot) leading() bool {
 
 // PlanOnce runs one rebalancing pass: sample the fleet status, score the
 // imbalance, and — when the hysteresis band says so — migrate up to
-// MaxMoves cheapest sessions from the hottest shard to the coldest.
+// maxMoves cheapest sessions from the hottest shard to the coldest.
 // Returns the sessions moved. Per-move failures are joined, not fatal;
 // a failed move leaves the session where it was.
 func (a *Autopilot) PlanOnce() (moved int, err error) {
@@ -170,23 +173,23 @@ func (a *Autopilot) PlanOnce() (moved int, err error) {
 
 	a.mu.Lock()
 	switch {
-	case score > a.cfg.Rebalance.HighWater:
+	case score > a.cfg.HighWater:
 		a.active = true
-	case score < a.cfg.Rebalance.LowWater:
+	case score < a.cfg.HighWater/2:
 		a.active = false
 	}
 	active := a.active
 	now := a.clock.Now().UnixNano()
 	cooling := func(id string) bool {
 		last, ok := a.lastMoved[id]
-		return ok && now-last < a.cfg.Rebalance.Cooldown
+		return ok && now-last < int64(moveCooldown)
 	}
 	a.mu.Unlock()
 	if !active {
 		return 0, nil
 	}
 
-	plan := planMoves(costs, a.cfg.Rebalance.LowWater, a.cfg.Rebalance.MaxMoves, cooling)
+	plan := planMoves(costs, a.cfg.HighWater/2, maxMoves, cooling)
 	var errs []error
 	for _, m := range plan {
 		if err := a.coord.Migrate(m.ID, m.To); err != nil {
@@ -275,7 +278,7 @@ func (a *Autopilot) ReadmitOnce() (readmitted, promoted int, err error) {
 
 // probe pings addr over a short dedicated connection.
 func (a *Autopilot) probe(addr string) bool {
-	t := fleet.Timeouts{Dial: a.cfg.ProbeTimeout, Read: a.cfg.ProbeTimeout, Write: a.cfg.ProbeTimeout}
+	t := fleet.Timeouts{Dial: probeTimeout, Read: probeTimeout, Write: probeTimeout}
 	cl, err := fleet.DialTimeouts(addr, a.cfg.Limits, t)
 	if err != nil {
 		return false
@@ -338,7 +341,7 @@ func (a *Autopilot) Status() fleet.AutopilotInfo {
 	info := fleet.AutopilotInfo{
 		Enabled:      true,
 		Imbalance:    math.Float64frombits(a.imbalance.Load()),
-		Threshold:    a.cfg.Rebalance.HighWater,
+		Threshold:    a.cfg.HighWater,
 		Passes:       a.passes.Load(),
 		Moves:        a.moves.Load(),
 		Readmitted:   readmitted,
@@ -374,7 +377,7 @@ func (a *Autopilot) Start() {
 				a.logf("autopilot: plan: %v", err)
 			}
 		}},
-		{a.cfg.ProbeEvery, func() {
+		{probeEvery, func() {
 			if _, _, err := a.ReadmitOnce(); err != nil && !errors.Is(err, ErrNotLeader) {
 				a.logf("autopilot: readmit: %v", err)
 			}

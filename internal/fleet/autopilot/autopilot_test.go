@@ -120,15 +120,14 @@ func bootShard(t *testing.T, addr string) *testShard {
 	return ts
 }
 
-// fastHealth: one strike suspects, two strikes down, millisecond
-// backoff — deterministic and quick.
-func fastHealth() fleet.HealthConfig {
-	return fleet.HealthConfig{SuspectAfter: 1, DownAfter: 2, OpRetries: 1,
-		RetryBackoff: time.Millisecond, RetryBackoffCap: 2 * time.Millisecond}
-}
-
 func testTimeouts() fleet.Timeouts {
 	return fleet.Timeouts{Dial: 5 * time.Second, Read: 5 * time.Second, Write: 5 * time.Second}
+}
+
+// testDial is a CoordinatorConfig.Dial opening shard clients under
+// testTimeouts.
+func testDial(addr string, lim fleet.Limits) (*fleet.Client, error) {
+	return fleet.DialTimeouts(addr, lim, testTimeouts())
 }
 
 // --- planner unit tests ----------------------------------------------
@@ -216,8 +215,7 @@ func TestLoadsDegradeGracefully(t *testing.T) {
 	s0, s1 := bootShard(t, ""), bootShard(t, "")
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
 		Shards:      []string{s0.addr, s1.addr},
-		Timeouts:    testTimeouts(),
-		Health:      fastHealth(),
+		Dial:        testDial,
 		LoadTimeout: 500 * time.Millisecond,
 		Logf:        t.Logf,
 	})
@@ -298,8 +296,7 @@ func TestAutopilotSoak(t *testing.T) {
 		Shards:        []string{s0.addr, s1.addr, s2.addr, s3.addr},
 		Stores:        stores,
 		ReplicaFactor: 2, WriteQuorum: 2,
-		Timeouts:    testTimeouts(),
-		Health:      fastHealth(),
+		Dial:        testDial,
 		LoadTimeout: time.Second,
 		Logf:        t.Logf,
 	})
@@ -311,10 +308,9 @@ func TestAutopilotSoak(t *testing.T) {
 	clk := faultinject.NewFakeClock(time.Unix(1_754_600_000, 0))
 	ap, err := New(Config{
 		Coordinator:  coord,
-		Rebalance:    RebalanceConfig{HighWater: 0.5, MaxMoves: 2},
+		HighWater:    0.5,
 		ReadmitAfter: 2,
 		Quarantine:   time.Minute,
-		ProbeTimeout: time.Second,
 		Clock:        clk,
 		Logf:         t.Logf,
 	})
@@ -501,11 +497,10 @@ func TestAutopilotSoak(t *testing.T) {
 func TestReadmitMigrationRace(t *testing.T) {
 	s0, s1 := bootShard(t, ""), bootShard(t, "")
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Shards:   []string{s0.addr, s1.addr},
-		Stores:   []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()},
-		Timeouts: testTimeouts(),
-		Health:   fastHealth(),
-		Logf:     t.Logf,
+		Shards: []string{s0.addr, s1.addr},
+		Stores: []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()},
+		Dial:   testDial,
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -613,12 +608,11 @@ func TestDeposedCoordinatorFenced(t *testing.T) {
 	clk := faultinject.NewFakeClock(time.Unix(1_754_600_000, 0))
 
 	c1, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Shards:   []string{s0.addr, s1.addr},
-		Store:    qs,
-		Timeouts: testTimeouts(),
-		Health:   fastHealth(),
-		Epoch:    1,
-		Logf:     t.Logf,
+		Shards: []string{s0.addr, s1.addr},
+		Store:  qs,
+		Dial:   testDial,
+		Epoch:  1,
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -639,11 +633,10 @@ func TestDeposedCoordinatorFenced(t *testing.T) {
 	e2 := newTestElector(t, qs, clk, "coord-2", func(term, epoch uint64) {
 		var terr error
 		c2, terr = fleet.TakeOver(fleet.CoordinatorConfig{
-			Store:    qs,
-			Timeouts: testTimeouts(),
-			Health:   fastHealth(),
-			Epoch:    epoch,
-			Logf:     t.Logf,
+			Store: qs,
+			Dial:  testDial,
+			Epoch: epoch,
+			Logf:  t.Logf,
 		})
 		if terr != nil {
 			t.Errorf("takeover: %v", terr)

@@ -2,44 +2,19 @@ package autopilot
 
 import (
 	"sort"
+	"time"
 
 	"github.com/bgbuster/bgbuster/internal/fleet"
 )
 
-// RebalanceConfig tunes the load-aware planner.
-type RebalanceConfig struct {
-	// HighWater is the imbalance score — (max − min) / mean of
-	// per-shard weighted cost — above which a pass plans moves
-	// (<=0: 0.25).
-	HighWater float64
-	// LowWater is the hysteresis floor: once triggered, planning
-	// continues on subsequent passes until the score drops below it,
-	// so the fleet converges instead of oscillating around HighWater
-	// (<=0: HighWater/2).
-	LowWater float64
-	// MaxMoves bounds migrations per planning pass — rebalancing is
-	// rate-limited background work, not a stampede (<=0: 2).
-	MaxMoves int
-	// Cooldown is the minimum interval before the planner may move the
-	// same session again (<=0: 1m).
-	Cooldown int64 // nanoseconds; a plain int64 so the zero value reads as "default"
-}
-
-func (r RebalanceConfig) withDefaults() RebalanceConfig {
-	if r.HighWater <= 0 {
-		r.HighWater = 0.25
-	}
-	if r.LowWater <= 0 || r.LowWater > r.HighWater {
-		r.LowWater = r.HighWater / 2
-	}
-	if r.MaxMoves <= 0 {
-		r.MaxMoves = 2
-	}
-	if r.Cooldown <= 0 {
-		r.Cooldown = int64(60e9)
-	}
-	return r
-}
+const (
+	// maxMoves bounds migrations per planning pass — rebalancing is
+	// rate-limited background work, not a stampede.
+	maxMoves = 2
+	// moveCooldown is the minimum interval before the planner may move
+	// the same session again.
+	moveCooldown = time.Minute
+)
 
 // shardCost is one live shard's weighted planning cost.
 type shardCost struct {

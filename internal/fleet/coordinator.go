@@ -41,11 +41,8 @@ type CoordinatorConfig struct {
 	// WriteQuorum is W, the successes required per write (<=0: majority
 	// of ReplicaFactor).
 	WriteQuorum int
-	// Timeouts bounds per-op I/O on shard connections opened by the
-	// default dialer (zero fields take the Timeouts defaults).
-	Timeouts Timeouts
-	// Health tunes the shard health state machine, probe cadence, and
-	// idempotent-op retry policy (zero fields: defaults).
+	// Health sets the shard probe cadence and the retry jitter seed
+	// (zero fields: defaults).
 	Health HealthConfig
 	// Weights are initial per-shard capacity weights for weighted
 	// vnodes (missing/<=0: 1; clamped to maxWeight). SetWeight changes
@@ -62,8 +59,8 @@ type CoordinatorConfig struct {
 	// the shard instead of racing its successor's. TakeOver picks the
 	// successor epoch automatically.
 	Epoch uint64
-	// Dial opens a client to a shard (nil: DialTimeouts over TCP).
-	// Injectable for tests.
+	// Dial opens a client to a shard (nil: Dial over TCP, with the
+	// default Timeouts). Injectable for tests.
 	Dial func(addr string, lim Limits) (*Client, error)
 	// Logf receives routing and recovery diagnostics (nil: silent).
 	Logf func(format string, args ...any)
@@ -140,8 +137,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Store == nil {
 		cfg.Store = session.NewMemStore()
 	}
-	cfg.Timeouts = cfg.Timeouts.withDefaults()
-	cfg.Health = cfg.Health.withDefaults()
 	if cfg.LoadTimeout <= 0 {
 		cfg.LoadTimeout = 3 * time.Second
 	}
@@ -149,9 +144,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Epoch = 1
 	}
 	if cfg.Dial == nil {
-		cfg.Dial = func(addr string, lim Limits) (*Client, error) {
-			return DialTimeouts(addr, lim, cfg.Timeouts)
-		}
+		cfg.Dial = Dial
 	}
 	c := &Coordinator{
 		cfg:      cfg,
@@ -266,7 +259,7 @@ func idempotent(t MsgType) bool {
 // expiry instead feeds the health state machine — idempotent requests
 // get capped-jitter retries, non-idempotent ones surface the
 // *TimeoutError (unknown whether applied; the caller decides) — and
-// only DownAfter consecutive timeouts escalate to shard loss. The loop
+// only downAfter consecutive timeouts escalate to shard loss. The loop
 // is bounded — each iteration either succeeds, fails at the request
 // level, spends a retry, or permanently removes one shard.
 func (c *Coordinator) doRouted(id string, req *Message, want MsgType) (*Message, error) {
@@ -287,7 +280,7 @@ func (c *Coordinator) doRouted(id string, req *Message, want MsgType) (*Message,
 			c.mu.Lock()
 		}
 		addr := c.routeLocked(id)
-		if attempt >= len(c.shards)+c.cfg.Health.OpRetries+1 || addr == "" {
+		if attempt >= len(c.shards)+opRetries+1 || addr == "" {
 			c.mu.Unlock()
 			return nil, ErrNoShards
 		}
@@ -318,7 +311,7 @@ func (c *Coordinator) doRouted(id string, req *Message, want MsgType) (*Message,
 					c.handleShardLoss(addr)
 					continue // re-route onto survivors
 				}
-				if idempotent(req.Type) && retries < c.cfg.Health.OpRetries {
+				if idempotent(req.Type) && retries < opRetries {
 					retries++
 					c.backoff(retries)
 					continue

@@ -14,16 +14,14 @@ import (
 	"github.com/bgbuster/bgbuster/internal/session"
 )
 
-// fastHealth is the deterministic test tuning: one strike suspects,
-// two strikes down, one idempotent retry, millisecond backoff.
-func fastHealth() HealthConfig {
-	return HealthConfig{SuspectAfter: 1, DownAfter: 2, OpRetries: 1,
-		RetryBackoff: time.Millisecond, RetryBackoffCap: 2 * time.Millisecond}
-}
-
 // shortTimeouts keeps deadline-expiry tests fast.
 func shortTimeouts() Timeouts {
 	return Timeouts{Dial: 2 * time.Second, Read: 250 * time.Millisecond, Write: 2 * time.Second}
+}
+
+// dialWith is a CoordinatorConfig.Dial opening shard clients under t.
+func dialWith(t Timeouts) func(string, Limits) (*Client, error) {
+	return func(addr string, lim Limits) (*Client, error) { return DialTimeouts(addr, lim, t) }
 }
 
 // --- meta blob -------------------------------------------------------
@@ -140,9 +138,11 @@ func startStallShard(t *testing.T) (*testShard, *stallListener) {
 
 // TestFleetHealthProbeAndTimeout drives the up -> suspect -> down
 // machine with a stalled shard: a non-idempotent feed surfaces a
-// *TimeoutError within its deadline (never wedging), the idempotent
-// snapshot retries through the second strike, and the shard crossing
-// DownAfter triggers transparent recovery onto the survivor.
+// *TimeoutError within its deadline (never wedging) and one strike
+// (suspectAfter) marks the shard suspect. The timeout closed the
+// coordinator's connection to the shard, so the idempotent snapshot
+// fails hard on it before downAfter strikes can accrue: that is shard
+// loss, and the session recovers transparently onto the survivor.
 func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	frames, sils := leakFrames(4)
 	sA, stall := startStallShard(t)
@@ -150,7 +150,7 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	store := session.NewMemStore()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: store,
-		Timeouts: shortTimeouts(), Health: fastHealth(), Logf: t.Logf,
+		Dial: dialWith(shortTimeouts()), Logf: t.Logf,
 		LoadTimeout: shortTimeouts().Read, // Status samples the stalled shard too
 	})
 	if err != nil {
@@ -203,8 +203,8 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 		t.Fatalf("healthy shard %s reads %v", sB.addr, states[sB.addr])
 	}
 
-	// Idempotent op: retries, second strike crosses DownAfter, the
-	// session recovers onto the survivor, and the op still succeeds.
+	// Idempotent op: the closed connection is shard loss, the session
+	// recovers onto the survivor, and the op still succeeds.
 	snap, err := coord.Snapshot(id)
 	if err != nil {
 		t.Fatalf("snapshot across shard death: %v", err)
@@ -217,7 +217,7 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	}
 	for _, sh := range coord.Status().Shards {
 		if sh.Addr == sA.addr && sh.Health != HealthDown {
-			t.Fatalf("stalled shard reads %v after %d strikes, want down", sh.Health, 2)
+			t.Fatalf("stalled shard reads %v after recovery, want down", sh.Health)
 		}
 	}
 	if resumed, _, _ := coord.Recoveries(); resumed != 1 {
@@ -229,16 +229,17 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	}
 }
 
-// TestFleetProbeOnce drives the probe loop by hand: a stalled shard is
-// struck per probe, crosses DownAfter, and its sessions move before
-// any client request notices.
+// TestFleetProbeOnce drives the probe loop by hand: a stalled shard's
+// first probe timeout is a strike (suspect); the timeout closed the
+// probe's connection, so the second probe fails hard, the shard goes
+// down, and its sessions move before any client request notices.
 func TestFleetProbeOnce(t *testing.T) {
 	frames, sils := leakFrames(2)
 	sA, stall := startStallShard(t)
 	sB := startShard(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
-		Timeouts: shortTimeouts(), Health: fastHealth(), Logf: t.Logf,
+		Dial: dialWith(shortTimeouts()), Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +269,7 @@ func TestFleetProbeOnce(t *testing.T) {
 		t.Fatalf("one probe strike = %v, want suspect", st[sA.addr])
 	}
 	if st := coord.ProbeOnce(); st[sA.addr] != HealthDown {
-		t.Fatalf("two probe strikes = %v, want down", st[sA.addr])
+		t.Fatalf("second probe = %v, want down", st[sA.addr])
 	}
 	// Recovery already happened behind the probe: feeding never blocks.
 	if err := coord.Feed(id, core.Frame{Img: frames[1], Oracle: sils[1]}); err != nil {
@@ -499,7 +500,7 @@ func TestJoinRestartedShardKeepsSessionsOpenedWhileDown(t *testing.T) {
 	sA, sB := startShard(t), startShard(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
-		Health: fastHealth(), Logf: t.Logf,
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +554,7 @@ func TestDrainShardEndsProbation(t *testing.T) {
 	sA, sB := startShard(t), startShard(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
-		Health: fastHealth(), Logf: t.Logf,
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -995,7 +996,7 @@ func newFailedDrain(t *testing.T) (coord *Coordinator, sA, sB *testShard, id str
 	sA, sB = startShard(t), startShard(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
-		Health: fastHealth(), Logf: t.Logf,
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1139,9 +1140,8 @@ func TestFleetElasticitySoak(t *testing.T) {
 		Shards:        []string{s0.addr, s1.addr, s2.addr},
 		Stores:        []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()},
 		ReplicaFactor: 2, WriteQuorum: 1,
-		Timeouts: Timeouts{Read: 5 * time.Second, Write: 5 * time.Second, Dial: 5 * time.Second},
-		Health:   fastHealth(),
-		Logf:     t.Logf,
+		Dial: dialWith(Timeouts{Read: 5 * time.Second, Write: 5 * time.Second, Dial: 5 * time.Second}),
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1261,7 +1261,7 @@ func TestStatusSamplesStalledShardsConcurrently(t *testing.T) {
 	const loadTimeout = 250 * time.Millisecond
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
-		Timeouts: shortTimeouts(), Health: fastHealth(), Logf: t.Logf,
+		Dial: dialWith(shortTimeouts()), Logf: t.Logf,
 		LoadTimeout: loadTimeout,
 	})
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 // error (connection refused/reset — the process is gone) jumps
 // straight to down and triggers recovery, while a deadline expiry (the
 // peer may be alive but slow or partitioned) only counts a strike —
-// up -> suspect after SuspectAfter strikes, suspect -> down after
-// DownAfter. Any successful round trip resets a non-down shard to up;
+// up -> suspect after suspectAfter strikes, suspect -> down after
+// downAfter. Any successful round trip resets a non-down shard to up;
 // down is sticky until the shard returns via Readmit or Join.
 type HealthState uint8
 
@@ -33,54 +33,33 @@ func (s HealthState) String() string {
 	return "unknown"
 }
 
-// HealthConfig tunes the coordinator's shard health machinery.
+// HealthConfig tunes the coordinator's shard health machinery. The
+// strike thresholds and the retry policy are fixed: one timeout marks a
+// shard suspect and three mark it down; an idempotent request is
+// retried at most twice on the same shard after a timeout, with a
+// jittered backoff from 50ms doubling to 1s.
 type HealthConfig struct {
 	// ProbeInterval is the cadence of the background ping loop (0: no
 	// background probes; ProbeOnce still works — tests drive it
 	// manually for determinism).
 	ProbeInterval time.Duration
-	// SuspectAfter is the consecutive timeouts marking a shard suspect
-	// (<=0: 1).
-	SuspectAfter int
-	// DownAfter is the consecutive timeouts marking a shard down and
-	// triggering session recovery (<=0: 3; clamped to >= SuspectAfter).
-	DownAfter int
-	// OpRetries bounds same-shard retries of an idempotent request
-	// after a timeout (<0: 0 — surface the first timeout; 0 default: 2).
-	OpRetries int
-	// RetryBackoff is the base of the capped exponential backoff
-	// between retries (<=0: 50ms).
-	RetryBackoff time.Duration
-	// RetryBackoffCap caps the backoff (<=0: 1s).
-	RetryBackoffCap time.Duration
 	// Seed drives the retry jitter (deterministic by default).
 	Seed int64
 }
 
-func (h HealthConfig) withDefaults() HealthConfig {
-	if h.SuspectAfter <= 0 {
-		h.SuspectAfter = 1
-	}
-	if h.DownAfter <= 0 {
-		h.DownAfter = 3
-	}
-	if h.DownAfter < h.SuspectAfter {
-		h.DownAfter = h.SuspectAfter
-	}
-	if h.OpRetries == 0 {
-		h.OpRetries = 2
-	}
-	if h.OpRetries < 0 {
-		h.OpRetries = 0
-	}
-	if h.RetryBackoff <= 0 {
-		h.RetryBackoff = 50 * time.Millisecond
-	}
-	if h.RetryBackoffCap <= 0 {
-		h.RetryBackoffCap = time.Second
-	}
-	return h
-}
+const (
+	// suspectAfter and downAfter are the consecutive timeouts that mark
+	// a shard suspect and down; down triggers session recovery.
+	suspectAfter = 1
+	downAfter    = 3
+	// opRetries bounds same-shard retries of an idempotent request
+	// after a timeout.
+	opRetries = 2
+	// retryBackoff is the base of the capped exponential backoff
+	// between retries, and retryBackoffCap its cap.
+	retryBackoff    = 50 * time.Millisecond
+	retryBackoffCap = time.Second
+)
 
 // markUp resets a shard to healthy after any successful round trip.
 // Down stays down — its sessions have already been recovered away, and
@@ -104,19 +83,19 @@ func (c *Coordinator) recordTimeout(addr string) (lost bool) {
 		return false
 	}
 	s.fails++
-	if int(s.fails) >= c.cfg.Health.SuspectAfter {
+	if s.fails >= suspectAfter {
 		s.health = HealthSuspect
 	}
-	return int(s.fails) >= c.cfg.Health.DownAfter
+	return s.fails >= downAfter
 }
 
 // backoff sleeps the capped-jitter retry delay for the given retry
 // ordinal: full jitter over [d/2, d] where d doubles per retry up to
 // the cap, so synchronized retries from many sessions spread out.
 func (c *Coordinator) backoff(retry int) {
-	d := c.cfg.Health.RetryBackoff << (retry - 1)
-	if cap := c.cfg.Health.RetryBackoffCap; d > cap || d <= 0 {
-		d = cap
+	d := retryBackoff << (retry - 1)
+	if d > retryBackoffCap || d <= 0 {
+		d = retryBackoffCap
 	}
 	c.rngMu.Lock()
 	jittered := d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
@@ -127,7 +106,7 @@ func (c *Coordinator) backoff(retry int) {
 // ProbeOnce pings every shard that may serve sessions — active,
 // probation, or draining — once and feeds the results to the health
 // machine: a hard transport error is shard loss, a timeout is a strike
-// (escalating to loss past DownAfter), success resets to up. It returns
+// (escalating to loss at downAfter), success resets to up. It returns
 // the post-probe states of the ring members. The background loop calls
 // this on ProbeInterval; tests call it directly for determinism.
 func (c *Coordinator) ProbeOnce() map[string]HealthState {

@@ -159,7 +159,7 @@ func FuzzGallerySplit(f *testing.F) {
 		// Accepted ⇒ stable tiling: replaying the last accepted frame
 		// settles, after which identical frames cause no retiles,
 		// flaps, joins or leaves.
-		for i := 0; i < d.cfg.VoteFrames+1; i++ {
+		for i := 0; i < d.cfg.voteFrames()+1; i++ {
 			if _, err := d.Feed(lastAccepted); err != nil {
 				t.Fatalf("settling feed %d of previously accepted frame rejected: %v", i, err)
 			}

@@ -35,8 +35,8 @@ type SplitLimits struct {
 	// (<=0: 256 MiB). Detected tiles are disjoint sub-rects, so this
 	// also bounds each buffered pending frame.
 	MaxTotalBytes int64
-	// MaxPendingFrames caps the stability-voting buffer (<=0: 8).
-	// Config.VoteFrames may not exceed it.
+	// MaxPendingFrames caps the stability-voting buffer (<=0: 8). The
+	// vote count is min(2, MaxPendingFrames).
 	MaxPendingFrames int
 }
 
@@ -62,18 +62,6 @@ func (l SplitLimits) withDefaults() SplitLimits {
 // Config tunes the demuxer. The zero value selects the defaults.
 type Config struct {
 	Limits SplitLimits
-	// VoteFrames is how many consecutive frames must agree on a new
-	// tiling before it is committed (<=0: 2). Frames observed while a
-	// tiling is pending are buffered and replayed on commit, so voting
-	// costs latency, never frames.
-	VoteFrames int
-	// MatchTol is the per-channel tolerance for tile↔lane content
-	// matching (<0: 0; exact).
-	MatchTol int
-	// MinMatchFrac is the fraction of pixels that must match for a tile
-	// to stay on (or be matched to) a lane (<=0: 0.5). Tiles matching
-	// no lane above this become new lanes (joins).
-	MinMatchFrac float64
 	// Rejoin also matches unassigned tiles against departed lanes, so a
 	// participant who drops and comes back resumes their lane id.
 	Rejoin bool
@@ -81,20 +69,19 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	c.Limits = c.Limits.withDefaults()
-	if c.VoteFrames <= 0 {
-		c.VoteFrames = 2
-	}
-	if c.VoteFrames > c.Limits.MaxPendingFrames {
-		c.VoteFrames = c.Limits.MaxPendingFrames
-	}
-	if c.MatchTol < 0 {
-		c.MatchTol = 0
-	}
-	if c.MinMatchFrac <= 0 {
-		c.MinMatchFrac = 0.5
-	}
 	return c
 }
+
+// voteFrames is how many consecutive frames must agree on a new tiling
+// before it is committed, bounded by the pending buffer. Frames observed
+// while a tiling is pending are buffered and replayed on commit, so
+// voting costs latency, never frames.
+func (c Config) voteFrames() int { return min(2, c.Limits.MaxPendingFrames) }
+
+// minMatchFrac is the fraction of a tile's pixels that must equal a
+// lane's last frame exactly for the tile to stay on (or be matched to)
+// that lane. Tiles matching no lane this well become new lanes (joins).
+const minMatchFrac = 0.5
 
 // LaneFrame is one demuxed tile frame attributed to a lane.
 type LaneFrame struct {
@@ -254,7 +241,7 @@ func (d *Demuxer) Feed(frame *imagex.Image) (*Update, error) {
 			return nil, err
 		}
 		d.pending = append(d.pending, pendingFrame{tiles: tiles})
-		if len(d.pending) >= d.cfg.VoteFrames {
+		if len(d.pending) >= d.cfg.voteFrames() {
 			d.commit(up)
 		}
 	default:
@@ -269,7 +256,7 @@ func (d *Demuxer) Feed(frame *imagex.Image) (*Update, error) {
 		}
 		d.pendingTiling = tiling
 		d.pending = append(d.pending, pendingFrame{tiles: tiles})
-		if len(d.pending) >= d.cfg.VoteFrames {
+		if len(d.pending) >= d.cfg.voteFrames() {
 			d.commit(up)
 		}
 	}
@@ -324,8 +311,8 @@ func (d *Demuxer) matches(img *imagex.Image, ln *lane) bool {
 	if img.W != ln.w || img.H != ln.h {
 		return false
 	}
-	need := int(d.cfg.MinMatchFrac * float64(img.W*img.H))
-	return ln.last.MatchCountTol(img, d.cfg.MatchTol) >= need
+	need := int(minMatchFrac * float64(img.W*img.H))
+	return ln.last.MatchCount(img) >= need
 }
 
 // matchScore is the fraction of matching pixels, or -1 on geometry
@@ -334,7 +321,7 @@ func (d *Demuxer) matchScore(img *imagex.Image, ln *lane) float64 {
 	if img.W != ln.w || img.H != ln.h {
 		return -1
 	}
-	return float64(ln.last.MatchCountTol(img, d.cfg.MatchTol)) / float64(img.W*img.H)
+	return float64(ln.last.MatchCount(img)) / float64(img.W*img.H)
 }
 
 type pairScore struct {
@@ -351,7 +338,7 @@ type pairScore struct {
 func (d *Demuxer) rematch(up *Update, tiles []*imagex.Image) {
 	var pairs []pairScore
 	score := func(slot int, img *imagex.Image, ln *lane, rejoin bool) {
-		if s := d.matchScore(img, ln); s >= d.cfg.MinMatchFrac {
+		if s := d.matchScore(img, ln); s >= minMatchFrac {
 			pairs = append(pairs, pairScore{slot: slot, laneID: ln.id, rejoin: rejoin, score: s})
 		}
 	}

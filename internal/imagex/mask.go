@@ -379,19 +379,6 @@ func (m *Mask) Overlap(o *Mask) int {
 	return n
 }
 
-// Disjoint reports whether the two masks share no set bit.
-func (m *Mask) Disjoint(o *Mask) bool {
-	if !m.SameSize(o) {
-		return true
-	}
-	for i, w := range m.words {
-		if w&o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Dilate returns a new mask in which a bit is set if any source bit lies
 // within Euclidean distance radius. This is exactly the paper's blending
 // blur recovery (Section V-C): for every pixel with VBM=1, all pixels
@@ -416,38 +403,6 @@ func (m *Mask) Dilate(radius int) *Mask {
 // which hoists the extent table and scratch rows out of the loop.
 func (m *Mask) DilateInto(dst *Mask, radius int) *Mask {
 	return NewDilator(m.W, m.H, radius).DilateInto(dst, m)
-}
-
-// Erode returns a new mask in which a bit survives only if every pixel
-// within the given radius was set (and in bounds). It is computed by
-// duality — erode(m) = m ∖ dilate(¬m) — plus clearing the border band of
-// width radius, whose discs poke out of bounds (the disc reaches exactly
-// radius along the axes).
-func (m *Mask) Erode(radius int) *Mask {
-	if radius <= 0 {
-		return m.Clone()
-	}
-	inv := m.Clone()
-	inv.Invert()
-	out := m.Clone()
-	// Same geometry by construction; Subtract cannot fail.
-	_ = out.Subtract(inv.Dilate(radius))
-	if 2*radius >= m.W || 2*radius >= m.H {
-		return NewMask(m.W, m.H)
-	}
-	wpr := wordsPerRow(m.W)
-	for y := 0; y < m.H; y++ {
-		row := out.words[y*wpr : (y+1)*wpr]
-		if y < radius || y >= m.H-radius {
-			for j := range row {
-				row[j] = 0
-			}
-			continue
-		}
-		clearRange(row, 0, radius)
-		clearRange(row, m.W-radius, m.W)
-	}
-	return out
 }
 
 // Boundary returns the set bits that touch (8-connectivity) at least one
@@ -510,44 +465,6 @@ func (m *Mask) ToImage() *Image {
 		im.Pix[i] = White
 	})
 	return im
-}
-
-// BBox returns the tight bounding box (x0, y0, x1, y1) of set bits, with
-// x1/y1 exclusive, and ok=false when the mask is empty.
-func (m *Mask) BBox() (x0, y0, x1, y1 int, ok bool) {
-	wpr := wordsPerRow(m.W)
-	x0, y0 = m.W, m.H
-	for y := 0; y < m.H; y++ {
-		row := m.words[y*wpr : (y+1)*wpr]
-		if rowEmpty(row) {
-			continue
-		}
-		if !ok {
-			y0 = y
-		}
-		ok = true
-		y1 = y + 1
-		for wi := 0; wi < wpr; wi++ {
-			if row[wi] != 0 {
-				if first := wi<<6 + bits.TrailingZeros64(row[wi]); first < x0 {
-					x0 = first
-				}
-				break
-			}
-		}
-		for wi := wpr - 1; wi >= 0; wi-- {
-			if row[wi] != 0 {
-				if last := wi<<6 + 63 - bits.LeadingZeros64(row[wi]); last+1 > x1 {
-					x1 = last + 1
-				}
-				break
-			}
-		}
-	}
-	if !ok {
-		return 0, 0, 0, 0, false
-	}
-	return x0, y0, x1, y1, true
 }
 
 // WordBytes returns the size of the mask's packed-word encoding
@@ -617,21 +534,6 @@ func setRange(row []uint64, x0, x1 int) {
 		row[w] = ^uint64(0)
 	}
 	row[w1] |= rangeMask(0, uint((x1-1)&63)+1)
-}
-
-// clearRange clears bits [x0, x1) of a row; callers guarantee
-// 0 ≤ x0 < x1 ≤ W.
-func clearRange(row []uint64, x0, x1 int) {
-	w0, w1 := x0>>6, (x1-1)>>6
-	if w0 == w1 {
-		row[w0] &^= rangeMask(uint(x0&63), uint((x1-1)&63)+1)
-		return
-	}
-	row[w0] &^= ^uint64(0) << (uint(x0) & 63)
-	for w := w0 + 1; w < w1; w++ {
-		row[w] = 0
-	}
-	row[w1] &^= rangeMask(0, uint((x1-1)&63)+1)
 }
 
 // rangeMask returns a word with bits [a, b) set; 0 ≤ a < b ≤ 64.

@@ -148,15 +148,6 @@ func BenchmarkMaskOpsDilateSim(b *testing.B) {
 	}
 }
 
-func BenchmarkMaskOpsErode(b *testing.B) {
-	m := benchSilhouette(benchW, benchH)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Erode(3)
-	}
-}
-
 func BenchmarkMaskOpsBoundary(b *testing.B) {
 	m := benchSilhouette(benchW, benchH)
 	b.ReportAllocs()

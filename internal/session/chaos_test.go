@@ -210,11 +210,8 @@ func TestChaosFailingStoreDegradesNotStops(t *testing.T) {
 	inner := NewMemStore()
 	flaky := faultinject.NewFlakyStore(inner, faultinject.StoreProfile{Seed: 1, SaveFail: 1})
 	m := NewManager(Config{
-		Checkpoints:          flaky,
-		CheckpointInterval:   time.Nanosecond,
-		CheckpointRetries:    3,
-		CheckpointBackoff:    time.Microsecond,
-		CheckpointBackoffMax: 10 * time.Microsecond,
+		Checkpoints:        flaky,
+		CheckpointInterval: time.Nanosecond,
 	})
 	defer m.Close()
 	s, err := m.Open("doomed-store", testW, testH, testOpts())
@@ -244,11 +241,11 @@ func TestChaosFailingStoreDegradesNotStops(t *testing.T) {
 	if st.Checkpoints != 0 {
 		t.Fatalf("%d checkpoints succeeded on an always-failing store", st.Checkpoints)
 	}
-	if st.CheckpointErrors == 0 || st.CheckpointRetries == 0 || st.CheckpointFailStreak == 0 {
+	if st.CheckpointErrors == 0 || st.CheckpointSaveRetries == 0 || st.CheckpointFailStreak == 0 {
 		t.Fatalf("retry telemetry not recorded: %+v", st)
 	}
 	// Every failed attempt the session saw is an injected fault the store
-	// counted, and each cycle burns CheckpointRetries attempts.
+	// counted, and each cycle burns all 3 attempts.
 	sc := flaky.StoreCounters()
 	if sc.InjectedSaveErrs != st.CheckpointErrors {
 		t.Fatalf("store injected %d save errors, session counted %d", sc.InjectedSaveErrs, st.CheckpointErrors)
@@ -278,15 +275,12 @@ func TestChaosConcurrentSessionsRace(t *testing.T) {
 		PartialWrite: 0.2,
 	})
 	m := NewManager(Config{
-		Checkpoints:          flaky,
-		CheckpointInterval:   time.Millisecond,
-		CheckpointRetries:    2,
-		CheckpointBackoff:    time.Microsecond,
-		CheckpointBackoffMax: 10 * time.Microsecond,
-		MaxImpulseNoise:      0.02,
-		StallTimeout:         time.Minute, // armed, but nothing here stalls that long
-		CloseTimeout:         30 * time.Second,
-		QueueDepth:           2 * len(frames),
+		Checkpoints:        flaky,
+		CheckpointInterval: time.Millisecond,
+		MaxImpulseNoise:    0.02,
+		StallTimeout:       time.Minute, // armed, but nothing here stalls that long
+		CloseTimeout:       30 * time.Second,
+		QueueDepth:         2 * len(frames),
 	})
 
 	const nSessions = 10

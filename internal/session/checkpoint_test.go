@@ -587,7 +587,6 @@ func TestEvictThenRestoreRace(t *testing.T) {
 		Checkpoints:        store,
 		CheckpointInterval: time.Millisecond,
 		IdleTimeout:        250 * time.Millisecond,
-		SweepEvery:         20 * time.Millisecond,
 	})
 	defer m.Close()
 

@@ -20,7 +20,7 @@ import "fmt"
 //     further frames are processed. With Config.AutoRestart the
 //     supervisor resurrects the id as a new incarnation.
 //   - PermanentlyFailed: the circuit breaker gave up — the id burned
-//     through Config.MaxRestarts restarts within RestartWindow and the
+//     through Config.MaxRestarts restarts within one minute and the
 //     supervisor will not try again. Terminal; operator judgement
 //     required.
 type Health int32

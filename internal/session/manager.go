@@ -51,20 +51,11 @@ type Config struct {
 	// StreamReconstructor.MemFootprint in bytes; Open and Restore past
 	// it return ErrMemoryBudget (0: unlimited).
 	MemBudget int64
-	// EvictOnPressure lets Open shed load instead of rejecting: when
-	// admission would fail, the least-recently-fed open session is
-	// evicted (finalized, checkpointed if a store is configured) to
-	// make room, repeatedly until the new session fits or the fleet is
-	// empty. Restore never evicts — a restart backlog must not push out
-	// live calls.
-	EvictOnPressure bool
 
 	// IdleTimeout evicts sessions that have not been fed for this
-	// long. Zero disables eviction.
+	// long, checked every IdleTimeout/4 (at least 5ms, at most 1s).
+	// Zero disables eviction.
 	IdleTimeout time.Duration
-	// SweepEvery is the eviction sweep period (non-positive: 1s, or
-	// IdleTimeout/4 if smaller).
-	SweepEvery time.Duration
 	// Checkpoints, when set, makes every session durably checkpoint its
 	// stream: periodically while live (CheckpointInterval), and once
 	// more after Finalize — which covers eviction, so an idle-swept call
@@ -73,18 +64,10 @@ type Config struct {
 	Checkpoints CheckpointStore
 	// CheckpointInterval paces the periodic per-session checkpoints
 	// (non-positive: 5s). Its magnitude bounds how many frames a crash
-	// can lose.
+	// can lose. Each checkpoint makes up to three Save attempts; when
+	// all fail, the session keeps the last good checkpoint in the
+	// store, degrades its health, and keeps processing frames.
 	CheckpointInterval time.Duration
-	// CheckpointRetries is the total number of Save attempts per
-	// checkpoint cycle (non-positive: 3). When a whole cycle fails the
-	// session keeps the last good checkpoint in the store, degrades its
-	// health, and keeps processing frames.
-	CheckpointRetries int
-	// CheckpointBackoff is the delay before the first Save retry,
-	// doubling per retry up to CheckpointBackoffMax (non-positive:
-	// 25ms and 500ms respectively).
-	CheckpointBackoff    time.Duration
-	CheckpointBackoffMax time.Duration
 
 	// AutoRestart arms the supervisor: a Failed session is resurrected
 	// from its last good checkpoint (or fresh, if none exists) as a new
@@ -93,28 +76,10 @@ type Config struct {
 	// (DESIGN.md §13).
 	AutoRestart bool
 	// MaxRestarts is the circuit-breaker cap: once an id has been
-	// restarted this many times within RestartWindow, the next trigger
+	// restarted this many times within one minute, the next trigger
 	// trips the breaker and the session becomes PermanentlyFailed
 	// (non-positive: 5).
 	MaxRestarts int
-	// RestartWindow is the breaker's sliding window (non-positive: 1m).
-	RestartWindow time.Duration
-	// RestartBackoff delays a retry after a failed restart attempt,
-	// doubling per consecutive failure up to RestartBackoffMax
-	// (non-positive: 10ms and 1s respectively). A successful restart
-	// resets the backoff.
-	RestartBackoff    time.Duration
-	RestartBackoffMax time.Duration
-	// SupervisorInterval paces the supervisor's scan for Failed
-	// sessions; failure notifications wake it early (non-positive:
-	// 10ms).
-	SupervisorInterval time.Duration
-
-	// RestoreConcurrency bounds how many checkpoints Restore loads and
-	// decodes in parallel (non-positive: 4). Registration stays serial
-	// in id order, so which sessions are shed under admission limits is
-	// deterministic.
-	RestoreConcurrency int
 
 	// QualityGate, when set, screens every well-formed frame before it
 	// reaches the reconstructor; a non-nil error rejects the frame
@@ -173,41 +138,20 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 5 * time.Second
 	}
-	if c.CheckpointRetries <= 0 {
-		c.CheckpointRetries = 3
-	}
-	if c.CheckpointBackoff <= 0 {
-		c.CheckpointBackoff = 25 * time.Millisecond
-	}
-	if c.CheckpointBackoffMax <= 0 {
-		c.CheckpointBackoffMax = 500 * time.Millisecond
-	}
 	if c.MaxRestarts <= 0 {
 		c.MaxRestarts = 5
 	}
-	if c.RestartWindow <= 0 {
-		c.RestartWindow = time.Minute
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 10 * time.Millisecond
-	}
-	if c.RestartBackoffMax <= 0 {
-		c.RestartBackoffMax = time.Second
-	}
-	if c.SupervisorInterval <= 0 {
-		c.SupervisorInterval = 10 * time.Millisecond
-	}
-	if c.RestoreConcurrency <= 0 {
-		c.RestoreConcurrency = 4
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = time.Second
-		if c.IdleTimeout > 0 && c.IdleTimeout/4 < c.SweepEvery {
-			c.SweepEvery = c.IdleTimeout / 4
-		}
-	}
 	return c
 }
+
+// minScanPeriod floors the idle sweep and watchdog periods, so a tiny
+// timeout never asks for a zero or runaway ticker.
+const minScanPeriod = 5 * time.Millisecond
+
+// restoreConcurrency bounds how many checkpoints Restore loads and
+// decodes in parallel. Registration stays serial in id order, so which
+// sessions are shed under admission limits is deterministic.
+const restoreConcurrency = 4
 
 // RestartEvent is one supervisor resurrection, recorded in the
 // manager's bounded restart log (RestartEvents).
@@ -248,18 +192,17 @@ type Manager struct {
 	memUsed    uint64 // summed admission-time footprints of open sessions
 	restartLog []RestartEvent
 
-	opened        stats.Counter
-	closedCnt     stats.Counter
-	evictions     stats.Counter
-	pressureEvict stats.Counter
-	panics        stats.Counter
-	restores      stats.Counter
-	restarts      stats.Counter
-	breakerTrips  stats.Counter
-	degrades      stats.Counter
-	stalls        stats.Counter
-	abandoned     stats.Counter
-	shed          stats.Counter // admission rejections (fleet-full + memory-budget)
+	opened       stats.Counter
+	closedCnt    stats.Counter
+	evictions    stats.Counter
+	panics       stats.Counter
+	restores     stats.Counter
+	restarts     stats.Counter
+	breakerTrips stats.Counter
+	degrades     stats.Counter
+	stalls       stats.Counter
+	abandoned    stats.Counter
+	shed         stats.Counter // admission rejections (fleet-full + memory-budget)
 
 	failedCh  chan struct{} // wakes the supervisor on a worker failure
 	sweepDone chan struct{}
@@ -321,15 +264,13 @@ func NewManager(cfg Config) *Manager {
 // geometry. opts follows core.NewStream (VBKnownImage or
 // VBUnknownImage). The id must be unique among open sessions.
 // Admission control applies: past Config.MaxSessions it returns
-// ErrFleetFull, past Config.MemBudget it returns ErrMemoryBudget —
-// unless Config.EvictOnPressure sheds the least-recently-fed session
-// instead.
+// ErrFleetFull, past Config.MemBudget it returns ErrMemoryBudget.
 func (m *Manager) Open(id string, w, h int, opts core.Options) (*Session, error) {
 	stream, err := core.NewStream(w, h, opts)
 	if err != nil {
 		return nil, fmt.Errorf("session %q: %w", id, err)
 	}
-	return m.register(id, stream, opts, regMeta{}, m.cfg.EvictOnPressure)
+	return m.register(id, stream, opts, regMeta{})
 }
 
 // admitLocked is the admission decision for one new session of
@@ -364,54 +305,25 @@ type regMeta struct {
 }
 
 // register installs a (new or resumed) stream as a running session,
-// applying admission control. With evictOK, admission pressure evicts
-// the least-recently-fed session and retries instead of rejecting.
-func (m *Manager) register(id string, stream *core.StreamReconstructor, opts core.Options, meta regMeta, evictOK bool) (*Session, error) {
+// applying admission control.
+func (m *Manager) register(id string, stream *core.StreamReconstructor, opts core.Options, meta regMeta) (*Session, error) {
 	fp := stream.MemFootprint()
-	for attempt := 0; ; attempt++ {
-		m.mu.Lock()
-		err := m.admitLocked(id, fp)
-		if err == nil {
-			s := m.installLocked(id, stream, opts, fp, meta)
-			m.mu.Unlock()
-			m.opened.Inc()
-			if meta.restored {
-				m.restores.Inc()
-			}
-			go s.loop()
-			return s, nil
-		}
-		var victim *Session
-		shedding := errors.Is(err, ErrFleetFull) || errors.Is(err, ErrMemoryBudget)
-		if shedding && evictOK && attempt < 1+len(m.sessions) {
-			victim = m.pressureVictimLocked()
-		}
+	m.mu.Lock()
+	if err := m.admitLocked(id, fp); err != nil {
 		m.mu.Unlock()
-		if victim == nil {
-			if shedding {
-				m.shed.Inc()
-			}
-			return nil, err
+		if errors.Is(err, ErrFleetFull) || errors.Is(err, ErrMemoryBudget) {
+			m.shed.Inc()
 		}
-		victim.evicted.Store(true)
-		m.evictions.Inc()
-		m.pressureEvict.Inc()
-		m.logf("session %q evicted under admission pressure (admitting %q)", victim.id, id)
-		_ = victim.Close() // finalizes (final checkpoint included) and releases its budget
+		return nil, err
 	}
-}
-
-// pressureVictimLocked picks the least-recently-fed open session.
-// Caller holds m.mu.
-func (m *Manager) pressureVictimLocked() *Session {
-	var victim *Session
-	var oldest int64
-	for _, s := range m.sessions {
-		if last := s.lastFeed.Load(); victim == nil || last < oldest {
-			victim, oldest = s, last
-		}
+	s := m.installLocked(id, stream, opts, fp, meta)
+	m.mu.Unlock()
+	m.opened.Inc()
+	if meta.restored {
+		m.restores.Inc()
 	}
-	return victim
+	go s.loop()
+	return s, nil
 }
 
 // installLocked creates the Session record and accounts its footprint.
@@ -467,10 +379,10 @@ func (e *RestoreError) Unwrap() error { return e.Err }
 // options for each session id; they must match the options the
 // checkpoint was written under (the embedded fingerprint is verified).
 //
-// Loading and decoding run with bounded concurrency
-// (Config.RestoreConcurrency); registration is serial in sorted id
-// order and subject to admission control, so a fleet restarting over
-// its limits sheds the same ids every time. Restore returns the
+// Loading and decoding run at most restoreConcurrency at a time;
+// registration is serial in sorted id order and subject to admission
+// control, so a fleet restarting over its limits sheds the same ids
+// every time. Restore returns the
 // sessions it managed to resume even when some ids fail — a corrupt or
 // mismatched checkpoint is quarantined: that id is skipped, a
 // *RestoreError naming it joins the returned error, and the stored
@@ -497,7 +409,7 @@ func (m *Manager) Restore(optsFor func(id string) core.Options) ([]*Session, err
 		err    error
 	}
 	results := make([]decoded, len(ids))
-	sem := make(chan struct{}, m.cfg.RestoreConcurrency)
+	sem := make(chan struct{}, restoreConcurrency)
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
@@ -531,7 +443,7 @@ func (m *Manager) Restore(optsFor func(id string) core.Options) ([]*Session, err
 			errs = append(errs, &RestoreError{ID: id, Err: results[i].err})
 			continue
 		}
-		s, err := m.register(id, results[i].stream, results[i].opts, regMeta{restored: true}, false)
+		s, err := m.register(id, results[i].stream, results[i].opts, regMeta{restored: true})
 		if err != nil {
 			shed := errors.Is(err, ErrFleetFull) || errors.Is(err, ErrMemoryBudget)
 			if shed {
@@ -551,8 +463,7 @@ func (m *Manager) Restore(optsFor func(id string) core.Options) ([]*Session, err
 // bytes travel over the wire, and the destination calls ResumeSession
 // to carry the stream on bit-identically. opts must match the
 // checkpoint's embedded options fingerprint. Admission control applies
-// exactly as in Restore (no pressure eviction — a migration must not
-// push out live calls); the configured CheckpointStore is not
+// exactly as in Restore; the configured CheckpointStore is not
 // consulted or written.
 func (m *Manager) ResumeSession(id string, data []byte, opts core.Options) (*Session, error) {
 	if m.closedFlag.Load() {
@@ -567,7 +478,7 @@ func (m *Manager) ResumeSession(id string, data []byte, opts core.Options) (*Ses
 		resumedFrames: uint64(stream.Frames()),
 	}
 	meta.resumedCoverage = stream.Snapshot().Coverage.Fraction()
-	return m.register(id, stream, opts, meta, false)
+	return m.register(id, stream, opts, meta)
 }
 
 // Get returns the current incarnation of the open session with the
@@ -661,7 +572,8 @@ func (m *Manager) list() []*Session {
 // sweep is the idle-eviction loop.
 func (m *Manager) sweep() {
 	defer close(m.sweepDone)
-	t := time.NewTicker(m.cfg.SweepEvery)
+	// A quarter of the idle timeout, at most 1s and at least minScanPeriod.
+	t := time.NewTicker(min(max(m.cfg.IdleTimeout/4, minScanPeriod), time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -687,11 +599,7 @@ func (m *Manager) sweep() {
 // monotonically degraded (DESIGN.md §12).
 func (m *Manager) watchdog() {
 	defer close(m.watchDone)
-	period := m.cfg.StallTimeout / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	t := time.NewTicker(period)
+	t := time.NewTicker(max(m.cfg.StallTimeout/4, minScanPeriod))
 	defer t.Stop()
 	for {
 		select {
@@ -804,11 +712,8 @@ type ManagerSnapshot struct {
 	Restored     uint64
 	Restarts     uint64
 	BreakerTrips uint64
-	// Shed counts admission rejections (ErrFleetFull + ErrMemoryBudget)
-	// and PressureEvicted the sessions evicted to admit newer ones
-	// (each also counts in Evicted).
-	Shed            uint64
-	PressureEvicted uint64
+	// Shed counts admission rejections (ErrFleetFull + ErrMemoryBudget).
+	Shed uint64
 	// MemUsed is the fleet's summed admission-time stream footprints;
 	// MemBudget echoes Config.MemBudget (0: unlimited).
 	MemUsed   uint64
@@ -834,21 +739,20 @@ type ManagerSnapshot struct {
 func (m *Manager) Stats() ManagerSnapshot {
 	sessions := m.list()
 	snap := ManagerSnapshot{
-		Open:            len(sessions),
-		Opened:          m.opened.Load(),
-		Closed:          m.closedCnt.Load(),
-		Evicted:         m.evictions.Load(),
-		Panics:          m.panics.Load(),
-		Restored:        m.restores.Load(),
-		Restarts:        m.restarts.Load(),
-		BreakerTrips:    m.breakerTrips.Load(),
-		Shed:            m.shed.Load(),
-		PressureEvicted: m.pressureEvict.Load(),
-		MemUsed:         m.MemUsed(),
-		MemBudget:       m.cfg.MemBudget,
-		Degraded:        m.degrades.Load(),
-		Stalls:          m.stalls.Load(),
-		Abandoned:       m.abandoned.Load(),
+		Open:         len(sessions),
+		Opened:       m.opened.Load(),
+		Closed:       m.closedCnt.Load(),
+		Evicted:      m.evictions.Load(),
+		Panics:       m.panics.Load(),
+		Restored:     m.restores.Load(),
+		Restarts:     m.restarts.Load(),
+		BreakerTrips: m.breakerTrips.Load(),
+		Shed:         m.shed.Load(),
+		MemUsed:      m.MemUsed(),
+		MemBudget:    m.cfg.MemBudget,
+		Degraded:     m.degrades.Load(),
+		Stalls:       m.stalls.Load(),
+		Abandoned:    m.abandoned.Load(),
 	}
 	for _, s := range sessions {
 		st := s.Stats()

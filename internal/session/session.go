@@ -482,13 +482,22 @@ func (s *Session) Checkpoint() error {
 	return s.checkpoint()
 }
 
+// checkpointAttempts is the number of Save tries per checkpoint cycle;
+// checkpointBackoff is the sleep before the first retry, doubled before
+// each later one.
+const (
+	checkpointAttempts = 3
+	checkpointBackoff  = 25 * time.Millisecond
+)
+
 // checkpoint serialises the stream under streamMu and saves the bytes
 // outside the lock, so a slow store never stalls observers or the feed
-// path longer than the encode itself. Save is retried with capped
-// exponential backoff (Config.CheckpointRetries/Backoff); when the
-// whole cycle fails the session falls back to the last good checkpoint
-// already in the store, degrades its health, and keeps processing
-// frames — durability trouble must never stop the reconstruction.
+// path longer than the encode itself. Save is tried up to
+// checkpointAttempts times, sleeping checkpointBackoff and then twice
+// that between tries; when the whole cycle fails the session falls
+// back to the last good checkpoint already in the store, degrades its
+// health, and keeps processing frames — durability trouble must never
+// stop the reconstruction.
 func (s *Session) checkpoint() error {
 	s.streamMu.Lock()
 	data, err := s.stream.Checkpoint()
@@ -499,8 +508,6 @@ func (s *Session) checkpoint() error {
 		s.noteCheckpointCycleFailure(1, err)
 		return fmt.Errorf("session %q: checkpoint: %w", s.id, err)
 	}
-	attempts := s.mgr.cfg.CheckpointRetries
-	backoff := s.mgr.cfg.CheckpointBackoff
 	for try := 1; ; try++ {
 		err = s.mgr.cfg.Checkpoints.Save(s.id, data)
 		if err == nil {
@@ -510,15 +517,12 @@ func (s *Session) checkpoint() error {
 			return nil
 		}
 		s.ckptErrs.Inc()
-		if try >= attempts {
-			s.noteCheckpointCycleFailure(attempts, err)
+		if try >= checkpointAttempts {
+			s.noteCheckpointCycleFailure(checkpointAttempts, err)
 			return fmt.Errorf("session %q: checkpoint: %w", s.id, err)
 		}
 		s.ckptRetries.Inc()
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > s.mgr.cfg.CheckpointBackoffMax {
-			backoff = s.mgr.cfg.CheckpointBackoffMax
-		}
+		time.Sleep(checkpointBackoff << (try - 1))
 	}
 }
 
@@ -736,11 +740,11 @@ type Snapshot struct {
 	// counts failed attempts (encode or store; every retry counts).
 	Checkpoints      uint64
 	CheckpointErrors uint64
-	// CheckpointRetries counts Save retries beyond each cycle's first
-	// attempt; CheckpointFailStreak is the current run of consecutive
-	// exhausted cycles (0 after any success).
-	CheckpointRetries    uint64
-	CheckpointFailStreak uint32
+	// CheckpointSaveRetries counts Save retries beyond each cycle's
+	// first attempt; CheckpointFailStreak is the current run of
+	// consecutive exhausted cycles (0 after any success).
+	CheckpointSaveRetries uint64
+	CheckpointFailStreak  uint32
 	// LastCheckpoint is when the newest durable checkpoint was saved
 	// (zero time if never); its age bounds the frames a crash can lose.
 	LastCheckpoint time.Time
@@ -781,7 +785,7 @@ func (s *Session) Stats() Snapshot {
 	snap.ResumedCoverage = s.resumedCov
 	snap.Checkpoints = s.ckpts.Load()
 	snap.CheckpointErrors = s.ckptErrs.Load()
-	snap.CheckpointRetries = s.ckptRetries.Load()
+	snap.CheckpointSaveRetries = s.ckptRetries.Load()
 	snap.CheckpointFailStreak = s.ckptFailStreak.Load()
 	if ns := s.lastCkptNs.Load(); ns != 0 {
 		snap.LastCheckpoint = time.Unix(0, ns)

@@ -289,7 +289,7 @@ func TestSessionPanicIsolation(t *testing.T) {
 }
 
 func TestManagerIdleEviction(t *testing.T) {
-	m := NewManager(Config{IdleTimeout: 60 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+	m := NewManager(Config{IdleTimeout: 60 * time.Millisecond})
 	defer m.Close()
 	s, err := m.Open("idle", testW, testH, testOpts())
 	if err != nil {
@@ -321,6 +321,28 @@ func TestManagerIdleEviction(t *testing.T) {
 	// pinned and readable.
 	if !s.Stats().Finalized || s.Snapshot().Coverage.Count() == 0 {
 		t.Fatal("evicted session not finalized with a readable snapshot")
+	}
+}
+
+// TestManagerTinyIdleTimeoutSweeps: an idle timeout below 4ns has a
+// zero quarter, which must not reach time.NewTicker (it panics on a
+// non-positive period). The sweep runs at its floor and still evicts.
+func TestManagerTinyIdleTimeoutSweeps(t *testing.T) {
+	m := NewManager(Config{IdleTimeout: 3 * time.Nanosecond})
+	defer m.Close()
+	s, err := m.Open("idle", testW, testH, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for m.Len() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if m.Len() != 0 || !s.Evicted() {
+		t.Fatal("idle session not evicted under a 3ns idle timeout")
+	}
+	if got := m.Stats().Evicted; got != 1 {
+		t.Fatalf("evicted counter = %d", got)
 	}
 }
 

@@ -11,8 +11,8 @@ package session
 // health machine stays monotonic. Restart attempts back off
 // exponentially after failures, and a per-id circuit breaker trips the
 // session to PermanentlyFailed once Config.MaxRestarts restarts have
-// been burned within Config.RestartWindow — a crash-looping call must
-// not eat the fleet's checkpoint-store and CPU budget forever.
+// been burned within restartWindow — a crash-looping call must not eat
+// the fleet's checkpoint-store and CPU budget forever.
 
 import (
 	"errors"
@@ -21,6 +21,19 @@ import (
 	"time"
 
 	"github.com/bgbuster/bgbuster/internal/core"
+)
+
+const (
+	// restartWindow is the circuit breaker's sliding window.
+	restartWindow = time.Minute
+	// restartBackoff delays a retry after a failed restart attempt,
+	// doubling per consecutive failure up to restartBackoffMax; a
+	// successful restart resets it.
+	restartBackoff    = 10 * time.Millisecond
+	restartBackoffMax = time.Second
+	// supervisorInterval paces the scan for Failed sessions; failure
+	// notifications wake the supervisor early.
+	supervisorInterval = 10 * time.Millisecond
 )
 
 // restartRec is the supervisor's per-id breaker and backoff state. It
@@ -41,7 +54,7 @@ type restartRec struct {
 func (m *Manager) supervise() {
 	defer close(m.superDone)
 	recs := map[string]*restartRec{}
-	t := time.NewTicker(m.cfg.SupervisorInterval)
+	t := time.NewTicker(supervisorInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -77,7 +90,7 @@ func (m *Manager) tryRestart(s *Session, recs map[string]*restartRec) {
 		return // backing off after a failed attempt
 	}
 	// Slide the breaker window, then check the cap.
-	cut := now.Add(-m.cfg.RestartWindow)
+	cut := now.Add(-restartWindow)
 	kept := r.times[:0]
 	for _, ts := range r.times {
 		if ts.After(cut) {
@@ -88,17 +101,13 @@ func (m *Manager) tryRestart(s *Session, recs map[string]*restartRec) {
 	if len(r.times) >= m.cfg.MaxRestarts {
 		m.breakerTrips.Inc()
 		s.permanentlyFail(fmt.Sprintf("circuit breaker tripped: %d restarts within %s",
-			len(r.times), m.cfg.RestartWindow))
+			len(r.times), restartWindow))
 		delete(recs, s.id)
 		return
 	}
 	r.times = append(r.times, now)
 	if err := m.restartSession(s, now); err != nil {
-		if r.backoff <= 0 {
-			r.backoff = m.cfg.RestartBackoff
-		} else if r.backoff *= 2; r.backoff > m.cfg.RestartBackoffMax {
-			r.backoff = m.cfg.RestartBackoffMax
-		}
+		r.backoff = min(max(2*r.backoff, restartBackoff), restartBackoffMax)
 		r.notBefore = now.Add(r.backoff)
 		m.logf("session %q: restart attempt %d failed (retry in %s): %v",
 			s.id, len(r.times), r.backoff, err)

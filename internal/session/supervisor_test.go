@@ -89,12 +89,8 @@ func waitIncarnation(t *testing.T, m *Manager, id string, old *Session) *Session
 func superCfg(store CheckpointStore) Config {
 	return Config{
 		AutoRestart:        true,
-		SupervisorInterval: time.Millisecond,
-		RestartBackoff:     time.Millisecond,
-		RestartBackoffMax:  5 * time.Millisecond,
 		Checkpoints:        store,
 		CheckpointInterval: time.Nanosecond, // checkpoint after every processed frame
-		CheckpointBackoff:  time.Microsecond,
 	}
 }
 
@@ -193,7 +189,6 @@ func TestSupervisorRestartFromCheckpoint(t *testing.T) {
 func TestSupervisorCircuitBreaker(t *testing.T) {
 	cfg := superCfg(NewMemStore())
 	cfg.MaxRestarts = 3
-	cfg.RestartWindow = time.Minute
 	m := NewManager(cfg)
 	defer m.Close()
 
@@ -298,61 +293,6 @@ func TestManagerAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestManagerPressureEviction: with EvictOnPressure the fleet sheds its
-// least-recently-fed session (finalized, checkpointed) instead of
-// rejecting the newcomer.
-func TestManagerPressureEviction(t *testing.T) {
-	store := NewMemStore()
-	m := NewManager(Config{MaxSessions: 2, EvictOnPressure: true, Checkpoints: store})
-	defer m.Close()
-	a, err := m.Open("a", testW, testH, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Open("b", testW, testH, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, sils := testFrames(3)
-	time.Sleep(time.Millisecond) // make a's open-time lastFeed strictly oldest
-	for i := range frames {
-		if err := b.Feed(frames[i], sils[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := m.Open("c", testW, testH, testOpts())
-	if err != nil {
-		t.Fatalf("pressure open = %v", err)
-	}
-	if !a.Evicted() || !a.Stats().Finalized {
-		t.Fatal("idle victim not evicted+finalized")
-	}
-	if _, ok := m.Get("a"); ok {
-		t.Fatal("victim still registered")
-	}
-	if _, ok := m.Get("b"); !ok {
-		t.Fatal("recently-fed session evicted instead of the idle one")
-	}
-	if _, ok := m.Get("c"); !ok || c == nil {
-		t.Fatal("newcomer not admitted")
-	}
-	ms := m.Stats()
-	if ms.PressureEvicted != 1 || ms.Evicted != 1 || ms.Shed != 0 {
-		t.Fatalf("eviction counters = %+v", ms)
-	}
-	// The victim's final checkpoint survived: the evicted call can be
-	// restored later. (Live sessions may have periodic checkpoints of
-	// their own in the store; only the victim's presence matters.)
-	ids, _ := store.List()
-	found := false
-	for _, id := range ids {
-		found = found || id == "a"
-	}
-	if !found {
-		t.Fatalf("victim checkpoint missing: %v", ids)
-	}
-}
-
 // TestManagerClosedTyped pins the typed-shutdown contract: Open, Feed
 // and Manager.Feed after Close return ErrManagerClosed (which still
 // matches ErrClosed for old callers), and unknown ids get ErrNoSession.
@@ -412,7 +352,7 @@ func TestManagerRestoreAdmission(t *testing.T) {
 		t.Fatalf("seed fleet checkpoints = %v", ids)
 	}
 
-	m := NewManager(Config{Checkpoints: store, MaxSessions: 2, RestoreConcurrency: 2})
+	m := NewManager(Config{Checkpoints: store, MaxSessions: 2})
 	defer m.Close()
 	restored, err := m.Restore(func(string) core.Options { return testOpts() })
 	if len(restored) != 2 {
@@ -486,7 +426,6 @@ func TestChaosCrashRecoverySupervised(t *testing.T) {
 		})
 		cfg := superCfg(flaky)
 		cfg.MaxRestarts = nPoison + 1 // stay below the breaker
-		cfg.CheckpointRetries = 2
 		m := NewManager(cfg)
 		defer m.Close()
 		opts := chaosOpts()
