@@ -294,7 +294,7 @@ func DeepfakeReplay(v *Video, seed int64) (*Video, error) {
 type StreamReconstructor = core.StreamReconstructor
 
 // Frame pairs a frame with its oracle silhouette for batch ingest via
-// StreamReconstructor.FeedN and SessionManager.FeedN.
+// SessionManager.FeedN.
 type Frame = core.Frame
 
 // Live-call session layer: a SessionManager multiplexes many

@@ -560,10 +560,10 @@ func runLive(args []string) error {
 					}
 				} else if frameGap <= 0 {
 					// Unpaced replay (-rate < 0): batch ingest routes whole
-					// chunks through Manager.FeedN — one queue slot and one
-					// stream lock per chunk instead of per frame. Each chunk
-					// slice is handed to the session (ownership transfers with
-					// the batch), so a fresh one is built per send.
+					// chunks through Manager.FeedN — one queue slot per chunk
+					// instead of per frame. Each chunk slice is handed to the
+					// session (ownership transfers with the batch), so a fresh
+					// one is built per send.
 					const chunk = 16
 					for i := start; i < video.Len(); i += chunk {
 						j := i + chunk

@@ -107,8 +107,8 @@ const maxRunLen = 0xFFFF
 // ErrFinalized is returned by Feed after Finalize.
 var ErrFinalized = errors.New("core: stream already finalized")
 
-// Frame pairs one fed frame with its oracle silhouette for FeedN batch
-// ingest.
+// Frame pairs one fed frame with its oracle silhouette: the element of
+// the session and fleet batch intake (a single frame is a batch of one).
 type Frame struct {
 	Img    *imagex.Image
 	Oracle *imagex.Mask
@@ -283,27 +283,6 @@ func (s *StreamReconstructor) Feed(frame *imagex.Image, oracle *imagex.Mask) err
 	}
 	s.processFrame(frame, oracle)
 	return nil
-}
-
-// FeedN feeds a batch of frames in order, amortising per-frame overhead
-// (the session layer runs a whole batch under one queue slot and one
-// stream lock). Recoverable frame faults are skipped and counted in
-// rejected, exactly as a caller looping Feed and testing
-// RecoverableFrame would behave; a fatal error (ErrFinalized) stops the
-// batch at that frame and is returned with the counts accumulated so
-// far. The ownership contract matches Feed.
-func (s *StreamReconstructor) FeedN(frames []Frame) (accepted, rejected int, err error) {
-	for _, f := range frames {
-		if err := s.Feed(f.Img, f.Oracle); err != nil {
-			if RecoverableFrame(err) {
-				rejected++
-				continue
-			}
-			return accepted, rejected, err
-		}
-		accepted++
-	}
-	return accepted, rejected, nil
 }
 
 // Finalize marks end-of-call: if known-image identification is still

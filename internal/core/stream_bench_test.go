@@ -49,45 +49,3 @@ func BenchmarkStreamFeed(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkStreamFeedN measures batch ingest, 16 frames per FeedN call;
-// ns/op stays per frame for direct comparison with BenchmarkStreamFeed.
-func BenchmarkStreamFeedN(b *testing.B) {
-	v, oracles, opts := benchCall(b)
-	for _, unknown := range []bool{false, true} {
-		name := "known"
-		if unknown {
-			name = "unknown"
-		}
-		b.Run(name, func(b *testing.B) {
-			o := opts
-			if unknown {
-				o.Mode = VBUnknownImage
-				o.KnownImages = nil
-			}
-			s, err := NewStream(benchRW, benchRH, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, f := range v.Frames {
-				if err := s.Feed(f, oracles[i]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var batch [16]Frame
-			b.ReportAllocs()
-			b.ResetTimer()
-			for fed := 0; fed < b.N; {
-				n := 0
-				for ; n < len(batch) && fed+n < b.N; n++ {
-					idx := (fed + n) % benchFrames
-					batch[n] = Frame{Img: v.Frames[idx], Oracle: oracles[idx]}
-				}
-				if _, _, err := s.FeedN(batch[:n]); err != nil {
-					b.Fatal(err)
-				}
-				fed += n
-			}
-		})
-	}
-}

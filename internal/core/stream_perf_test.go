@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -158,101 +156,4 @@ func TestStreamDerivationMatchesReference(t *testing.T) {
 	if want := float64(ref.known.Count()) / float64(160*120); s.rec.DerivedCoverage != want {
 		t.Fatalf("DerivedCoverage = %v, want %v", s.rec.DerivedCoverage, want)
 	}
-}
-
-// TestStreamFeedNMatchesFeed proves batch ingest is pure amortisation:
-// the same frames through FeedN (batches straddling the identification
-// pin) and a Feed loop leave bit-identical checkpoints.
-func TestStreamFeedNMatchesFeed(t *testing.T) {
-	res, sils := testCall(t, 45, 22, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
-	for _, unknown := range []bool{false, true} {
-		opts := oracleOpts()
-		if unknown {
-			opts.Mode = VBUnknownImage
-		} else {
-			opts.KnownImages = compositor.BuiltinImages(160, 120)
-		}
-		one, err := NewStream(160, 120, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := NewStream(160, 120, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fs []Frame
-		for i, f := range res.Blended.Frames {
-			if err := one.Feed(f, sils[i]); err != nil {
-				t.Fatal(err)
-			}
-			fs = append(fs, Frame{Img: f, Oracle: sils[i]})
-		}
-		// 7-frame batches make the second batch straddle the
-		// IdentifyAfter=10 pin, the interesting boundary.
-		for i := 0; i < len(fs); i += 7 {
-			j := min(i+7, len(fs))
-			acc, rej, err := batch.FeedN(fs[i:j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if acc != j-i || rej != 0 {
-				t.Fatalf("FeedN accepted %d rejected %d of %d clean frames", acc, rej, j-i)
-			}
-		}
-		c1, err := one.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := batch.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(c1, c2) {
-			t.Fatalf("unknown=%v: FeedN checkpoint differs from Feed loop", unknown)
-		}
-	}
-}
-
-// TestStreamFeedNFaults: recoverable frame faults are skipped and
-// counted; fatal errors stop the batch where they occur.
-func TestStreamFeedNFaults(t *testing.T) {
-	res, sils := testCall(t, 46, 8, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
-	opts := oracleOpts()
-	opts.Mode = VBUnknownImage
-	s, err := NewStream(160, 120, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := []Frame{
-		{Img: res.Blended.Frames[0], Oracle: sils[0]},
-		{Img: nil, Oracle: sils[1]},                   // recoverable: nil frame
-		{Img: imagex.New(10, 10), Oracle: sils[2]},    // recoverable: geometry
-		{Img: res.Blended.Frames[3], Oracle: nil},     // recoverable: nil oracle
-		{Img: res.Blended.Frames[4], Oracle: sils[4]}, // clean
-	}
-	acc, rej, err := s.FeedN(fs)
-	if err != nil {
-		t.Fatalf("recoverable faults must not fail the batch: %v", err)
-	}
-	if acc != 2 || rej != 3 {
-		t.Fatalf("accepted=%d rejected=%d, want 2/3", acc, rej)
-	}
-
-	if err := s.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	acc, rej, err = s.FeedN(fs)
-	if !errors.Is(err, ErrFinalized) {
-		t.Fatalf("FeedN after Finalize = %v, want ErrFinalized", err)
-	}
-	if acc != 0 || rej != 0 {
-		t.Fatalf("counts before the fatal stop: accepted=%d rejected=%d", acc, rej)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -195,15 +195,12 @@ func (c *Client) Resume(spec OpenSpec, ckpt []byte) error {
 	return err
 }
 
-// Feed delivers one frame.
-func (c *Client) Feed(id string, f core.Frame) error {
-	_, err := c.expect(&Message{Type: MsgFeed, Spec: OpenSpec{ID: id}, Frames: []core.Frame{f}}, MsgOK)
-	return err
-}
+// Feed delivers one frame as a batch of one.
+func (c *Client) Feed(id string, f core.Frame) error { return c.FeedN(id, []core.Frame{f}) }
 
 // FeedN delivers an ordered batch.
 func (c *Client) FeedN(id string, frames []core.Frame) error {
-	_, err := c.expect(&Message{Type: MsgFeedBatch, Spec: OpenSpec{ID: id}, Frames: frames}, MsgOK)
+	_, err := c.expect(&Message{Type: MsgFeed, Spec: OpenSpec{ID: id}, Frames: frames}, MsgOK)
 	return err
 }
 

@@ -444,15 +444,12 @@ func (c *Coordinator) admit(spec OpenSpec, req *Message) error {
 	return nil
 }
 
-// Feed delivers one frame to a session, wherever it lives.
-func (c *Coordinator) Feed(id string, f core.Frame) error {
-	_, err := c.doRouted(id, &Message{Type: MsgFeed, Spec: OpenSpec{ID: id}, Frames: []core.Frame{f}}, MsgOK)
-	return err
-}
+// Feed delivers one frame to a session as a batch of one.
+func (c *Coordinator) Feed(id string, f core.Frame) error { return c.FeedN(id, []core.Frame{f}) }
 
-// FeedN delivers an ordered batch to a session.
+// FeedN delivers an ordered batch to a session, wherever it lives.
 func (c *Coordinator) FeedN(id string, frames []core.Frame) error {
-	_, err := c.doRouted(id, &Message{Type: MsgFeedBatch, Spec: OpenSpec{ID: id}, Frames: frames}, MsgOK)
+	_, err := c.doRouted(id, &Message{Type: MsgFeed, Spec: OpenSpec{ID: id}, Frames: frames}, MsgOK)
 	return err
 }
 
@@ -734,8 +731,6 @@ func (c *Coordinator) Handle(req *Message) *Message {
 	case MsgResume:
 		return wireStatus(c.Resume(req.Spec, req.Ckpt))
 	case MsgFeed:
-		return wireStatus(c.Feed(req.Spec.ID, req.Frames[0]))
-	case MsgFeedBatch:
 		return wireStatus(c.FeedN(req.Spec.ID, req.Frames))
 	case MsgSnapshot:
 		snap, err := c.Snapshot(req.Spec.ID)

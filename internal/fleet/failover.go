@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"sort"
 
+	"github.com/bgbuster/bgbuster/internal/binfmt"
 	"github.com/bgbuster/bgbuster/internal/session"
 )
 
@@ -103,69 +104,6 @@ func encodeMeta(m fleetMeta) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
 }
 
-// metaReader is a tiny bounds-checked cursor (the wire reader is
-// message-shaped; the meta blob is store-shaped).
-type metaReader struct {
-	b   []byte
-	off int
-}
-
-func (r *metaReader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.b) {
-		return nil, fmt.Errorf("fleet: truncated meta blob at offset %d: %w", r.off, ErrBadMessage)
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out, nil
-}
-
-func (r *metaReader) u8() (uint8, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *metaReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *metaReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *metaReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *metaReader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > metaMaxStrBytes {
-		return "", fmt.Errorf("fleet: meta string of %d bytes exceeds budget: %w", n, ErrBadMessage)
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
 // decodeMeta parses and CRC-verifies a BBFM blob.
 func decodeMeta(b []byte) (fleetMeta, error) {
 	var m fleetMeta
@@ -179,23 +117,23 @@ func decodeMeta(b []byte) (fleetMeta, error) {
 	if got := crc32.ChecksumIEEE(body); got != crc {
 		return m, fmt.Errorf("fleet: meta CRC mismatch (stored %08x, computed %08x): %w", crc, got, ErrBadMessage)
 	}
-	r := &metaReader{b: body, off: 4}
-	ver, err := r.u16()
+	r := binfmt.NewReader(body[len(metaMagic):], ErrBadMessage)
+	ver, err := r.U16()
 	if err != nil {
 		return m, err
 	}
 	if ver != 1 && ver != metaVersion {
 		return m, fmt.Errorf("fleet: meta version %d: %w", ver, ErrVersion)
 	}
-	if m.Epoch, err = r.u64(); err != nil {
+	if m.Epoch, err = r.U64(); err != nil {
 		return m, err
 	}
-	vnodes, err := r.u32()
+	vnodes, err := r.U32()
 	if err != nil {
 		return m, err
 	}
 	m.Vnodes = int(vnodes)
-	nm, err := r.u16()
+	nm, err := r.U16()
 	if err != nil {
 		return m, err
 	}
@@ -203,13 +141,13 @@ func decodeMeta(b []byte) (fleetMeta, error) {
 		return m, fmt.Errorf("fleet: %d meta members exceed budget: %w", nm, ErrBadMessage)
 	}
 	for i := 0; i < int(nm); i++ {
-		a, err := r.str()
+		a, err := r.Str(metaMaxStrBytes)
 		if err != nil {
 			return m, err
 		}
 		m.Members = append(m.Members, a)
 		if ver >= 2 {
-			w, err := r.u16()
+			w, err := r.U16()
 			if err != nil {
 				return m, err
 			}
@@ -224,7 +162,7 @@ func decodeMeta(b []byte) (fleetMeta, error) {
 			}
 		}
 	}
-	ns, err := r.u32()
+	ns, err := r.U32()
 	if err != nil {
 		return m, err
 	}
@@ -233,24 +171,24 @@ func decodeMeta(b []byte) (fleetMeta, error) {
 	}
 	// Each spec costs >= 15 bytes; verify the advertised count against
 	// the bytes actually present before reserving anything.
-	if remaining := len(r.b) - r.off; int64(remaining) < 15*int64(ns) {
-		return m, fmt.Errorf("fleet: %d meta specs advertised, %d bytes present: %w", ns, remaining, ErrBadMessage)
+	if err := r.Need(15 * int64(ns)); err != nil {
+		return m, err
 	}
 	for i := uint32(0); i < ns; i++ {
 		var s OpenSpec
-		if s.ID, err = r.str(); err != nil {
+		if s.ID, err = r.Str(metaMaxStrBytes); err != nil {
 			return m, err
 		}
-		w, err := r.u16()
+		w, err := r.U16()
 		if err != nil {
 			return m, err
 		}
-		h, err := r.u16()
+		h, err := r.U16()
 		if err != nil {
 			return m, err
 		}
 		s.W, s.H = int(w), int(h)
-		flags, err := r.u8()
+		flags, err := r.U8()
 		if err != nil {
 			return m, err
 		}
@@ -258,15 +196,15 @@ func decodeMeta(b []byte) (fleetMeta, error) {
 			return m, fmt.Errorf("fleet: nonzero meta spec flag padding: %w", ErrBadMessage)
 		}
 		s.UnknownVB = flags&1 != 0
-		seed, err := r.u64()
+		seed, err := r.U64()
 		if err != nil {
 			return m, err
 		}
 		s.Seed = int64(seed)
 		m.Specs = append(m.Specs, s)
 	}
-	if r.off != len(r.b) {
-		return m, fmt.Errorf("fleet: %d trailing meta bytes: %w", len(r.b)-r.off, ErrBadMessage)
+	if r.Remaining() != 0 {
+		return m, fmt.Errorf("fleet: %d trailing meta bytes: %w", r.Remaining(), ErrBadMessage)
 	}
 	return m, nil
 }

@@ -41,21 +41,21 @@ func FuzzWireDecode(f *testing.F) {
 		b = binary.LittleEndian.AppendUint32(b, bodyLen)
 		return append(b, body...)
 	}
-	f.Add(hdr(0x02, 0xFFFFFFFF, nil))                                     // body-length bomb
-	f.Add(hdr(0x02, 12, []byte{1, 0, 'z', 0xFF, 0xFF, 0xFF, 0xFF, 1, 2})) // geometry bomb
-	f.Add(hdr(0x03, 7, []byte{1, 0, 'z', 0xFF, 0xFF, 0, 0}))              // batch-count bomb
-	f.Add(hdr(0x41, 4, []byte{1, 0, 0xFF, 0xFF}))                         // string-length bomb
-	f.Add(hdr(0x06, 9, []byte{1, 0, 'a', 1, 0, 1, 0, 0, 5}))              // truncated resume
-	f.Add([]byte("BBFL"))                                                 // bare magic
-	f.Add(hdr(0x40, 1, []byte{0}))                                        // trailing byte on empty body
-	f.Add(hdr(0x0C, 4, []byte{1, 2, 3, 4}))                               // truncated fence epoch
-	f.Add(hdr(0x0D, 3, []byte{0xFF, 0xFF, 'a'}))                          // join addr-length bomb
-	f.Add(hdr(0x0E, 2, []byte{0, 0}))                                     // empty drain-shard addr
-	f.Add(hdr(0x0B, 1, []byte{0}))                                        // trailing byte on ping
-	f.Add(hdr(0x11, 4, []byte{1, 0, 'a', 3}))                             // truncated set-weight
-	f.Add(hdr(0x48, 12, make([]byte, 12)))                                // truncated status
-	f.Add(hdr(0x48, 17, append(make([]byte, 16), 0x07)))                  // autopilot bad flags + truncation
-	f.Add(craftStatus(Status{}, setLastU16(0xFFFF)))                      // status row-count bomb
+	f.Add(hdr(0x02, 0xFFFFFFFF, nil))                                           // body-length bomb
+	f.Add(hdr(0x02, 14, []byte{1, 0, 'z', 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2})) // geometry bomb
+	f.Add(hdr(0x02, 7, []byte{1, 0, 'z', 0xFF, 0xFF, 0, 0}))                    // batch-count bomb
+	f.Add(hdr(0x41, 4, []byte{1, 0, 0xFF, 0xFF}))                               // string-length bomb
+	f.Add(hdr(0x06, 9, []byte{1, 0, 'a', 1, 0, 1, 0, 0, 5}))                    // truncated resume
+	f.Add([]byte("BBFL"))                                                       // bare magic
+	f.Add(hdr(0x40, 1, []byte{0}))                                              // trailing byte on empty body
+	f.Add(hdr(0x0C, 4, []byte{1, 2, 3, 4}))                                     // truncated fence epoch
+	f.Add(hdr(0x0D, 3, []byte{0xFF, 0xFF, 'a'}))                                // join addr-length bomb
+	f.Add(hdr(0x0E, 2, []byte{0, 0}))                                           // empty drain-shard addr
+	f.Add(hdr(0x0B, 1, []byte{0}))                                              // trailing byte on ping
+	f.Add(hdr(0x11, 4, []byte{1, 0, 'a', 3}))                                   // truncated set-weight
+	f.Add(hdr(0x48, 12, make([]byte, 12)))                                      // truncated status
+	f.Add(hdr(0x48, 17, append(make([]byte, 16), 0x07)))                        // autopilot bad flags + truncation
+	f.Add(craftStatus(Status{}, setLastU16(0xFFFF)))                            // status row-count bomb
 	oneRow := Status{Shards: []ShardStatus{{Addr: "xyz", Weight: 1}}}
 	f.Add(craftStatus(oneRow, setLastU16(0xFFFF)))    // status session-count bomb
 	f.Add(craftStatus(oneRow, func(b []byte) []byte { // truncated row
@@ -64,8 +64,9 @@ func FuzzWireDecode(f *testing.F) {
 		return b
 	}))
 	f.Add(craftStatus(oneRow, func(b []byte) []byte { b[len(b)-52] = 9; return b })) // role out of range
-	// The retired status-style codes, each with an empty body.
-	for _, typ := range []byte{0x09, 0x0F, 0x10, 0x12, 0x44, 0x45, 0x46, 0x47} {
+	// The retired status-style and batch-feed codes, each with an empty
+	// body.
+	for _, typ := range []byte{0x03, 0x09, 0x0F, 0x10, 0x12, 0x44, 0x45, 0x46, 0x47} {
 		f.Add(hdr(typ, 0, nil))
 	}
 

@@ -219,7 +219,7 @@ func (s *Shard) Fenced() uint64 {
 // state is harmless, a deposed coordinator changing it is not.
 func mutates(t MsgType) bool {
 	switch t {
-	case MsgOpen, MsgResume, MsgFeed, MsgFeedBatch, MsgClose, MsgDetach, MsgDrain:
+	case MsgOpen, MsgResume, MsgFeed, MsgClose, MsgDetach, MsgDrain:
 		return true
 	}
 	return false
@@ -259,12 +259,6 @@ func (s *Shard) HandleConn(cs *ConnState, req *Message) *Message {
 		_, err := mgr.ResumeSession(req.Spec.ID, req.Ckpt, s.cfg.OptionsFor(req.Spec))
 		return status(err)
 	case MsgFeed:
-		f := req.Frames[0]
-		start := time.Now()
-		resp := status(mgr.Feed(req.Spec.ID, f.Img, f.Oracle))
-		s.observeFeed(time.Since(start), 1)
-		return resp
-	case MsgFeedBatch:
 		start := time.Now()
 		resp := status(mgr.FeedN(req.Spec.ID, req.Frames))
 		s.observeFeed(time.Since(start), len(req.Frames))

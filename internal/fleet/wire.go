@@ -46,10 +46,9 @@ type MsgType uint8
 const (
 	// MsgOpen opens a fresh session from an OpenSpec.
 	MsgOpen MsgType = 0x01
-	// MsgFeed delivers one frame (Frames[0]) to a session.
+	// MsgFeed delivers an ordered batch of 1..MaxBatch frames to a
+	// session as one intake unit; a single frame is a batch of one.
 	MsgFeed MsgType = 0x02
-	// MsgFeedBatch delivers an ordered frame batch as one intake unit.
-	MsgFeedBatch MsgType = 0x03
 	// MsgSnapshot asks for a session's observability snapshot.
 	MsgSnapshot MsgType = 0x04
 	// MsgCheckpoint asks for a session's current canonical .bbck bytes
@@ -214,7 +213,7 @@ type AutopilotInfo struct {
 type Message struct {
 	Type   MsgType
 	Spec   OpenSpec     // Open, Resume; Spec.ID alone for id-bearing requests
-	Frames []core.Frame // Feed (exactly 1), FeedBatch (1..MaxBatch)
+	Frames []core.Frame // Feed (1..MaxBatch)
 	Ckpt   []byte       // Resume, CkptResp
 	Code   uint16       // Err
 	Text   string       // Err
@@ -234,7 +233,7 @@ type Limits struct {
 	MaxBody int64
 	// MaxDim caps frame width and height (default 8192).
 	MaxDim int
-	// MaxBatch caps frames per MsgFeedBatch (default 1024).
+	// MaxBatch caps frames per MsgFeed (default 1024).
 	MaxBatch int
 	// MaxIDLen caps session-id byte length (default 256).
 	MaxIDLen int
@@ -297,7 +296,7 @@ func Encode(m *Message) ([]byte, error) {
 func bodyHint(m *Message) int {
 	n := 64
 	switch m.Type {
-	case MsgFeed, MsgFeedBatch:
+	case MsgFeed:
 		for _, f := range m.Frames {
 			n += 5 + 3*len(f.Img.Pix)
 			if f.Oracle != nil {
@@ -344,15 +343,8 @@ func (e *encoder) body(m *Message) {
 			e.buf = append(e.buf, m.Ckpt...)
 		}
 	case MsgFeed:
-		if len(m.Frames) != 1 {
-			e.err = fmt.Errorf("fleet: MsgFeed carries %d frames, want 1", len(m.Frames))
-			return
-		}
-		e.str(m.Spec.ID, "session id length")
-		e.frame(m.Frames[0])
-	case MsgFeedBatch:
 		if len(m.Frames) == 0 {
-			e.err = errors.New("fleet: empty MsgFeedBatch")
+			e.err = errors.New("fleet: empty MsgFeed")
 			return
 		}
 		e.str(m.Spec.ID, "session id length")
@@ -499,15 +491,6 @@ func decodeBody(r reader, m *Message, lim Limits) error {
 			}
 		}
 	case MsgFeed:
-		if m.Spec.ID, err = r.Str(lim.MaxIDLen); err != nil {
-			return err
-		}
-		f, err := r.frame(lim)
-		if err != nil {
-			return err
-		}
-		m.Frames = []core.Frame{f}
-	case MsgFeedBatch:
 		if m.Spec.ID, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}

@@ -41,7 +41,7 @@ func sampleMessages() []*Message {
 		{Type: MsgOpen, Spec: OpenSpec{ID: "call-00", W: 64, H: 48, UnknownVB: true, Seed: -12345}},
 		{Type: MsgResume, Spec: OpenSpec{ID: "call-01", W: 32, H: 24, Seed: 7}, Ckpt: []byte{0xBB, 0xCC, 0x01, 0x00, 0xFF}},
 		{Type: MsgFeed, Spec: OpenSpec{ID: "call-02"}, Frames: []core.Frame{testFrame(16, 12, 1)}},
-		{Type: MsgFeedBatch, Spec: OpenSpec{ID: "call-03"}, Frames: []core.Frame{
+		{Type: MsgFeed, Spec: OpenSpec{ID: "call-03"}, Frames: []core.Frame{
 			testFrame(8, 8, 0), testFrame(8, 8, 1), testFrame(8, 8, 2),
 		}},
 		{Type: MsgSnapshot, Spec: OpenSpec{ID: "call-04"}},
@@ -191,16 +191,17 @@ func TestWireGolden(t *testing.T) {
 		t.Fatalf("MsgErr golden mismatch:\n got %v\nwant %v", got, wantErr)
 	}
 
-	// A 1x1 frame with oracle: geometry + 3 raster bytes + flag + one
-	// 8-byte mask word (bit 0 set).
+	// A batch of one 1x1 frame with oracle: count + geometry + 3 raster
+	// bytes + flag + one 8-byte mask word (bit 0 set).
 	img := imagex.New(1, 1)
 	img.Pix[0] = imagex.RGB{R: 9, G: 8, B: 7}
 	mask := imagex.NewMask(1, 1)
 	mask.Set(0, 0, true)
 	feed := &Message{Type: MsgFeed, Spec: OpenSpec{ID: "z"}, Frames: []core.Frame{{Img: img, Oracle: mask}}}
 	wantFeed := []byte{
-		'B', 'B', 'F', 'L', 1, 0, 0x02, 0x00, 19, 0, 0, 0,
+		'B', 'B', 'F', 'L', 1, 0, 0x02, 0x00, 21, 0, 0, 0,
 		1, 0, 'z', // id
+		1, 0, // frame count
 		1, 0, 1, 0, // w, h
 		9, 8, 7, // raster
 		1,                      // oracle present
@@ -343,9 +344,10 @@ func TestWireDecodeRejections(t *testing.T) {
 			return b
 		}), ErrBadMessage},
 	}
-	// The status-style codes retired in favour of MsgStatus/MsgStatusResp
-	// decode as unknown types.
-	for _, typ := range []byte{0x09, 0x0F, 0x10, 0x12, 0x44, 0x45, 0x46, 0x47} {
+	// The status-style codes retired in favour of MsgStatus/MsgStatusResp,
+	// and the batch-feed code retired in favour of MsgFeed, decode as
+	// unknown types.
+	for _, typ := range []byte{0x03, 0x09, 0x0F, 0x10, 0x12, 0x44, 0x45, 0x46, 0x47} {
 		cases = append(cases, struct {
 			name string
 			data []byte
@@ -372,8 +374,8 @@ func TestWireDecodeRejections(t *testing.T) {
 
 	// Mask with a nonzero padding bit (w=1 uses bit 0 of the word only).
 	feedBad := []byte{
-		'B', 'B', 'F', 'L', 1, 0, 0x02, 0x00, 19, 0, 0, 0,
-		1, 0, 'z', 1, 0, 1, 0, 9, 8, 7, 1,
+		'B', 'B', 'F', 'L', 1, 0, 0x02, 0x00, 21, 0, 0, 0,
+		1, 0, 'z', 1, 0, 1, 0, 1, 0, 9, 8, 7, 1,
 		0x02, 0, 0, 0, 0, 0, 0, 0, // bit 1 set: padding violation
 	}
 	if _, err := Decode(feedBad); !errors.Is(err, ErrBadMessage) {
@@ -382,7 +384,7 @@ func TestWireDecodeRejections(t *testing.T) {
 
 	// Batch count of zero is non-canonical.
 	zeroBatch := []byte{
-		'B', 'B', 'F', 'L', 1, 0, 0x03, 0x00, 5, 0, 0, 0,
+		'B', 'B', 'F', 'L', 1, 0, 0x02, 0x00, 5, 0, 0, 0,
 		1, 0, 'z', 0, 0,
 	}
 	if _, err := Decode(zeroBatch); !errors.Is(err, ErrBadMessage) {
@@ -424,7 +426,7 @@ func TestWireDecodeRejections(t *testing.T) {
 // header claims a huge raster: the decoder must reject it from the
 // length check alone, before any allocation.
 func TestWireGeometryBombRejected(t *testing.T) {
-	body := []byte{1, 0, 'z'}       // id
+	body := []byte{1, 0, 'z', 1, 0} // id, frame count
 	body = append(body, 0xFF, 0xFF) // w = 65535
 	body = append(body, 0xFF, 0xFF) // h = 65535
 	body = append(body, 1, 2, 3)    // 3 "raster" bytes
@@ -437,7 +439,7 @@ func TestWireGeometryBombRejected(t *testing.T) {
 	}
 	// Within the dimension budget but with a raster far larger than the
 	// body: need() must fire before the image allocation.
-	body2 := []byte{1, 0, 'z', 0, 4, 0, 4} // 1024x1024 claimed
+	body2 := []byte{1, 0, 'z', 1, 0, 0, 4, 0, 4} // 1024x1024 claimed
 	msg2 := []byte{'B', 'B', 'F', 'L', 1, 0, 0x02, 0x00}
 	msg2 = binary.LittleEndian.AppendUint32(msg2, uint32(len(body2)))
 	msg2 = append(msg2, body2...)
@@ -521,7 +523,7 @@ func TestEncodeRejectsFieldOverflow(t *testing.T) {
 		{"spec width", &Message{Type: MsgOpen, Spec: OpenSpec{ID: "s", W: math.MaxUint16 + 1, H: 1}}},
 		{"frame width", &Message{Type: MsgFeed, Spec: OpenSpec{ID: "s"}, Frames: []core.Frame{{Img: imagex.New(math.MaxUint16+1, 1)}}}},
 		{"frame height", &Message{Type: MsgFeed, Spec: OpenSpec{ID: "s"}, Frames: []core.Frame{{Img: imagex.New(1, math.MaxUint16+1)}}}},
-		{"batch count", &Message{Type: MsgFeedBatch, Spec: OpenSpec{ID: "s"}, Frames: batch}},
+		{"batch count", &Message{Type: MsgFeed, Spec: OpenSpec{ID: "s"}, Frames: batch}},
 		{"status rows", &Message{Type: MsgStatusResp, Status: Status{Shards: make([]ShardStatus, math.MaxUint16+1)}}},
 		{"session loads", &Message{Type: MsgStatusResp, Status: Status{Shards: []ShardStatus{{Sess: make([]SessionLoad, math.MaxUint16+1)}}}}},
 		{"lease holder", &Message{Type: MsgStatusResp, Status: Status{Auto: AutopilotInfo{LeaseHolder: long}}}},
@@ -536,7 +538,7 @@ func TestEncodeRejectsFieldOverflow(t *testing.T) {
 	lim := Limits{MaxIDLen: math.MaxUint16, MaxBatch: math.MaxUint16}
 	for _, m := range []*Message{
 		{Type: MsgClose, Spec: OpenSpec{ID: long[:math.MaxUint16]}},
-		{Type: MsgFeedBatch, Spec: OpenSpec{ID: "s"}, Frames: batch[:math.MaxUint16]},
+		{Type: MsgFeed, Spec: OpenSpec{ID: "s"}, Frames: batch[:math.MaxUint16]},
 	} {
 		b, err := Encode(m)
 		if err != nil {

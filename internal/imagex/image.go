@@ -9,7 +9,6 @@ package imagex
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // RGB is a 24-bit Truecolor pixel as described in the paper's technical
@@ -148,35 +147,6 @@ func (im *Image) MatchCount(o *Image) int {
 	for i := range im.Pix {
 		if im.Pix[i] == o.Pix[i] {
 			n++
-		}
-	}
-	return n
-}
-
-// MatchCountTol counts pixels whose per-channel absolute difference is at
-// most tol. tol = 0 degenerates to MatchCount. It runs the match kernel
-// one row at a time into a fixed stack buffer and counts its bits, so it
-// allocates nothing.
-func (im *Image) MatchCountTol(o *Image, tol int) int {
-	if !im.SameSize(o) {
-		return 0
-	}
-	if tol <= 0 {
-		return im.MatchCount(o)
-	}
-	tol = min(tol, 255)
-	var buf [16]uint64
-	n := 0
-	for y := 0; y < im.H; y++ {
-		pa := im.Pix[y*im.W : (y+1)*im.W]
-		pb := o.Pix[y*im.W : (y+1)*im.W]
-		for x0 := 0; x0 < im.W; x0 += 64 * len(buf) {
-			x1 := min(x0+64*len(buf), im.W)
-			words := buf[:wordsPerRow(x1-x0)]
-			matchRow(words, pa[x0:x1], pb[x0:x1], tol)
-			for _, w := range words {
-				n += bits.OnesCount64(w)
-			}
 		}
 	}
 	return n

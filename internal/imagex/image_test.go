@@ -102,20 +102,6 @@ func TestMatchCount(t *testing.T) {
 	}
 }
 
-func TestMatchCountTol(t *testing.T) {
-	a := NewFilled(2, 1, RGB{100, 100, 100})
-	b := NewFilled(2, 1, RGB{104, 98, 101})
-	if got := a.MatchCountTol(b, 5); got != 2 {
-		t.Fatalf("tol=5 MatchCountTol = %d, want 2", got)
-	}
-	if got := a.MatchCountTol(b, 2); got != 0 {
-		t.Fatalf("tol=2 MatchCountTol = %d, want 0", got)
-	}
-	if got := a.MatchCountTol(b, 0); got != a.MatchCount(b) {
-		t.Fatal("tol=0 must equal MatchCount")
-	}
-}
-
 func TestDiffMask(t *testing.T) {
 	a := NewFilled(3, 1, RGB{50, 50, 50})
 	b := a.Clone()

@@ -176,20 +176,13 @@ func BenchmarkMatchMask(b *testing.B) {
 }
 
 // BenchmarkMatchCount scores one 320x240 frame against a virtual image
-// with the exact-equality count (known-image identification) and the
-// tolerant count (the gallery demuxer's lane tracking).
+// with the exact-equality count (known-image identification).
 func BenchmarkMatchCount(b *testing.B) {
 	frame, vb := benchMatchPair(320, 240)
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			frame.MatchCount(vb)
-		}
-	})
-	b.Run("tol", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			frame.MatchCountTol(vb, 6)
 		}
 	})
 }

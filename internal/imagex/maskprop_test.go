@@ -407,19 +407,19 @@ func TestMatchMaskIntoMatchesWithinTol(t *testing.T) {
 					t.Fatalf("w=%d tol=%d: padding bits set in row %d", w, tol, y)
 				}
 			}
-			if n, ref := a.MatchCountTol(b, tol), countWithinTol(a, b, tol); n != ref {
-				t.Fatalf("w=%d tol=%d: MatchCountTol = %d, want %d", w, tol, n, ref)
+			if n, ref := got.Count(), countWithinTol(a, b, tol); n != ref {
+				t.Fatalf("w=%d tol=%d: MatchMaskInto counts %d bits, want %d", w, tol, n, ref)
 			}
 		}
 	}
 }
 
-// countWithinTol is the scalar reference for MatchCountTol, which
-// counts exact matches for any tol <= 0.
+// countWithinTol is the scalar reference for the popcount of
+// MatchMaskInto: the pixels that are WithinTol.
 func countWithinTol(a, b *Image, tol int) int {
 	n := 0
 	for i := range a.Pix {
-		if WithinTol(a.Pix[i], b.Pix[i], max(tol, 0)) {
+		if WithinTol(a.Pix[i], b.Pix[i], tol) {
 			n++
 		}
 	}

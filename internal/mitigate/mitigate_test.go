@@ -63,7 +63,7 @@ func TestDynamicVBDefeatsPixelMatching(t *testing.T) {
 	vb := compositor.BuiltinImage("office", 60, 45)
 	raw := imagex.NewFilled(60, 45, imagex.RGB{R: 120, G: 100, B: 80})
 	out := tr(vb, raw, 0)
-	matches := out.MatchCountTol(vb, 14)
+	matches := imagex.MatchMaskInto(nil, out, vb, 14).Count()
 	if frac := float64(matches) / float64(60*45); frac > 0.3 {
 		t.Fatalf("%.0f%% of dynamic VB still matches the original", frac*100)
 	}

@@ -39,9 +39,9 @@ var ErrNoSession = errors.New("session: no such session")
 // drop-oldest intake, no idle eviction, no admission limits, no
 // auto-restart.
 type Config struct {
-	// QueueDepth bounds each session's frame queue; when it is full, the
-	// oldest queued item is dropped to admit the new one (non-positive:
-	// 32).
+	// QueueDepth bounds each session's queue in batches (a Feed frame is
+	// a batch of one); when it is full, the oldest queued batch is
+	// dropped to admit the new one (non-positive: 32).
 	QueueDepth int
 
 	// MaxSessions caps the number of concurrently open sessions; Open
@@ -96,9 +96,9 @@ type Config struct {
 	// DegradeAfterRejects, when > 0, degrades a session once this many
 	// consecutive frames have been rejected (gate + recoverable stream
 	// rejections; any accepted frame resets the streak). The streak
-	// advances per frame in both the Feed and FeedN paths, so one
-	// poisoned batch trips the threshold at the same frame a sequential
-	// replay would. 0 disables the threshold.
+	// advances per frame, so one poisoned batch trips the threshold at
+	// the same frame a sequential replay would. 0 disables the
+	// threshold.
 	DegradeAfterRejects int
 	// FailAfterRejects, when > 0, fails a session once the consecutive
 	// rejection streak reaches it — the worker stops and (with
@@ -490,25 +490,17 @@ func (m *Manager) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// Feed routes one frame to the current incarnation of id — the
-// supervisor-friendly intake: after an auto-restart, stale *Session
-// handles return ErrFailed while Manager.Feed reaches the live
-// incarnation. It returns ErrManagerClosed after Close and
-// ErrNoSession for unknown ids.
+// Feed routes one frame to the current incarnation of id as a batch
+// of one (see FeedN).
 func (m *Manager) Feed(id string, frame *imagex.Image, oracle *imagex.Mask) error {
-	if m.closedFlag.Load() {
-		return fmt.Errorf("session %q: %w", id, ErrManagerClosed)
-	}
-	s, ok := m.Get(id)
-	if !ok {
-		return fmt.Errorf("session %q: %w", id, ErrNoSession)
-	}
-	return s.Feed(frame, oracle)
+	return m.FeedN(id, []core.Frame{{Img: frame, Oracle: oracle}})
 }
 
 // FeedN routes an ordered frame batch to the current incarnation of id
-// (see Session.FeedN for the batch semantics and Feed for the routing
-// rationale).
+// (see Session.FeedN for the batch semantics) — the supervisor-friendly
+// intake: after an auto-restart, stale *Session handles return
+// ErrFailed while Manager.FeedN reaches the live incarnation. It
+// returns ErrManagerClosed after Close and ErrNoSession for unknown ids.
 func (m *Manager) FeedN(id string, frames []core.Frame) error {
 	if m.closedFlag.Load() {
 		return fmt.Errorf("session %q: %w", id, ErrManagerClosed)

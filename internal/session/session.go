@@ -33,26 +33,9 @@ var ErrExists = errors.New("session: id already open")
 // panic; the partial reconstruction up to the panic stays readable.
 var ErrFailed = errors.New("session: worker failed")
 
-// item is one queued unit of work: a single frame with its oracle
-// silhouette, or (batch non-nil, from FeedN) a whole ordered batch that
-// the worker runs through the reconstructor under one stream lock.
-type item struct {
-	frame  *imagex.Image
-	oracle *imagex.Mask
-	batch  []core.Frame
-}
-
-// size returns how many frames the item carries, for intake accounting.
-func (it item) size() uint64 {
-	if it.batch != nil {
-		return uint64(len(it.batch))
-	}
-	return 1
-}
-
 // Session is one live call being reconstructed. Feed never blocks on
-// the reconstruction: frames queue up to Config.QueueDepth and the
-// oldest queued frame is dropped when the queue is full. All methods
+// the reconstruction: batches queue up to Config.QueueDepth and the
+// oldest queued batch is dropped when the queue is full. All methods
 // are safe for concurrent use.
 type Session struct {
 	id   string
@@ -73,9 +56,10 @@ type Session struct {
 	resumedFrames uint64
 	resumedCov    float64
 
-	// Intake: sendMu serialises queue sends against intake close.
+	// Intake: sendMu serialises queue sends against intake close. A
+	// queue element is one ordered batch; a Feed frame is a batch of one.
 	sendMu       sync.Mutex
-	queue        chan item
+	queue        chan []core.Frame
 	intakeClosed bool
 
 	// streamMu guards the reconstructor (worker writes, observers read).
@@ -112,10 +96,9 @@ type Session struct {
 	restored       bool          // came from Manager.Restore, not Open
 
 	// rejectStreak is the current run of consecutively rejected frames
-	// (gate + recoverable stream rejections), advanced per frame in both
-	// the Feed and FeedN paths and reset by any accepted frame. The
-	// opt-in Config.DegradeAfterRejects/FailAfterRejects thresholds act
-	// on it.
+	// (gate + recoverable stream rejections), advanced per frame and
+	// reset by any accepted frame. The opt-in
+	// Config.DegradeAfterRejects/FailAfterRejects thresholds act on it.
 	rejectStreak atomic.Uint32
 
 	done     chan struct{} // closed when the worker exits
@@ -131,7 +114,7 @@ func newSession(mgr *Manager, id string, stream *core.StreamReconstructor, queue
 	s := &Session{
 		id:       id,
 		mgr:      mgr,
-		queue:    make(chan item, queueDepth),
+		queue:    make(chan []core.Frame, queueDepth),
 		stream:   stream,
 		started:  time.Now(),
 		coverage: stats.NewSeries(coverageSamples),
@@ -153,40 +136,30 @@ func (s *Session) ID() string { return s.id }
 // 1 for the original session, +1 per auto-restart.
 func (s *Session) Incarnation() int { return s.incarnation }
 
-// Feed enqueues one frame. It never blocks: when the queue is full the
-// oldest queued item is dropped (counted in Stats as FramesDropped) to
-// admit the new frame. After Manager.Close begins, Feed returns
-// ErrManagerClosed; after the supervisor replaced this incarnation, the
-// stale handle returns ErrFailed (route through Manager.Feed to always
-// reach the live incarnation). The session does not copy the frame or
-// oracle; the caller must not mutate them afterwards. Malformed frames
-// (wrong geometry, nil oracle) are not detected here but at processing
-// time, where they are counted as FramesRejected and the session
-// carries on.
+// Feed enqueues one frame as a batch of one (see FeedN). After
+// Manager.Close begins, Feed returns ErrManagerClosed; after the
+// supervisor replaced this incarnation, the stale handle returns
+// ErrFailed (route through Manager.Feed to always reach the live
+// incarnation). The session does not copy the frame or oracle; the
+// caller must not mutate them afterwards. Malformed frames (wrong
+// geometry, nil oracle) are not detected here but at processing time,
+// where they are counted as FramesRejected and the session carries on.
 func (s *Session) Feed(frame *imagex.Image, oracle *imagex.Mask) error {
-	return s.enqueue(item{frame: frame, oracle: oracle})
+	return s.FeedN([]core.Frame{{Img: frame, Oracle: oracle}})
 }
 
-// FeedN enqueues an ordered batch of frames as one queue unit. The
-// worker runs the whole batch through the reconstructor under a single
-// stream lock (core.StreamReconstructor.FeedN), amortising the
-// per-frame queue and lock overhead — the intended intake for replay
-// and catch-up traffic, where frames arrive faster than real time. The
-// batch occupies one slot of Config.QueueDepth, and a drop-oldest
-// eviction of it drops — and counts — all of its frames. The ownership
-// contract matches Feed: the session does not copy frames or oracles.
-// An empty batch is a no-op.
+// FeedN enqueues an ordered batch of frames as one queue unit, the
+// session's only intake unit. It never blocks: when the queue is full
+// the oldest queued batch is dropped — and all of its frames counted in
+// Stats as FramesDropped — to admit the new one. A batch takes one
+// queue slot and one send, amortising the per-frame queue overhead for
+// replay and catch-up traffic, where frames arrive faster than real
+// time. The error and ownership contract is Feed's. An empty batch is a
+// no-op.
 func (s *Session) FeedN(frames []core.Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	return s.enqueue(item{batch: frames})
-}
-
-// enqueue queues one item (a frame or a whole batch), evicting the
-// oldest queued item when the queue is full; frame accounting is by
-// item.size.
-func (s *Session) enqueue(it item) error {
 	if s.mgr.closedFlag.Load() {
 		return fmt.Errorf("session %q: %w", s.id, ErrManagerClosed)
 	}
@@ -200,24 +173,24 @@ func (s *Session) enqueue(it item) error {
 	}
 	s.lastFeed.Store(time.Now().UnixNano())
 	s.stallLatch.Store(false) // activity: a new stall episode may be detected later
-	s.fed.Add(it.size())
+	s.fed.Add(uint64(len(frames)))
 	select {
-	case s.queue <- it:
+	case s.queue <- frames:
 		return nil
 	default:
 	}
-	// Drop-oldest: evict the oldest queued item, then retry once. The
+	// Drop-oldest: evict the oldest queued batch, then retry once. The
 	// receive races with the worker; if the worker drained a slot
 	// first, the send below succeeds and nothing is dropped twice.
 	select {
 	case victim := <-s.queue:
-		s.dropped.Add(victim.size())
+		s.dropped.Add(uint64(len(victim)))
 	default:
 	}
 	select {
-	case s.queue <- it:
+	case s.queue <- frames:
 	default:
-		s.dropped.Add(it.size()) // lost the race to a concurrent Feed; drop the new item
+		s.dropped.Add(uint64(len(frames))) // lost the race to a concurrent feeder; drop the new batch
 	}
 	return nil
 }
@@ -235,14 +208,8 @@ func (s *Session) loop() {
 			s.mgr.panics.Inc()
 		}
 	}()
-	for it := range s.queue {
-		fatal := false
-		if it.batch != nil {
-			fatal = s.processBatch(it.batch)
-		} else {
-			fatal = s.process(it)
-		}
-		if fatal {
+	for frames := range s.queue {
+		if s.process(frames) {
 			// Fatal: stop draining. Feed already returns ErrFailed (the
 			// failure value is set); the partial reconstruction stays
 			// readable, exactly like the panic path.
@@ -255,9 +222,11 @@ func (s *Session) loop() {
 		// pin identification and close the pending window early.
 		return
 	}
-	s.streamMu.Lock()
-	_ = s.stream.Finalize()
-	s.streamMu.Unlock()
+	func() {
+		s.streamMu.Lock()
+		defer s.streamMu.Unlock() // a panic here must not wedge observers either
+		_ = s.stream.Finalize()
+	}()
 	// Final checkpoint: the finalized state is what Manager.Restore
 	// hands back after a restart, and it is also how eviction preserves
 	// every accumulated LB pixel (the sweeper closes the session, which
@@ -267,87 +236,35 @@ func (s *Session) loop() {
 	}
 }
 
-// process feeds one frame through the quality gate and the
-// reconstructor, updating the per-stage telemetry. It reports whether
-// the session hit a fatal error and must stop.
-func (s *Session) process(it item) (fatal bool) {
-	s.lastProc.Store(time.Now().UnixNano())
-	if err := s.gate(it); err != nil {
-		// Gate rejections are recoverable by definition: count and skip.
-		s.gated.Inc()
-		s.rejected.Inc()
-		return s.rejectTransition(int(s.rejectStreak.Add(1)))
-	}
-	t0 := time.Now()
-	err, identified, cov := s.feedStream(it)
-	s.feedLat.Observe(time.Since(t0))
-	if err != nil {
-		if core.RecoverableFrame(err) {
-			// One bad frame is counted and skipped; the stream carries on
-			// (the paper's LB residue accumulates over many frames, so a
-			// rejected frame only costs its own residue).
-			s.rejected.Inc()
-			return s.rejectTransition(int(s.rejectStreak.Add(1)))
-		}
-		// Non-frame errors mean the stream itself is unusable.
-		s.failure.Store(fmt.Sprintf("fatal stream error: %v", err))
-		s.fail(fmt.Sprintf("fatal stream error: %v", err))
-		return true
-	}
-	s.rejectStreak.Store(0)
-	s.processed.Inc()
-	s.coverage.Append(cov)
-	if identified && s.pinnedNs.Load() == 0 {
-		s.pinnedNs.Store(int64(time.Since(s.started)))
-	}
-	s.maybeCheckpoint()
-	return false
-}
-
-// rejectTransition applies the opt-in consecutive-rejection health
-// thresholds after the streak reached n: crossing
-// Config.DegradeAfterRejects degrades the session, and reaching
-// Config.FailAfterRejects fails it (fatal for the worker — a stream
-// whose every recent frame bounces is reconstructing nothing, and
-// failing hands the id to the supervisor for a checkpoint-backed
-// restart). Both thresholds count per frame in the Feed and FeedN
-// paths alike, so one poisoned 16-frame batch trips exactly the same
-// transitions as 16 poisoned frames fed one at a time.
-func (s *Session) rejectTransition(n int) (fatal bool) {
-	if d := s.mgr.cfg.DegradeAfterRejects; d > 0 && n == d {
-		s.degrade(fmt.Sprintf("%d consecutive frames rejected", n))
-	}
-	if f := s.mgr.cfg.FailAfterRejects; f > 0 && n >= f {
-		reason := fmt.Sprintf("%d consecutive frames rejected", n)
-		s.failure.Store(reason)
-		s.fail(reason)
-		return true
-	}
-	return false
-}
-
-// processBatch runs one queued batch under a single stream lock,
-// gating and feeding each frame in arrival order. Per-stage telemetry
-// matches the frame-at-a-time path exactly: gate rejections and
-// recoverable stream rejections count per frame (and advance the
-// consecutive-rejection streak per frame, in order — a poisoned batch
-// trips the degraded→failed thresholds at the same frame a sequential
-// Feed replay would), the feed latency records the per-frame mean of
-// the batch, and the coverage series gains one sample per batch (not
-// per frame; a batch is one observable processing step). Health
-// transitions are collected inside the lock and applied after it, so a
-// user Logf callback that snapshots the session can never deadlock. It
-// reports whether the session hit a fatal error.
-func (s *Session) processBatch(frames []core.Frame) (fatal bool) {
+// process runs one queued batch, gating and then feeding each frame in
+// arrival order. Gate rejections and recoverable stream rejections
+// count per frame and advance the consecutive-rejection streak per
+// frame, so a poisoned batch trips the opt-in
+// Config.DegradeAfterRejects/FailAfterRejects thresholds at the frame a
+// run of single-frame batches would; failing is fatal for the worker (a
+// stream whose every recent frame bounces is reconstructing nothing,
+// and failing hands the id to the supervisor for a checkpoint-backed
+// restart). Each frame that reaches the reconstructor records its own
+// feed latency, and the coverage series gains one sample per batch with
+// an accepted frame. The gate runs outside streamMu, since it may call
+// a user QualityGate; each frame is fed under streamMu with a deferred
+// unlock, so a panicking pipeline (isolated in loop's recover) cannot
+// leave the lock held and wedge every observer, and observers never
+// wait behind a whole batch. Health transitions are applied after the
+// batch, so a user Logf callback that snapshots the session can never
+// deadlock. It reports whether the session hit a fatal error and must
+// stop.
+func (s *Session) process(frames []core.Frame) (fatal bool) {
 	s.lastProc.Store(time.Now().UnixNano())
 	var (
-		accepted, rejected, gatedN int
-		fatalErr                   error
-		degradeAt                  = s.mgr.cfg.DegradeAfterRejects
-		failAt                     = s.mgr.cfg.FailAfterRejects
-		streak                     = int(s.rejectStreak.Load())
-		crossedDegrade             = false
-		crossedFail                = false
+		accepted, rejected, gatedN  int
+		fatalErr                    error
+		identified                  bool
+		cov                         float64
+		degradeAt                   = s.mgr.cfg.DegradeAfterRejects
+		failAt                      = s.mgr.cfg.FailAfterRejects
+		streak                      = int(s.rejectStreak.Load())
+		crossedDegrade, crossedFail bool
 	)
 	reject := func() (stop bool) {
 		rejected++
@@ -360,41 +277,41 @@ func (s *Session) processBatch(frames []core.Frame) (fatal bool) {
 		}
 		return crossedFail
 	}
-	t0 := time.Now()
-	s.streamMu.Lock()
+feed:
 	for _, f := range frames {
-		if err := s.gate(item{frame: f.Img, oracle: f.Oracle}); err != nil {
+		if err := s.gate(f); err != nil {
 			gatedN++
 			if reject() {
-				break
+				break feed
 			}
 			continue
 		}
-		err := s.stream.Feed(f.Img, f.Oracle)
-		if err == nil {
+		t0 := time.Now()
+		var err error
+		func() {
+			s.streamMu.Lock()
+			defer s.streamMu.Unlock()
+			err = s.stream.Feed(f.Img, f.Oracle)
+			identified = s.stream.Identified()
+			cov = s.stream.Snapshot().Coverage.Fraction()
+		}()
+		s.feedLat.Observe(time.Since(t0))
+		switch {
+		case err == nil:
 			accepted++
 			streak = 0
-			continue
-		}
-		if core.RecoverableFrame(err) {
+		case core.RecoverableFrame(err):
+			// One bad frame is counted and skipped; the stream carries on
+			// (the paper's LB residue accumulates over many frames, so a
+			// rejected frame only costs its own residue).
 			if reject() {
-				break
+				break feed
 			}
-			continue
-		}
-		// Non-frame errors mean the stream itself is unusable. Frames
-		// after this one are never attempted, matching the Feed path
-		// where a fatal frame stops the worker mid-queue.
-		fatalErr = err
-		break
-	}
-	identified := s.stream.Identified()
-	cov := s.stream.Snapshot().Coverage.Fraction()
-	s.streamMu.Unlock()
-	if n := accepted + rejected; n > 0 {
-		per := time.Since(t0) / time.Duration(n)
-		for i := 0; i < n; i++ {
-			s.feedLat.Observe(per)
+		default:
+			// Non-frame errors mean the stream itself is unusable; the
+			// frames after this one are never attempted.
+			fatalErr = err
+			break feed
 		}
 	}
 	s.gated.Add(uint64(gatedN))
@@ -412,13 +329,10 @@ func (s *Session) processBatch(frames []core.Frame) (fatal bool) {
 		s.fail(fmt.Sprintf("fatal stream error: %v", fatalErr))
 		return true
 	}
-	if crossedDegrade && !crossedFail {
+	if crossedDegrade {
 		s.degrade(fmt.Sprintf("%d consecutive frames rejected", degradeAt))
 	}
 	if crossedFail {
-		if crossedDegrade {
-			s.degrade(fmt.Sprintf("%d consecutive frames rejected", degradeAt))
-		}
 		reason := fmt.Sprintf("%d consecutive frames rejected", streak)
 		s.failure.Store(reason)
 		s.fail(reason)
@@ -432,17 +346,17 @@ func (s *Session) processBatch(frames []core.Frame) (fatal bool) {
 // reconstructor. Geometry and nil faults are left to the reconstructor
 // (which classifies them as recoverable FrameErrors); the gate only
 // judges content quality, so the two rejection layers never overlap.
-func (s *Session) gate(it item) error {
-	if it.frame == nil || it.frame.W != s.w || it.frame.H != s.h {
+func (s *Session) gate(f core.Frame) error {
+	if f.Img == nil || f.Img.W != s.w || f.Img.H != s.h {
 		return nil // the reconstructor rejects and classifies these
 	}
 	if g := s.mgr.cfg.QualityGate; g != nil {
-		if err := g(it.frame, it.oracle); err != nil {
+		if err := g(f.Img, f.Oracle); err != nil {
 			return err
 		}
 	}
 	if max := s.mgr.cfg.MaxImpulseNoise; max > 0 {
-		if score := vidstream.ImpulseNoise(it.frame, vidstream.DefaultImpulseTol); score > max {
+		if score := vidstream.ImpulseNoise(f.Img, vidstream.DefaultImpulseTol); score > max {
 			return &core.FrameError{
 				Fault: core.FaultQuality,
 				Err:   fmt.Errorf("session %q: frame impulse-noise score %.4f exceeds gate %.4f", s.id, score, max),
@@ -499,9 +413,7 @@ const (
 // health, and keeps processing frames — durability trouble must never
 // stop the reconstruction.
 func (s *Session) checkpoint() error {
-	s.streamMu.Lock()
-	data, err := s.stream.Checkpoint()
-	s.streamMu.Unlock()
+	data, err := s.CheckpointBytes()
 	if err != nil {
 		// Encode failures are deterministic: retrying cannot help.
 		s.ckptErrs.Inc()
@@ -535,18 +447,6 @@ func (s *Session) noteCheckpointCycleFailure(attempts int, err error) {
 	s.mgr.logf("session %q: checkpoint failed after %d attempt(s) (streak %d, keeping last good checkpoint): %v",
 		s.id, attempts, streak, err)
 	s.degrade(fmt.Sprintf("checkpoint save failed after %d attempt(s): %v", attempts, err))
-}
-
-// feedStream runs one frame through the reconstructor under streamMu.
-// The unlock is deferred so a panicking pipeline (isolated in loop's
-// recover) cannot leave the mutex held and wedge every observer.
-func (s *Session) feedStream(it item) (err error, identified bool, cov float64) {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	err = s.stream.Feed(it.frame, it.oracle)
-	identified = s.stream.Identified()
-	cov = s.stream.Snapshot().Coverage.Fraction()
-	return err, identified, cov
 }
 
 // closeIntake stops accepting frames; idempotent.
@@ -637,9 +537,7 @@ func (s *Session) Detach() ([]byte, error) {
 	if f := s.Failure(); f != "" {
 		return nil, fmt.Errorf("session %q: %w: %s", s.id, ErrFailed, f)
 	}
-	s.streamMu.Lock()
-	data, err := s.stream.Checkpoint()
-	s.streamMu.Unlock()
+	data, err := s.CheckpointBytes()
 	if err != nil {
 		return nil, fmt.Errorf("session %q: detach: %w", s.id, err)
 	}
@@ -673,7 +571,8 @@ func (s *Session) Snapshot() *core.Reconstruction {
 }
 
 // CoverageSeries returns the retained residue-coverage-over-time
-// window (one sample per processed frame, fraction in [0,1]).
+// window (one sample per processed batch with an accepted frame, so one
+// per accepted Feed frame; fraction in [0,1]).
 func (s *Session) CoverageSeries() []stats.Sample { return s.coverage.Samples() }
 
 // Snapshot is an instantaneous, internally consistent view of one
@@ -694,7 +593,7 @@ type Snapshot struct {
 	// RejectStreak is the current run of consecutively rejected frames
 	// (0 after any accepted frame); the opt-in
 	// Config.DegradeAfterRejects/FailAfterRejects thresholds act on it,
-	// per frame in both the Feed and FeedN paths.
+	// per frame.
 	RejectStreak uint32
 
 	// CoveragePct is the claimed RBRR (percent) at snapshot time.

@@ -246,45 +246,85 @@ func TestSessionMalformedFramesDegradeGracefully(t *testing.T) {
 	}
 }
 
+// TestSessionPanicIsolation: a worker panic fails only its own session,
+// whichever intake fed the poisoned frames, and leaves the failed
+// session's Snapshot and Stats answerable — a panic must not leave the
+// stream lock held.
 func TestSessionPanicIsolation(t *testing.T) {
-	m := NewManager(Config{})
-	defer m.Close()
-
-	bad := testOpts()
-	bad.Segmenter = panicSegmenter{}
-	poisoned, err := m.Open("poisoned", testW, testH, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healthy, err := m.Open("healthy", testW, testH, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	frames, sils := testFrames(12)
-	for i := range frames {
-		_ = poisoned.Feed(frames[i], sils[i])
-		if err := healthy.Feed(frames[i], sils[i]); err != nil {
-			t.Fatal(err)
+	fs := make([]core.Frame, len(frames))
+	for i := range fs {
+		fs[i] = core.Frame{Img: frames[i], Oracle: sils[i]}
+	}
+	for _, leg := range []struct {
+		name  string
+		n     int
+		batch bool
+	}{
+		{"Feed", 12, false},
+		{"FeedN", 12, true},           // the panic fires inside the batch
+		{"FeedN short call", 3, true}, // under IdentifyAfter: the panic fires in Finalize
+	} {
+		feed := func(s *Session) error {
+			if leg.batch {
+				return s.FeedN(fs[:leg.n])
+			}
+			for i := 0; i < leg.n; i++ {
+				if err := s.Feed(frames[i], sils[i]); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-	}
-	if err := poisoned.Finalize(); !errors.Is(err, ErrFailed) {
-		t.Fatalf("poisoned Finalize = %v, want ErrFailed", err)
-	}
-	if poisoned.Failure() == "" {
-		t.Fatal("panic message lost")
-	}
-	if err := poisoned.Feed(frames[0], sils[0]); !errors.Is(err, ErrFailed) {
-		t.Fatalf("Feed after panic = %v, want ErrFailed", err)
-	}
-	if err := healthy.Finalize(); err != nil {
-		t.Fatalf("healthy session infected: %v", err)
-	}
-	if healthy.Snapshot().Coverage.Count() == 0 {
-		t.Fatal("healthy session lost its reconstruction")
-	}
-	if got := m.Stats().Panics; got != 1 {
-		t.Fatalf("manager panics = %d, want 1", got)
+		t.Run(leg.name, func(t *testing.T) {
+			m := NewManager(Config{})
+			defer m.Close()
+
+			bad := testOpts()
+			bad.Segmenter = panicSegmenter{}
+			poisoned, err := m.Open("poisoned", testW, testH, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			healthy, err := m.Open("healthy", testW, testH, testOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			_ = feed(poisoned) // may see ErrFailed once the worker died
+			if err := feed(healthy); err != nil {
+				t.Fatal(err)
+			}
+			if err := poisoned.Finalize(); !errors.Is(err, ErrFailed) {
+				t.Fatalf("poisoned Finalize = %v, want ErrFailed", err)
+			}
+			if poisoned.Failure() == "" {
+				t.Fatal("panic message lost")
+			}
+			observed := make(chan struct{})
+			go func() {
+				poisoned.Snapshot()
+				poisoned.Stats()
+				close(observed)
+			}()
+			select {
+			case <-observed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("Snapshot/Stats of the panicked session did not return: stream lock left held")
+			}
+			if err := poisoned.Feed(frames[0], sils[0]); !errors.Is(err, ErrFailed) {
+				t.Fatalf("Feed after panic = %v, want ErrFailed", err)
+			}
+			if err := healthy.Finalize(); err != nil {
+				t.Fatalf("healthy session infected: %v", err)
+			}
+			if healthy.Snapshot().Coverage.Count() == 0 {
+				t.Fatal("healthy session lost its reconstruction")
+			}
+			if got := m.Stats().Panics; got != 1 {
+				t.Fatalf("manager panics = %d, want 1", got)
+			}
+		})
 	}
 }
 
