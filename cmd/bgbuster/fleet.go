@@ -356,15 +356,15 @@ func runStats(args []string) error {
 		}
 	}
 
-	fmt.Printf("%-28s %-9s %-8s %3s %5s %9s %8s %s\n", "SHARD", "ROLE", "HEALTH", "WT", "SESS", "MEM", "FEED-us", "FAILS")
+	fmt.Printf("%-28s %-9s %3s %5s %9s %8s\n", "SHARD", "ROLE", "WT", "SESS", "MEM", "FEED-us")
 	for _, r := range st.Shards {
 		if r.Err != "" {
 			// Placeholder row: the shard could not be sampled.
-			fmt.Printf("%-28s %-9s %-8s %3s %5s %9s %8s %d\n", r.Addr, r.Role, "DOWN", "?", "?", "?", "?", r.Fails)
+			fmt.Printf("%-28s %-9s %3d %5s %9s %8s DOWN (%s)\n", r.Addr, r.Role, r.Weight, "?", "?", "?", r.Err)
 			continue
 		}
-		fmt.Printf("%-28s %-9s %-8s %3d %5d %9s %8d %d\n",
-			r.Addr, r.Role, r.Health, r.Weight, len(r.Sess), fmtBytes(r.Mem), r.FeedMicros, r.Fails)
+		fmt.Printf("%-28s %-9s %3d %5d %9s %8d\n",
+			r.Addr, r.Role, r.Weight, len(r.Sess), fmtBytes(r.Mem), r.FeedMicros)
 	}
 	if *verbose {
 		sort.Strings(ids)

@@ -25,9 +25,9 @@ func (e *RemoteError) Error() string {
 
 // TimeoutError reports a request that blew its configured I/O deadline
 // — the peer is hung or partitioned, not necessarily dead, and it is
-// unknown whether the request was applied. Distinct from both
-// *RemoteError (delivered and rejected) and hard transport errors
-// (connection refused/reset: the peer is gone).
+// unknown whether the request was applied. Unlike a *RemoteError
+// (delivered and rejected), the coordinator treats it like any other
+// transport failure: as shard loss.
 type TimeoutError struct {
 	Addr  string
 	Op    string
@@ -44,9 +44,8 @@ func (e *TimeoutError) Unwrap() error { return e.Err }
 // Timeout marks the error as a timeout for net.Error-style checks.
 func (e *TimeoutError) Timeout() bool { return true }
 
-// Timeouts bounds a client's blocking I/O. Zero values take the
-// defaults; a negative value disables that deadline (the pre-deadline
-// wedge-forever behaviour, for callers that genuinely want to block).
+// Timeouts bounds a client's blocking I/O. Non-positive values take
+// the defaults; every op has a deadline.
 type Timeouts struct {
 	// Dial bounds connection establishment (default 5s).
 	Dial time.Duration
@@ -59,13 +58,13 @@ type Timeouts struct {
 }
 
 func (t Timeouts) withDefaults() Timeouts {
-	if t.Dial == 0 {
+	if t.Dial <= 0 {
 		t.Dial = 5 * time.Second
 	}
-	if t.Read == 0 {
+	if t.Read <= 0 {
 		t.Read = 60 * time.Second
 	}
-	if t.Write == 0 {
+	if t.Write <= 0 {
 		t.Write = 30 * time.Second
 	}
 	return t
@@ -94,13 +93,7 @@ func Dial(addr string, lim Limits) (*Client, error) {
 // DialTimeouts is Dial with explicit per-op deadlines.
 func DialTimeouts(addr string, lim Limits, t Timeouts) (*Client, error) {
 	t = t.withDefaults()
-	var conn net.Conn
-	var err error
-	if t.Dial > 0 {
-		conn, err = net.DialTimeout("tcp", addr, t.Dial)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
+	conn, err := net.DialTimeout("tcp", addr, t.Dial)
 	if err != nil {
 		if isTimeout(err) {
 			return nil, &TimeoutError{Addr: addr, Op: "dial", After: t.Dial, Err: err}
@@ -141,9 +134,7 @@ func (c *Client) do(req *Message) (*Message, error) {
 	if c.conn == nil {
 		return nil, fmt.Errorf("fleet: client %s: connection closed", c.addr)
 	}
-	if c.t.Write > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.t.Write))
-	}
+	c.conn.SetWriteDeadline(time.Now().Add(c.t.Write))
 	if err := WriteMessage(c.conn, req); err != nil {
 		c.conn.Close()
 		c.conn = nil
@@ -152,9 +143,7 @@ func (c *Client) do(req *Message) (*Message, error) {
 		}
 		return nil, fmt.Errorf("fleet: %s: write: %w", c.addr, err)
 	}
-	if c.t.Read > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.t.Read))
-	}
+	c.conn.SetReadDeadline(time.Now().Add(c.t.Read))
 	resp, err := ReadMessage(c.br, c.lim)
 	if err != nil {
 		c.conn.Close()

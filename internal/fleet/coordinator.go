@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,7 +40,7 @@ type CoordinatorConfig struct {
 	// WriteQuorum is W, the successes required per write (<=0: majority
 	// of ReplicaFactor).
 	WriteQuorum int
-	// Health sets the shard probe cadence and the retry jitter seed
+	// Health sets the shard probe cadence and the probe jitter seed
 	// (zero fields: defaults).
 	Health HealthConfig
 	// Weights are initial per-shard capacity weights for weighted
@@ -92,9 +91,6 @@ type Coordinator struct {
 	ring     *Ring
 	shards   map[string]*shard
 	sessions map[string]*placement
-
-	rngMu sync.Mutex
-	rng   *rand.Rand // retry jitter
 
 	statusMu sync.Mutex
 	statusFn func() AutopilotInfo // autopilot status provider (nil: none)
@@ -151,7 +147,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		epoch:    cfg.Epoch,
 		shards:   map[string]*shard{},
 		sessions: map[string]*placement{},
-		rng:      rand.New(rand.NewSource(cfg.Health.Seed)),
 		stop:     make(chan struct{}),
 	}
 	for _, a := range cfg.Shards {
@@ -188,7 +183,7 @@ func clampWeight(w int) int {
 // every shard that takes no new placements.
 func (c *Coordinator) routeLocked(id string) string {
 	if p := c.sessions[id]; p != nil && p.pin != "" {
-		if s := c.shards[p.pin]; s != nil && s.health != HealthDown {
+		if s := c.shards[p.pin]; s != nil && s.role != RoleDown {
 			return p.pin
 		}
 	}
@@ -240,33 +235,20 @@ func (c *Coordinator) fenced(addr string, err error) error {
 	return err
 }
 
-// idempotent reports whether a request can be retried after a timeout
-// without risking double application. Feeds are not (the frame may
-// have been applied before the deadline fired); reads and the drain
-// barrier are.
-func idempotent(t MsgType) bool {
-	switch t {
-	case MsgSnapshot, MsgCheckpoint, MsgPing, MsgDrain:
-		return true
-	}
-	return false
-}
-
-// doRouted runs one request against the shard owning id, absorbing
-// shard loss: a hard transport failure (dial refused, connection
-// reset — never a RemoteError) marks the shard down, recovers its
-// sessions onto survivors, and retries on the new route. A deadline
-// expiry instead feeds the health state machine — idempotent requests
-// get capped-jitter retries, non-idempotent ones surface the
-// *TimeoutError (unknown whether applied; the caller decides) — and
-// only downAfter consecutive timeouts escalate to shard loss. The loop
-// is bounded — each iteration either succeeds, fails at the request
-// level, spends a retry, or permanently removes one shard.
+// doRouted runs one request against the shard owning id under the one
+// failure rule. A *RemoteError means the shard answered: it goes back
+// to the caller (CodeFenced as ErrDeposed). Any other failure of the
+// dial, fence or round trip — refused, reset, closed or past its
+// deadline — is shard loss: the shard goes down, its sessions recover
+// onto survivors from the store, and the request goes to the new
+// route. The stalled shard's copy, which the request may have reached,
+// is abandoned there, as after a partition. The loop is bounded — each
+// iteration either answers or permanently removes one shard.
 func (c *Coordinator) doRouted(id string, req *Message, want MsgType) (*Message, error) {
 	if c.deposed.Load() {
 		return nil, ErrDeposed
 	}
-	retries := 0
+	bound := -1
 	for attempt := 0; ; attempt++ {
 		// Wait out any migration holding the session's gate, so a frame
 		// is neither double-fed to the source nor dropped at the target
@@ -279,48 +261,31 @@ func (c *Coordinator) doRouted(id string, req *Message, want MsgType) (*Message,
 			<-g
 			c.mu.Lock()
 		}
+		if bound < 0 {
+			bound = len(c.shards)
+		}
 		addr := c.routeLocked(id)
-		if attempt >= len(c.shards)+opRetries+1 || addr == "" {
+		if attempt > bound || addr == "" {
 			c.mu.Unlock()
 			return nil, ErrNoShards
 		}
 		cl, err := c.clientLocked(addr)
 		c.mu.Unlock()
+		var resp *Message
 		if err == nil {
-			resp, rerr := cl.do(req)
-			if rerr == nil {
-				c.markUp(addr)
-				if resp.Type != want {
-					return nil, fmt.Errorf("fleet: %s: response type 0x%02x, want 0x%02x: %w",
-						addr, byte(resp.Type), byte(want), ErrBadMessage)
-				}
-				return resp, nil
-			}
-			var remote *RemoteError
-			if errors.As(rerr, &remote) {
-				if remote.Code == CodeFenced {
-					return nil, c.fenced(addr, rerr)
-				}
-				c.markUp(addr) // the shard answered; the request, not the peer, failed
-				return nil, rerr
-			}
-			var to *TimeoutError
-			if errors.As(rerr, &to) {
-				if c.recordTimeout(addr) {
-					c.logf("fleet: shard %s reached its timeout threshold; recovering", addr)
-					c.handleShardLoss(addr)
-					continue // re-route onto survivors
-				}
-				if idempotent(req.Type) && retries < opRetries {
-					retries++
-					c.backoff(retries)
-					continue
-				}
-				return nil, rerr
-			}
-			err = rerr
+			resp, err = cl.do(req)
 		}
-		if errors.Is(err, ErrDeposed) {
+		var remote *RemoteError
+		switch {
+		case err == nil:
+			if resp.Type != want {
+				return nil, fmt.Errorf("fleet: %s: response type 0x%02x, want 0x%02x: %w",
+					addr, byte(resp.Type), byte(want), ErrBadMessage)
+			}
+			return resp, nil
+		case errors.As(err, &remote):
+			return nil, c.fenced(addr, err)
+		case errors.Is(err, ErrDeposed):
 			return nil, err
 		}
 		c.logf("fleet: shard %s unreachable (%v); recovering", addr, err)
@@ -336,7 +301,7 @@ func (c *Coordinator) doRouted(id string, req *Message, want MsgType) (*Message,
 func (c *Coordinator) handleShardLoss(addr string) {
 	c.mu.Lock()
 	s := c.shards[addr]
-	if s == nil || s.health == HealthDown {
+	if s == nil || s.role == RoleDown {
 		c.mu.Unlock()
 		return
 	}
@@ -586,8 +551,8 @@ func (c *Coordinator) Down() []string {
 // all rows concurrently. Down shards and shards that fail to answer
 // within LoadTimeout get placeholder rows with Err set — the
 // graceful-degradation contract `bgbuster stats` renders as DOWN/?
-// rows. Status never marks a shard down: health transitions stay the
-// prober's and the request path's.
+// rows. Status never marks a shard down: shard loss stays the
+// prober's and the request path's to declare.
 func (c *Coordinator) Status() Status {
 	st := Status{Epoch: c.epoch, Migrations: c.migrations.Load() + c.recoveries.Load()}
 	c.statusMu.Lock()
@@ -601,7 +566,7 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	for _, a := range c.shardsLocked(RoleActive, RoleProbation, RoleDraining, RoleDown) {
 		s := c.shards[a]
-		row := ShardStatus{Addr: a, Role: s.role, Health: s.health, Fails: s.fails, Weight: uint16(s.weight)}
+		row := ShardStatus{Addr: a, Role: s.role, Weight: uint16(s.weight)}
 		if s.role == RoleDown {
 			row.Err = "down"
 		}

@@ -136,22 +136,52 @@ func startStallShard(t *testing.T) (*testShard, *stallListener) {
 	return ts, sl
 }
 
-// TestFleetHealthProbeAndTimeout drives the up -> suspect -> down
-// machine with a stalled shard: a non-idempotent feed surfaces a
-// *TimeoutError within its deadline (never wedging) and one strike
-// (suspectAfter) marks the shard suspect. The timeout closed the
-// coordinator's connection to the shard, so the idempotent snapshot
-// fails hard on it before downAfter strikes can accrue: that is shard
-// loss, and the session recovers transparently onto the survivor.
+// TestClientFeedTimeout: a request into a stalled shard surfaces a
+// *TimeoutError naming the op within its read deadline, never wedging
+// the caller.
+func TestClientFeedTimeout(t *testing.T) {
+	frames, sils := leakFrames(1)
+	sA, stall := startStallShard(t)
+	to := shortTimeouts()
+	cl, err := DialTimeouts(sA.addr, Limits{}, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Open(OpenSpec{ID: "x", W: fw, H: fh, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	stall.stalled.Store(true)
+	start := time.Now()
+	ferr := cl.Feed("x", core.Frame{Img: frames[0], Oracle: sils[0]})
+	elapsed := time.Since(start)
+	var te *TimeoutError
+	if !errors.As(ferr, &te) {
+		t.Fatalf("feed into a stalled shard = %v, want *TimeoutError", ferr)
+	}
+	if te.Op != "request 0x02 read" || te.After != to.Read {
+		t.Fatalf("timeout op %q after %v, want %q after %v", te.Op, te.After, "request 0x02 read", to.Read)
+	}
+	if elapsed > to.Read+time.Second {
+		t.Fatalf("feed blocked %v past a %v read deadline", elapsed, to.Read)
+	}
+}
+
+// TestFleetHealthProbeAndTimeout: a deadline miss is shard loss like
+// any other transport failure. A feed into a stalled shard marks it
+// down, recovers the session onto the survivor from its replicated
+// checkpoint and delivers the frame there — one call, bounded by the
+// deadline plus the recovery, with the frame applied exactly once to
+// the copy the fleet keeps.
 func TestFleetHealthProbeAndTimeout(t *testing.T) {
-	frames, sils := leakFrames(4)
+	frames, sils := leakFrames(3)
 	sA, stall := startStallShard(t)
 	sB := startShard(t)
 	store := session.NewMemStore()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr}, Store: store,
 		Dial: dialWith(shortTimeouts()), Logf: t.Logf,
-		LoadTimeout: shortTimeouts().Read, // Status samples the stalled shard too
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,62 +207,41 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	}
 
 	stall.stalled.Store(true)
-
-	// Non-idempotent op: one deadline, no blind retry, bounded wall time.
 	start := time.Now()
-	ferr := coord.Feed(id, core.Frame{Img: frames[1], Oracle: sils[1]})
-	elapsed := time.Since(start)
-	var to *TimeoutError
-	if !errors.As(ferr, &to) {
-		t.Fatalf("feed into a stalled shard = %v, want *TimeoutError", ferr)
+	if err := coord.Feed(id, core.Frame{Img: frames[1], Oracle: sils[1]}); err != nil {
+		t.Fatalf("feed into a stalled shard: %v", err)
 	}
-	if to.Op != "request 0x02 read" {
-		t.Fatalf("timeout op = %q, want %q", to.Op, "request 0x02 read")
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("feed blocked %v past a 250ms read deadline plus recovery", elapsed)
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("feed blocked %v past a 250ms read deadline", elapsed)
-	}
-	states := map[string]HealthState{}
-	for _, sh := range coord.Status().Shards {
-		states[sh.Addr] = sh.Health
-	}
-	if states[sA.addr] != HealthSuspect {
-		t.Fatalf("one strike left %s %v, want suspect", sA.addr, states[sA.addr])
-	}
-	if states[sB.addr] != HealthUp {
-		t.Fatalf("healthy shard %s reads %v", sB.addr, states[sB.addr])
-	}
-
-	// Idempotent op: the closed connection is shard loss, the session
-	// recovers onto the survivor, and the op still succeeds.
-	snap, err := coord.Snapshot(id)
-	if err != nil {
-		t.Fatalf("snapshot across shard death: %v", err)
-	}
-	if snap.ID != id {
-		t.Fatalf("snapshot for %q returned %q", id, snap.ID)
+	if down := coord.Down(); len(down) != 1 || down[0] != sA.addr {
+		t.Fatalf("down = %v, want [%s]", down, sA.addr)
 	}
 	if got := coord.RouteOf(id); got != sB.addr {
 		t.Fatalf("session routed to %s after recovery, want %s", got, sB.addr)
 	}
-	for _, sh := range coord.Status().Shards {
-		if sh.Addr == sA.addr && sh.Health != HealthDown {
-			t.Fatalf("stalled shard reads %v after recovery, want down", sh.Health)
-		}
+	if resumed, reopened, failed := coord.Recoveries(); resumed != 1 || reopened != 0 || failed != 0 {
+		t.Fatalf("recoveries = %d resumed, %d reopened, %d failed; want 1, 0, 0", resumed, reopened, failed)
 	}
-	if resumed, _, _ := coord.Recoveries(); resumed != 1 {
-		t.Fatalf("recoveries = %d, want 1", resumed)
-	}
-	// The survivor keeps feeding.
+	// The survivor keeps feeding, and holds every frame exactly once.
 	if err := coord.Feed(id, core.Frame{Img: frames[2], Oracle: sils[2]}); err != nil {
 		t.Fatal(err)
+	}
+	if err := coord.Drain(id); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := coord.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.StreamFrames != 3 {
+		t.Fatalf("survivor holds %d frames, want 3", snap.StreamFrames)
 	}
 }
 
 // TestFleetProbeOnce drives the probe loop by hand: a stalled shard's
-// first probe timeout is a strike (suspect); the timeout closed the
-// probe's connection, so the second probe fails hard, the shard goes
-// down, and its sessions move before any client request notices.
+// first probe timeout is shard loss, so the shard goes down and its
+// sessions move before any client request notices.
 func TestFleetProbeOnce(t *testing.T) {
 	frames, sils := leakFrames(2)
 	sA, stall := startStallShard(t)
@@ -260,23 +269,65 @@ func TestFleetProbeOnce(t *testing.T) {
 	if err := coord.Replicate(); err != nil {
 		t.Fatal(err)
 	}
-	if st := coord.ProbeOnce(); st[sA.addr] != HealthUp || st[sB.addr] != HealthUp {
-		t.Fatalf("healthy probe states = %v", st)
+	coord.ProbeOnce()
+	if down := coord.Down(); len(down) != 0 {
+		t.Fatalf("healthy probe marked %v down", down)
 	}
 
 	stall.stalled.Store(true)
-	if st := coord.ProbeOnce(); st[sA.addr] != HealthSuspect {
-		t.Fatalf("one probe strike = %v, want suspect", st[sA.addr])
+	coord.ProbeOnce()
+	if down := coord.Down(); len(down) != 1 || down[0] != sA.addr {
+		t.Fatalf("down after one stalled probe = %v, want [%s]", down, sA.addr)
 	}
-	if st := coord.ProbeOnce(); st[sA.addr] != HealthDown {
-		t.Fatalf("second probe = %v, want down", st[sA.addr])
+	if got := coord.RouteOf(id); got != sB.addr {
+		t.Fatalf("session routed to %s, want survivor %s", got, sB.addr)
 	}
 	// Recovery already happened behind the probe: feeding never blocks.
 	if err := coord.Feed(id, core.Frame{Img: frames[1], Oracle: sils[1]}); err != nil {
 		t.Fatalf("feed after probe-driven recovery: %v", err)
 	}
-	if got := coord.RouteOf(id); got != sB.addr {
-		t.Fatalf("session routed to %s, want survivor %s", got, sB.addr)
+}
+
+// TestShardKeepsConnAfterBodyRejection: a request whose header is valid
+// and whose body was read whole but fails to decode — here a batch over
+// the shard's MaxBatch — is answered with CodeBadReq on a connection
+// that stays open, so the coordinator's next request to the healthy
+// shard succeeds and nothing is recovered.
+func TestShardKeepsConnAfterBodyRejection(t *testing.T) {
+	frames, sils := leakFrames(2)
+	sA, sB := startShard(t), startShard(t)
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(), Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	const id = "x"
+	if err := coord.Open(OpenSpec{ID: id, W: fw, H: fh, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	home := coord.RouteOf(id)
+
+	batch := make([]core.Frame, DefaultLimits().MaxBatch+1)
+	for i := range batch {
+		batch[i] = core.Frame{Img: frames[0], Oracle: sils[0]}
+	}
+	var remote *RemoteError
+	if err := coord.FeedN(id, batch); !errors.As(err, &remote) || remote.Code != CodeBadReq {
+		t.Fatalf("oversized batch = %v, want a CodeBadReq *RemoteError", err)
+	}
+	if err := coord.Feed(id, core.Frame{Img: frames[1], Oracle: sils[1]}); err != nil {
+		t.Fatalf("feed after a rejected batch: %v", err)
+	}
+	if got := coord.RouteOf(id); got != home {
+		t.Fatalf("session moved %s -> %s after a rejected batch", home, got)
+	}
+	if down := coord.Down(); len(down) != 0 {
+		t.Fatalf("a rejected batch marked %v down", down)
+	}
+	if resumed, reopened, failed := coord.Recoveries(); resumed+reopened+failed != 0 {
+		t.Fatalf("recoveries = %d resumed, %d reopened, %d failed; want none", resumed, reopened, failed)
 	}
 }
 

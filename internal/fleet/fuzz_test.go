@@ -63,7 +63,7 @@ func FuzzWireDecode(f *testing.F) {
 		binary.LittleEndian.PutUint32(b[8:12], uint32(len(b)-headerLen))
 		return b
 	}))
-	f.Add(craftStatus(oneRow, func(b []byte) []byte { b[len(b)-52] = 9; return b })) // role out of range
+	f.Add(craftStatus(oneRow, func(b []byte) []byte { b[len(b)-47] = 9; return b })) // role out of range
 	// The retired status-style and batch-feed codes, each with an empty
 	// body.
 	for _, typ := range []byte{0x03, 0x09, 0x0F, 0x10, 0x12, 0x44, 0x45, 0x46, 0x47} {

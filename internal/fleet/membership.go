@@ -32,7 +32,8 @@ import (
 //
 //	(new) --Join--> active --loss--> down --Readmit--> probation --Promote--> active
 //	                                 down --Join--> active
-//	active|probation|down|draining --DrainShard--> draining --> removed
+//	active|probation|draining --DrainShard--> draining --> removed
+//	down --DrainShard--> removed
 //	draining --loss--> removed
 type Role uint8
 
@@ -50,23 +51,14 @@ func (r Role) String() string {
 // shard is one shard's record. A zero record is a healthy active shard.
 type shard struct {
 	role   Role
-	weight int // capacity weight for weighted vnodes, in [1, maxWeight]
-	health HealthState
-	fails  uint32   // consecutive timeout strikes
+	weight int      // capacity weight for weighted vnodes, in [1, maxWeight]
 	client *Client  // cached, fenced connection (nil: dial on demand)
 	pins   []string // probation: ids pinned off this shard at Readmit
 }
 
-// setRole moves the record to role. Returning to the ring from down
-// resets the health machine (a drained down shard keeps reading down);
-// any role change ends a probation, whose pins either go to Promote or
-// stay as plain route overrides.
-func (s *shard) setRole(role Role) {
-	if s.role == RoleDown && (role == RoleActive || role == RoleProbation) {
-		s.health, s.fails = HealthUp, 0
-	}
-	s.role, s.pins = role, nil
-}
+// setRole moves the record to role. Any role change ends a probation,
+// whose pins either go to Promote or stay as plain route overrides.
+func (s *shard) setRole(role Role) { s.role, s.pins = role, nil }
 
 func (s *shard) dropClient() {
 	if s.client != nil {
@@ -94,7 +86,6 @@ func (c *Coordinator) loseLocked(addr string) {
 		return
 	}
 	s.setRole(RoleDown)
-	s.health, s.fails = HealthDown, 0
 }
 
 // eligible reports whether addr takes new placements. Caller holds c.mu.
@@ -159,7 +150,8 @@ var opNames = [...]string{"join", "set-weight", "readmit", "promote", "drain"}
 // and returns the sessions the caller must migrate home, sorted: the
 // moved sessions (Join, SetWeight), the sessions pinned off a promoted
 // shard (Promote), or every session living on a draining shard
-// (DrainShard). Readmit returns none — its moved sessions stay pinned
+// (DrainShard; draining a down shard removes its record and returns
+// none). Readmit returns none — its moved sessions stay pinned
 // off the probation shard until Promote. Every session not returned
 // routes exactly where it did before the call. Caller holds c.mu.
 func (c *Coordinator) transitionLocked(op shardOp, addr string, weight int) ([]string, error) {
@@ -189,7 +181,14 @@ func (c *Coordinator) transitionLocked(op shardOp, addr string, weight int) ([]s
 		migrate = s.pins
 		s.setRole(RoleActive)
 	case opDrain:
-		s.setRole(RoleDraining)
+		if s.role == RoleDown {
+			// Its sessions were recovered when it went down, so it
+			// leaves at once: a draining record is never a lost one.
+			s.dropClient()
+			delete(c.shards, addr)
+		} else {
+			s.setRole(RoleDraining)
+		}
 	}
 	c.ring = c.ringLocked()
 	var moved []string

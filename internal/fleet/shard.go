@@ -83,22 +83,28 @@ func serveConn(conn net.Conn, h Handler, lim Limits, logf func(string, ...any)) 
 	ch, connAware := h.(ConnHandler)
 	cs := &ConnState{}
 	for {
-		req, err := ReadMessage(br, lim)
+		buf, err := readFrame(br, lim)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && logf != nil {
 				logf("fleet: %s: read: %v", conn.RemoteAddr(), err)
 			}
-			// A malformed request poisons the stream framing; answer once
-			// and drop the connection rather than guess at resync.
+			// A bad header or a short body poisons the stream framing;
+			// answer once and drop the connection rather than guess at
+			// resync.
 			if errors.Is(err, ErrBadMessage) || errors.Is(err, ErrVersion) {
 				_ = WriteMessage(conn, errMsg(CodeBadReq, err.Error()))
 			}
 			return
 		}
 		var resp *Message
-		if connAware {
+		switch req, err := DecodeWithLimits(buf, lim); {
+		case err != nil:
+			// The whole body was read, so the framing is intact: reject
+			// the request and keep the connection.
+			resp = errMsg(CodeBadReq, err.Error())
+		case connAware:
 			resp = ch.HandleConn(cs, req)
-		} else {
+		default:
 			resp = h.Handle(req)
 		}
 		if resp == nil {

@@ -162,7 +162,7 @@ type Status struct {
 }
 
 // ShardStatus is one shard's row. The coordinator fills in the
-// membership columns (Addr, Role, Health, Fails, Weight) from its
+// membership columns (Addr, Role, Weight) from its
 // shard record and the rest from the shard's own row. A row with a
 // non-empty Err is a placeholder: the shard could not be sampled (down,
 // timed out) and only the membership columns are set — the
@@ -171,8 +171,6 @@ type Status struct {
 type ShardStatus struct {
 	Addr                       string
 	Role                       Role
-	Health                     HealthState
-	Fails                      uint32 // consecutive timeout strikes
 	Weight                     uint16 // capacity weight (vnode multiplier), 0 on shard-local rows
 	Mem                        uint64 // summed session stream footprint in bytes
 	FeedMicros                 uint64 // EWMA of feed request handling latency, microseconds
@@ -406,8 +404,7 @@ func (e *encoder) status(st Status) {
 	e.n16(len(st.Shards), "status row count")
 	for _, row := range st.Shards {
 		e.str(row.Addr, "address length")
-		e.buf = append(e.buf, byte(row.Role), byte(row.Health))
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, row.Fails)
+		e.buf = append(e.buf, byte(row.Role))
 		e.buf = binary.LittleEndian.AppendUint16(e.buf, row.Weight)
 		for _, v := range []uint64{row.Mem, row.FeedMicros, row.Opened, row.Restores, row.Restarts} {
 			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
@@ -597,6 +594,17 @@ func WriteMessage(w io.Writer, m *Message) error {
 // the given budgets. The header is read first and validated, so at
 // most lim.MaxBody bytes are ever buffered for one message.
 func ReadMessage(r io.Reader, lim Limits) (*Message, error) {
+	buf, err := readFrame(r, lim)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeWithLimits(buf, lim)
+}
+
+// readFrame reads one message's header and whole body without decoding
+// the body. After an error from readFrame the stream's framing is lost;
+// after a decode error of the bytes it returned, it is not.
+func readFrame(r io.Reader, lim Limits) ([]byte, error) {
 	lim = lim.withDefaults()
 	hdr := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -617,7 +625,7 @@ func ReadMessage(r io.Reader, lim Limits) (*Message, error) {
 	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		return nil, err
 	}
-	return DecodeWithLimits(buf, lim)
+	return buf, nil
 }
 
 // reader adds the wire-only sections (blob, spec, frame) to the shared
@@ -720,9 +728,9 @@ func (r reader) status(st *Status, lim Limits) error {
 	}
 	a.LeaseExpires = int64(expires)
 
-	// A row costs >= 54 bytes (2 addr len + 1 role + 1 health + 4 fails
-	// + 2 weight + 5x8 counters + 2 err len + 2 session count).
-	n, err := r.count(54, lim.MaxIDs, "status rows")
+	// A row costs >= 49 bytes (2 addr len + 1 role + 2 weight + 5x8
+	// counters + 2 err len + 2 session count).
+	n, err := r.count(49, lim.MaxIDs, "status rows")
 	if err != nil {
 		return err
 	}
@@ -734,17 +742,14 @@ func (r reader) status(st *Status, lim Limits) error {
 		if row.Addr, err = r.Str(lim.MaxIDLen); err != nil {
 			return err
 		}
-		b, err := r.Bytes(2)
+		role, err := r.U8()
 		if err != nil {
 			return err
 		}
-		if b[0] > byte(RoleDown) || b[1] > byte(HealthDown) {
-			return fmt.Errorf("fleet: status row role %d or health %d out of range: %w", b[0], b[1], ErrBadMessage)
+		if role > uint8(RoleDown) {
+			return fmt.Errorf("fleet: status row role %d out of range: %w", role, ErrBadMessage)
 		}
-		row.Role, row.Health = Role(b[0]), HealthState(b[1])
-		if row.Fails, err = r.U32(); err != nil {
-			return err
-		}
+		row.Role = Role(role)
 		if row.Weight, err = r.U16(); err != nil {
 			return err
 		}

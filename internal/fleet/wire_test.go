@@ -75,9 +75,9 @@ func sampleMessages() []*Message {
 			Shards: []ShardStatus{
 				{Addr: "10.0.0.1:7601", Weight: 2, Mem: 1 << 20, FeedMicros: 850, Opened: 9, Restores: 2, Restarts: 1,
 					Sess: []SessionLoad{{ID: "call-00", Mem: 4096, Frames: 77}, {ID: "call-01", Mem: 8192, Frames: 12}}},
-				{Addr: "10.0.0.2:7601", Role: RoleProbation, Health: HealthSuspect, Fails: 2, Weight: 1},
+				{Addr: "10.0.0.2:7601", Role: RoleProbation, Weight: 1},
 				{Addr: "10.0.0.3:7601", Role: RoleDraining, Weight: 1, Sess: []SessionLoad{{ID: "call-02", Mem: 4096, Frames: 5}}},
-				{Addr: "10.0.0.4:7601", Role: RoleDown, Health: HealthDown, Weight: 1, Err: "down"},
+				{Addr: "10.0.0.4:7601", Role: RoleDown, Weight: 1, Err: "down"},
 			},
 		}},
 		// A shard's own answer: its fenced epoch and one row.
@@ -248,13 +248,13 @@ func TestWireGolden(t *testing.T) {
 			LeaseHolder: "c", LeaseTerm: 10, LeaseEpoch: 11, LeaseExpires: 12,
 		},
 		Shards: []ShardStatus{{
-			Addr: "b:2", Role: RoleDraining, Health: HealthSuspect, Fails: 3, Weight: 2,
+			Addr: "b:2", Role: RoleDraining, Weight: 2,
 			Mem: 5, FeedMicros: 6, Opened: 7, Restores: 8, Restarts: 9,
 			Sess: []SessionLoad{{ID: "s", Mem: 10, Frames: 11}},
 		}},
 	}}
 	wantStatus := []byte{
-		'B', 'B', 'F', 'L', 1, 0, 0x48, 0x00, 210, 0, 0, 0,
+		'B', 'B', 'F', 'L', 1, 0, 0x48, 0x00, 205, 0, 0, 0,
 		2, 0, 0, 0, 0, 0, 0, 0, // epoch
 		3, 0, 0, 0, 0, 0, 0, 0, // migrations
 		0x03,                         // flags: enabled | lease held
@@ -275,9 +275,7 @@ func TestWireGolden(t *testing.T) {
 		12, 0, 0, 0, 0, 0, 0, 0, // lease expires
 		1, 0, // row count
 		3, 0, 'b', ':', '2', // addr
-		2,          // role (draining)
-		1,          // health (suspect)
-		3, 0, 0, 0, // fails
+		2,    // role (draining)
 		2, 0, // weight
 		5, 0, 0, 0, 0, 0, 0, 0, // mem
 		6, 0, 0, 0, 0, 0, 0, 0, // feed micros
@@ -412,13 +410,11 @@ func TestWireDecodeRejections(t *testing.T) {
 		t.Errorf("status session bomb: %v", err)
 	}
 
-	// A role or health state past the last defined one is rejected. The
-	// empty-address row is the last 54 bytes: role at +2, health at +3.
-	for _, off := range []int{54 - 2, 54 - 3} {
-		bad := craftStatus(oneRow, func(b []byte) []byte { b[len(b)-off] = 4; return b })
-		if _, err := Decode(bad); !errors.Is(err, ErrBadMessage) {
-			t.Errorf("status row byte %d out of range: %v", 54-off, err)
-		}
+	// A role past the last defined one is rejected. The empty-address
+	// row is the last 49 bytes, with the role at +2.
+	bad = craftStatus(oneRow, func(b []byte) []byte { b[len(b)-(49-2)] = 4; return b })
+	if _, err := Decode(bad); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("status row role out of range: %v", err)
 	}
 }
 
