@@ -506,20 +506,11 @@ func runLive(args []string) error {
 	// a supervisor restart the old handle is a Failed tombstone, and the
 	// manager always reaches the live incarnation. With the supervisor
 	// armed, ErrFailed is a transient state between crash and
-	// resurrection — retry the frame briefly so a mid-call crash costs
-	// only what the queue lost, not the rest of the feed.
-	feed := mgr.Feed
+	// resurrection — retry the batch briefly so a mid-call crash costs
+	// only what the queue lost, not the rest of the feed. A single frame
+	// is a batch of one.
 	feedN := mgr.FeedN
 	if *restart {
-		feed = func(id string, img *imagex.Image, oracle *imagex.Mask) error {
-			for tries := 0; ; tries++ {
-				err := mgr.Feed(id, img, oracle)
-				if err == nil || !errors.Is(err, session.ErrFailed) || tries >= 400 {
-					return err
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
 		feedN = func(id string, frames []bgbuster.Frame) error {
 			for tries := 0; ; tries++ {
 				err := mgr.FeedN(id, frames)
@@ -529,6 +520,9 @@ func runLive(args []string) error {
 				time.Sleep(5 * time.Millisecond)
 			}
 		}
+	}
+	feed := func(id string, img *imagex.Image, oracle *imagex.Mask) error {
+		return feedN(id, []bgbuster.Frame{{Img: img, Oracle: oracle}})
 	}
 	injectors := make([]*faultinject.Injector, len(live))
 	done := make(chan struct{})

@@ -23,8 +23,7 @@ var configFields = map[string]struct {
 	"session.Config": {reflect.TypeFor[session.Config](), []string{
 		"QueueDepth", "MaxSessions", "MemBudget", "IdleTimeout",
 		"Checkpoints", "CheckpointInterval", "AutoRestart", "MaxRestarts",
-		"QualityGate", "MaxImpulseNoise", "DegradeAfterRejects",
-		"FailAfterRejects", "StallTimeout", "CloseTimeout", "Logf", "Gallery",
+		"MaxImpulseNoise", "StallTimeout", "CloseTimeout", "Logf", "Gallery",
 	}},
 	"fleet.CoordinatorConfig": {reflect.TypeFor[fleet.CoordinatorConfig](), []string{
 		"Shards", "Vnodes", "Limits", "Store", "Stores", "ReplicaFactor",

@@ -1,9 +1,9 @@
 package session
 
 // Regression tests for the streaming/durability bugfix sweep: DirStore
-// temp-file reclamation, per-frame rejection accounting in the FeedN
-// path, publish-after-init session registration, and the Drain/Detach/
-// ResumeSession migration primitives the fleet layer is built on.
+// temp-file reclamation, publish-after-init session registration, and
+// the Drain/Detach/ResumeSession migration primitives the fleet layer
+// is built on.
 
 import (
 	"bytes"
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/bgbuster/bgbuster/internal/core"
-	"github.com/bgbuster/bgbuster/internal/imagex"
 )
 
 // plant drops a file into dir.
@@ -119,135 +118,6 @@ func TestDirStoreSaveRenameFailureLeavesNoTemp(t *testing.T) {
 	removed, err := d.Sweep()
 	if err != nil || len(removed) != 0 {
 		t.Fatalf("Sweep after failed saves: removed=%v err=%v, want none", removed, err)
-	}
-}
-
-// badFrames returns n wrong-geometry frames: they pass the intake, are
-// skipped by the gate (malformed frames are the reconstructor's to
-// classify), and are rejected by the stream as recoverable
-// FrameErrors.
-func badFrames(n int) []core.Frame {
-	out := make([]core.Frame, n)
-	for i := range out {
-		out[i] = core.Frame{
-			Img:    imagex.NewFilled(4, 4, imagex.RGB{R: 1, G: 2, B: 3}),
-			Oracle: imagex.NewMask(4, 4),
-		}
-	}
-	return out
-}
-
-func waitHealth(t *testing.T, s *Session, want Health) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.Health() == want {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("session %q health %v, want %v (reasons: %v)", s.ID(), s.Health(), want, s.HealthReasons())
-}
-
-// TestFeedNPerFrameRejectParity: one poisoned 16-frame batch must trip
-// the degraded→failed rejection thresholds exactly like 16 poisoned
-// frames fed one at a time — the regression was batch ingest advancing
-// error accounting once per batch, under-tripping the health machine.
-func TestFeedNPerFrameRejectParity(t *testing.T) {
-	// The gate sleeps on well-formed frames only (malformed frames
-	// bypass it), so the single good frame holds the worker busy while
-	// the 16 poisoned frames enqueue behind it.
-	cfg := Config{
-		DegradeAfterRejects: 4,
-		FailAfterRejects:    16,
-		QualityGate: func(*imagex.Image, *imagex.Mask) error {
-			time.Sleep(50 * time.Millisecond)
-			return nil
-		},
-	}
-	mk := func(id string) (*Manager, *Session) {
-		m := NewManager(cfg)
-		s, err := m.Open(id, testW, testH, testOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, s
-	}
-	good, sils := testFrames(1)
-	bad := badFrames(16)
-
-	// Sequential leg: one good frame occupies the worker while the 16
-	// poisoned frames enqueue, so all 16 are processed one at a time.
-	mSeq, seq := mk("seq")
-	defer mSeq.Close()
-	if err := seq.Feed(good[0], sils[0]); err != nil {
-		t.Fatal(err)
-	}
-	for i := range bad {
-		if err := seq.Feed(bad[i].Img, bad[i].Oracle); err != nil {
-			t.Fatalf("feed bad frame %d: %v", i, err)
-		}
-	}
-
-	// Batch leg: the same traffic as one FeedN batch.
-	mBatch, batch := mk("batch")
-	defer mBatch.Close()
-	if err := batch.Feed(good[0], sils[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.FeedN(bad); err != nil {
-		t.Fatal(err)
-	}
-
-	waitHealth(t, seq, Failed)
-	waitHealth(t, batch, Failed)
-	for _, s := range []*Session{seq, batch} {
-		st := s.Stats()
-		if st.FramesProcessed != 1 || st.FramesRejected != 16 || st.RejectStreak != 16 {
-			t.Errorf("%s: processed=%d rejected=%d streak=%d, want 1/16/16",
-				s.ID(), st.FramesProcessed, st.FramesRejected, st.RejectStreak)
-		}
-		if s.Failure() != "16 consecutive frames rejected" {
-			t.Errorf("%s: failure %q, want the frame-16 trip", s.ID(), s.Failure())
-		}
-		var degraded bool
-		for _, r := range st.HealthReasons {
-			degraded = degraded || strings.Contains(r, "4 consecutive frames rejected")
-		}
-		if !degraded {
-			t.Errorf("%s: no degrade transition at streak 4 in %v", s.ID(), st.HealthReasons)
-		}
-	}
-}
-
-// TestFeedNStreakResetsOnAccept: an accepted frame inside a batch
-// resets the rejection streak, so two separated runs of 8 rejects
-// never sum to a 16-frame trip.
-func TestFeedNStreakResetsOnAccept(t *testing.T) {
-	m := NewManager(Config{DegradeAfterRejects: 10, FailAfterRejects: 16})
-	defer m.Close()
-	s, err := m.Open("mixed", testW, testH, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, sils := testFrames(2)
-	var mixed []core.Frame
-	mixed = append(mixed, core.Frame{Img: good[0], Oracle: sils[0]})
-	mixed = append(mixed, badFrames(8)...)
-	mixed = append(mixed, core.Frame{Img: good[1], Oracle: sils[1]})
-	mixed = append(mixed, badFrames(8)...)
-	if err := s.FeedN(mixed); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Health != Healthy {
-		t.Fatalf("health %v (reasons %v), want Healthy: 8+8 rejects with a reset between must not trip 10/16", st.Health, st.HealthReasons)
-	}
-	if st.FramesProcessed != 2 || st.FramesRejected != 16 || st.RejectStreak != 8 {
-		t.Fatalf("processed=%d rejected=%d streak=%d, want 2/16/8", st.FramesProcessed, st.FramesRejected, st.RejectStreak)
 	}
 }
 
@@ -439,15 +309,15 @@ func TestResumeSessionDuplicate(t *testing.T) {
 // for, times out while the worker is busy, and returns immediately for
 // an exited worker.
 func TestDrainBarrier(t *testing.T) {
-	// The slow stage must be in the worker's per-frame path even before
-	// identification pins (pre-pin frames are only stashed in the
-	// pending window), so the delay lives in the quality gate.
-	m := NewManager(Config{QualityGate: func(*imagex.Image, *imagex.Mask) error {
-		time.Sleep(30 * time.Millisecond)
-		return nil
-	}})
+	// The slow stage must be in the worker's per-frame path, so
+	// identification pins on the first frame (pre-pin frames are only
+	// stashed in the pending window) and every frame then segments.
+	m := NewManager(Config{})
 	defer m.Close()
-	s, err := m.Open("drain", testW, testH, testOpts())
+	opts := testOpts()
+	opts.IdentifyAfter = 1
+	opts.Segmenter = slowSegmenter{d: 30 * time.Millisecond}
+	s, err := m.Open("drain", testW, testH, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,6 +250,63 @@ func TestMemStore(t *testing.T) {
 // end-of-call, after which a resumed session is read-only; eviction
 // coverage is in TestEvictThenRestoreRace). A second manager on the
 // same store must resume every call and keep feeding it.
+// TestResumeFloorEveryPath: a session resumed from a checkpoint reports
+// that checkpoint's frame counter and coverage as its resume floor,
+// whether Restore or ResumeSession registered it (the supervisor's
+// floor is asserted in TestSupervisorRestartFromCheckpoint).
+func TestResumeFloorEveryPath(t *testing.T) {
+	store := NewMemStore()
+	m1 := NewManager(Config{Checkpoints: store})
+	defer m1.Close()
+	s, err := m1.Open("call", testW, testH, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, sils := testFrames(12)
+	for j := range frames {
+		if err := s.Feed(frames[j], sils[j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := store.Load("call")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCov := s.Snapshot().Coverage.Fraction()
+	if wantCov <= 0 {
+		t.Fatal("no coverage to resume from")
+	}
+	check := func(path string, st Snapshot) {
+		t.Helper()
+		if st.ResumedFrames != 12 || st.ResumedCoverage != wantCov {
+			t.Errorf("%s: resume floor %d frames, %v coverage; want 12, %v",
+				path, st.ResumedFrames, st.ResumedCoverage, wantCov)
+		}
+	}
+
+	m2 := NewManager(Config{Checkpoints: store})
+	defer m2.Close()
+	restored, err := m2.Restore(func(string) core.Options { return testOpts() })
+	if err != nil || len(restored) != 1 {
+		t.Fatalf("Restore: %d sessions, %v", len(restored), err)
+	}
+	check("Restore", restored[0].Stats())
+
+	m3 := NewManager(Config{})
+	defer m3.Close()
+	resumed, err := m3.ResumeSession("call", ckpt, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ResumeSession", resumed.Stats())
+}
+
 func TestManagerRestoreRoundTrip(t *testing.T) {
 	store := NewMemStore()
 	const nSessions = 3

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -81,32 +80,13 @@ type Config struct {
 	// (non-positive: 5).
 	MaxRestarts int
 
-	// QualityGate, when set, screens every well-formed frame before it
-	// reaches the reconstructor; a non-nil error rejects the frame
-	// (counted in FramesGated and FramesRejected). Malformed frames
-	// (nil, wrong geometry) bypass the gate and are rejected by the
-	// reconstructor's own frame-fault taxonomy.
-	QualityGate func(frame *imagex.Image, oracle *imagex.Mask) error
-	// MaxImpulseNoise, when > 0, is the built-in decode-quality gate:
-	// frames whose vidstream.ImpulseNoise score exceeds it are rejected
-	// before their corrupted pixels can be claimed as residue. 0
-	// disables the gate.
+	// MaxImpulseNoise, when > 0, is the decode-quality gate: frames
+	// whose vidstream.ImpulseNoise score exceeds it are rejected
+	// (counted in FramesGated and FramesRejected) before their corrupted
+	// pixels can be claimed as residue. Malformed frames (nil, wrong
+	// geometry) bypass the gate and are rejected by the reconstructor's
+	// own frame-fault taxonomy. 0 disables the gate.
 	MaxImpulseNoise float64
-
-	// DegradeAfterRejects, when > 0, degrades a session once this many
-	// consecutive frames have been rejected (gate + recoverable stream
-	// rejections; any accepted frame resets the streak). The streak
-	// advances per frame, so one poisoned batch trips the threshold at
-	// the same frame a sequential replay would. 0 disables the
-	// threshold.
-	DegradeAfterRejects int
-	// FailAfterRejects, when > 0, fails a session once the consecutive
-	// rejection streak reaches it — the worker stops and (with
-	// AutoRestart) the supervisor resurrects the id from its last good
-	// checkpoint. Usually set above DegradeAfterRejects so the health
-	// machine walks healthy → degraded → failed. 0 disables the
-	// threshold.
-	FailAfterRejects int
 
 	// StallTimeout, when > 0, arms the manager watchdog: a session with
 	// no feed or processing activity for this long (and not yet
@@ -180,10 +160,10 @@ const maxRestartLog = 512
 type Manager struct {
 	cfg Config
 
-	// ctx is the root of the manager's cancellation tree (sweeper,
-	// watchdog, supervisor); Close cancels it.
-	ctx        context.Context
-	cancel     context.CancelFunc
+	// stop is closed by Close; bg counts the background checks (idle
+	// sweep, watchdog, supervisor) still running.
+	stop       chan struct{}
+	bg         sync.WaitGroup
 	closedFlag atomic.Bool
 
 	mu         sync.Mutex
@@ -204,10 +184,7 @@ type Manager struct {
 	abandoned    stats.Counter
 	shed         stats.Counter // admission rejections (fleet-full + memory-budget)
 
-	failedCh  chan struct{} // wakes the supervisor on a worker failure
-	sweepDone chan struct{}
-	watchDone chan struct{}
-	superDone chan struct{}
+	failedCh chan struct{} // wakes the supervisor on a worker failure
 
 	// galleryMu orders composite ingestion; the fan-out is created
 	// lazily on the first FeedComposite (gallery.go).
@@ -234,30 +211,51 @@ func (m *Manager) noteFailed() {
 	}
 }
 
-// NewManager returns a running Manager; Close releases it. When
-// cfg.IdleTimeout is set, a background sweeper finalizes and removes
-// sessions whose last Feed is older than the timeout; cfg.AutoRestart
-// starts the supervisor (supervisor.go).
+// NewManager returns a running Manager; Close releases it. Each
+// background check runs only when its setting is on: cfg.IdleTimeout
+// starts the idle sweep, cfg.StallTimeout the watchdog and
+// cfg.AutoRestart the supervisor (supervisor.go).
 func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:      cfg.withDefaults(),
 		sessions: map[string]*Session{},
+		stop:     make(chan struct{}),
 	}
-	m.ctx, m.cancel = context.WithCancel(context.Background())
 	if m.cfg.IdleTimeout > 0 {
-		m.sweepDone = make(chan struct{})
-		go m.sweep()
+		// A quarter of the idle timeout, at most 1s and at least minScanPeriod.
+		m.every(min(max(m.cfg.IdleTimeout/4, minScanPeriod), time.Second), nil, m.sweep)
 	}
 	if m.cfg.StallTimeout > 0 {
-		m.watchDone = make(chan struct{})
-		go m.watchdog()
+		m.every(max(m.cfg.StallTimeout/4, minScanPeriod), nil, m.watchdog)
 	}
 	if m.cfg.AutoRestart {
 		m.failedCh = make(chan struct{}, 1)
-		m.superDone = make(chan struct{})
-		go m.supervise()
+		recs := map[string]*restartRec{} // owned by the supervisor's goroutine
+		m.every(supervisorInterval, m.failedCh, func() { m.supervise(recs) })
 	}
 	return m
+}
+
+// every runs step on its own goroutine once per period, and early on
+// each receive from wake (nil: never), until Close. Each check gets its
+// own goroutine so a slow step — an eviction's blocking Close — never
+// delays another.
+func (m *Manager) every(period time.Duration, wake <-chan struct{}, step func()) {
+	m.bg.Add(1)
+	go func() {
+		defer m.bg.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-m.stop:
+				return
+			case <-wake:
+			case <-t.C:
+			}
+			step()
+		}
+	}()
 }
 
 // Open starts a live session reconstructing a call of the given frame
@@ -270,7 +268,7 @@ func (m *Manager) Open(id string, w, h int, opts core.Options) (*Session, error)
 	if err != nil {
 		return nil, fmt.Errorf("session %q: %w", id, err)
 	}
-	return m.register(id, stream, opts, regMeta{})
+	return m.register(id, stream, opts, regMeta{incarnation: 1})
 }
 
 // admitLocked is the admission decision for one new session of
@@ -299,9 +297,22 @@ func (m *Manager) admitLocked(id string, fp uint64) error {
 // floors are read without the manager lock).
 type regMeta struct {
 	restored        bool
-	incarnation     int // non-positive: 1
+	incarnation     int
 	resumedFrames   uint64
 	resumedCoverage float64
+}
+
+// resumeMeta labels a resumed stream. Its resume floor is the stream's
+// own frame counter and coverage before it takes a frame: the
+// checkpoint's state, or zero for a fresh stream. Restore,
+// ResumeSession and the supervisor all label through it.
+func resumeMeta(stream *core.StreamReconstructor, restored bool, incarnation int) regMeta {
+	return regMeta{
+		restored:        restored,
+		incarnation:     incarnation,
+		resumedFrames:   uint64(stream.Frames()),
+		resumedCoverage: stream.Snapshot().Coverage.Fraction(),
+	}
 }
 
 // register installs a (new or resumed) stream as a running session,
@@ -335,9 +346,6 @@ func (m *Manager) installLocked(id string, stream *core.StreamReconstructor, opt
 	s := newSession(m, id, stream, m.cfg.QueueDepth)
 	s.opts = opts
 	s.incarnation = meta.incarnation
-	if s.incarnation <= 0 {
-		s.incarnation = 1
-	}
 	s.memBytes = fp
 	s.restored = meta.restored
 	s.resumedFrames = meta.resumedFrames
@@ -443,7 +451,7 @@ func (m *Manager) Restore(optsFor func(id string) core.Options) ([]*Session, err
 			errs = append(errs, &RestoreError{ID: id, Err: results[i].err})
 			continue
 		}
-		s, err := m.register(id, results[i].stream, results[i].opts, regMeta{restored: true})
+		s, err := m.register(id, results[i].stream, results[i].opts, resumeMeta(results[i].stream, true, 1))
 		if err != nil {
 			shed := errors.Is(err, ErrFleetFull) || errors.Is(err, ErrMemoryBudget)
 			if shed {
@@ -473,12 +481,7 @@ func (m *Manager) ResumeSession(id string, data []byte, opts core.Options) (*Ses
 	if err != nil {
 		return nil, fmt.Errorf("session %q: resume: %w", id, err)
 	}
-	meta := regMeta{
-		restored:      true,
-		resumedFrames: uint64(stream.Frames()),
-	}
-	meta.resumedCoverage = stream.Snapshot().Coverage.Fraction()
-	return m.register(id, stream, opts, meta)
+	return m.register(id, stream, opts, resumeMeta(stream, true, 1))
 }
 
 // Get returns the current incarnation of the open session with the
@@ -561,73 +564,49 @@ func (m *Manager) list() []*Session {
 	return out
 }
 
-// sweep is the idle-eviction loop.
+// sweep is the idle-eviction check: it closes every session whose last
+// Feed is older than IdleTimeout.
 func (m *Manager) sweep() {
-	defer close(m.sweepDone)
-	// A quarter of the idle timeout, at most 1s and at least minScanPeriod.
-	t := time.NewTicker(min(max(m.cfg.IdleTimeout/4, minScanPeriod), time.Second))
-	defer t.Stop()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case <-t.C:
-		}
-		deadline := time.Now().Add(-m.cfg.IdleTimeout).UnixNano()
-		for _, s := range m.list() {
-			if s.lastFeed.Load() < deadline {
-				s.evicted.Store(true)
-				m.evictions.Inc()
-				_ = s.Close() // finalizes; panic (if any) already counted
-			}
+	deadline := time.Now().Add(-m.cfg.IdleTimeout).UnixNano()
+	for _, s := range m.list() {
+		if s.lastFeed.Load() < deadline {
+			s.evicted.Store(true)
+			m.evictions.Inc()
+			_ = s.Close() // finalizes; panic (if any) already counted
 		}
 	}
 }
 
-// watchdog is the stalled-stream detector: a session with no feed or
+// watchdog is the stalled-stream check: a session with no feed or
 // processing activity for StallTimeout (and whose worker has not yet
 // exited) is marked degraded. The latch resets on the next Feed, so
 // distinct stall episodes are counted separately, while health stays
 // monotonically degraded (DESIGN.md §12).
 func (m *Manager) watchdog() {
-	defer close(m.watchDone)
-	t := time.NewTicker(max(m.cfg.StallTimeout/4, minScanPeriod))
-	defer t.Stop()
-	for {
+	deadline := time.Now().Add(-m.cfg.StallTimeout).UnixNano()
+	for _, s := range m.list() {
 		select {
-		case <-m.ctx.Done():
-			return
-		case <-t.C:
+		case <-s.done:
+			continue // finalized or failed; not a stall
+		default:
 		}
-		deadline := time.Now().Add(-m.cfg.StallTimeout).UnixNano()
-		for _, s := range m.list() {
-			select {
-			case <-s.done:
-				continue // finalized or failed; not a stall
-			default:
-			}
-			active := s.lastFeed.Load()
-			if p := s.lastProc.Load(); p > active {
-				active = p
-			}
-			if active < deadline && s.stallLatch.CompareAndSwap(false, true) {
-				m.stalls.Inc()
-				s.stalls.Inc()
-				s.degrade(fmt.Sprintf("stalled: no stream activity for %s", m.cfg.StallTimeout))
-			}
+		active := max(s.lastFeed.Load(), s.lastProc.Load())
+		if active < deadline && s.stallLatch.CompareAndSwap(false, true) {
+			m.stalls.Inc()
+			s.stalls.Inc()
+			s.degrade(fmt.Sprintf("stalled: no stream activity for %s", m.cfg.StallTimeout))
 		}
 	}
 }
 
-// Close finalizes every open session and stops the sweeper, watchdog
-// and supervisor by cancelling the manager context. The manager
-// accepts no new sessions afterwards; Close is idempotent. When
-// Config.CloseTimeout is set, Close waits at most that long for the
-// whole fleet to drain: sessions still running at the deadline are
-// abandoned — marked degraded, counted, reported in the returned error
-// — instead of wedging shutdown on one stuck call. The returned error
-// joins per-session failures (panics, fatal errors, abandonments); a
-// clean shutdown returns nil.
+// Close stops the background checks (idle sweep, watchdog, supervisor)
+// and finalizes every open session. The manager accepts no new sessions
+// afterwards; Close is idempotent. When Config.CloseTimeout is set,
+// Close waits at most that long for the whole fleet to drain: sessions
+// still running at the deadline are abandoned — marked degraded,
+// counted, reported in the returned error — instead of wedging shutdown
+// on one stuck call. The returned error joins per-session failures
+// (panics, fatal errors, abandonments); a clean shutdown returns nil.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -637,16 +616,8 @@ func (m *Manager) Close() error {
 	m.closed = true
 	m.mu.Unlock()
 	m.closedFlag.Store(true)
-	m.cancel()
-	if m.sweepDone != nil {
-		<-m.sweepDone
-	}
-	if m.watchDone != nil {
-		<-m.watchDone
-	}
-	if m.superDone != nil {
-		<-m.superDone
-	}
+	close(m.stop)
+	m.bg.Wait()
 	sessions := m.list()
 	for _, s := range sessions {
 		s.closeIntake()

@@ -5,8 +5,8 @@
 // a live adversary that falls behind loses old frames, never the call —
 // a worker goroutine that feeds the reconstructor, panic isolation so
 // one poisoned call cannot take down its neighbours, and an
-// observability surface (per-stage counters, feed latency, coverage
-// over time) readable at any instant without pausing the session.
+// observability surface (per-stage counters, feed latency, coverage)
+// readable at any instant without pausing the session.
 package session
 
 import (
@@ -51,8 +51,7 @@ type Session struct {
 	incarnation int
 	memBytes    uint64
 	// resumedFrames/resumedCov record the checkpoint state this
-	// incarnation resumed from (zero for incarnation 1 and for a fresh
-	// restart with no stored checkpoint).
+	// incarnation resumed from (zero when the stream started fresh).
 	resumedFrames uint64
 	resumedCov    float64
 
@@ -76,7 +75,6 @@ type Session struct {
 	gated     stats.Counter // quality-gate rejections (subset of rejected)
 	processed stats.Counter
 	feedLat   stats.Latency
-	coverage  *stats.Series
 	pinnedNs  atomic.Int64 // identify-pin latency; 0 until pinned
 
 	// Health state machine (health.go): Healthy → Degraded → Failed.
@@ -95,30 +93,20 @@ type Session struct {
 	ckptTryNs      atomic.Int64  // UnixNano of the last attempt, or of the start (paces retries)
 	restored       bool          // came from Manager.Restore, not Open
 
-	// rejectStreak is the current run of consecutively rejected frames
-	// (gate + recoverable stream rejections), advanced per frame and
-	// reset by any accepted frame. The opt-in
-	// Config.DegradeAfterRejects/FailAfterRejects thresholds act on it.
-	rejectStreak atomic.Uint32
-
 	done     chan struct{} // closed when the worker exits
 	failure  atomic.Value  // string; set when the worker panicked or hit a fatal error
 	evicted  atomic.Bool
 	detached atomic.Bool // Detach in progress: loop must not finalize
 }
 
-// coverageSamples bounds each session's coverage-over-time ring.
-const coverageSamples = 256
-
 func newSession(mgr *Manager, id string, stream *core.StreamReconstructor, queueDepth int) *Session {
 	s := &Session{
-		id:       id,
-		mgr:      mgr,
-		queue:    make(chan []core.Frame, queueDepth),
-		stream:   stream,
-		started:  time.Now(),
-		coverage: stats.NewSeries(coverageSamples),
-		done:     make(chan struct{}),
+		id:      id,
+		mgr:     mgr,
+		queue:   make(chan []core.Frame, queueDepth),
+		stream:  stream,
+		started: time.Now(),
+		done:    make(chan struct{}),
 	}
 	s.w, s.h = stream.Size()
 	s.lastFeed.Store(s.started.UnixNano())
@@ -238,52 +226,26 @@ func (s *Session) loop() {
 
 // process runs one queued batch, gating and then feeding each frame in
 // arrival order. Gate rejections and recoverable stream rejections
-// count per frame and advance the consecutive-rejection streak per
-// frame, so a poisoned batch trips the opt-in
-// Config.DegradeAfterRejects/FailAfterRejects thresholds at the frame a
-// run of single-frame batches would; failing is fatal for the worker (a
-// stream whose every recent frame bounces is reconstructing nothing,
-// and failing hands the id to the supervisor for a checkpoint-backed
-// restart). Each frame that reaches the reconstructor records its own
-// feed latency, and the coverage series gains one sample per batch with
-// an accepted frame. The gate runs outside streamMu, since it may call
-// a user QualityGate; each frame is fed under streamMu with a deferred
-// unlock, so a panicking pipeline (isolated in loop's recover) cannot
-// leave the lock held and wedge every observer, and observers never
-// wait behind a whole batch. Health transitions are applied after the
-// batch, so a user Logf callback that snapshots the session can never
-// deadlock. It reports whether the session hit a fatal error and must
-// stop.
+// count per frame, and each frame that reaches the reconstructor
+// records its own feed latency. Each frame is fed under streamMu with a
+// deferred unlock, so a panicking pipeline (isolated in loop's recover)
+// cannot leave the lock held and wedge every observer, and observers
+// never wait behind a whole batch. The failure transition is applied
+// after the batch, so a user Logf callback that snapshots the session
+// can never deadlock. It reports whether the session hit a fatal error
+// and must stop.
 func (s *Session) process(frames []core.Frame) (fatal bool) {
 	s.lastProc.Store(time.Now().UnixNano())
 	var (
-		accepted, rejected, gatedN  int
-		fatalErr                    error
-		identified                  bool
-		cov                         float64
-		degradeAt                   = s.mgr.cfg.DegradeAfterRejects
-		failAt                      = s.mgr.cfg.FailAfterRejects
-		streak                      = int(s.rejectStreak.Load())
-		crossedDegrade, crossedFail bool
+		accepted, rejected, gatedN int
+		fatalErr                   error
+		identified                 bool
 	)
-	reject := func() (stop bool) {
-		rejected++
-		streak++
-		if degradeAt > 0 && streak == degradeAt {
-			crossedDegrade = true
-		}
-		if failAt > 0 && streak >= failAt {
-			crossedFail = true
-		}
-		return crossedFail
-	}
 feed:
 	for _, f := range frames {
 		if err := s.gate(f); err != nil {
 			gatedN++
-			if reject() {
-				break feed
-			}
+			rejected++
 			continue
 		}
 		t0 := time.Now()
@@ -293,20 +255,16 @@ feed:
 			defer s.streamMu.Unlock()
 			err = s.stream.Feed(f.Img, f.Oracle)
 			identified = s.stream.Identified()
-			cov = s.stream.Snapshot().Coverage.Fraction()
 		}()
 		s.feedLat.Observe(time.Since(t0))
 		switch {
 		case err == nil:
 			accepted++
-			streak = 0
 		case core.RecoverableFrame(err):
 			// One bad frame is counted and skipped; the stream carries on
 			// (the paper's LB residue accumulates over many frames, so a
 			// rejected frame only costs its own residue).
-			if reject() {
-				break feed
-			}
+			rejected++
 		default:
 			// Non-frame errors mean the stream itself is unusable; the
 			// frames after this one are never attempted.
@@ -317,10 +275,6 @@ feed:
 	s.gated.Add(uint64(gatedN))
 	s.rejected.Add(uint64(rejected))
 	s.processed.Add(uint64(accepted))
-	s.rejectStreak.Store(uint32(streak))
-	if accepted > 0 {
-		s.coverage.Append(cov)
-	}
 	if identified && s.pinnedNs.Load() == 0 {
 		s.pinnedNs.Store(int64(time.Since(s.started)))
 	}
@@ -329,38 +283,25 @@ feed:
 		s.fail(fmt.Sprintf("fatal stream error: %v", fatalErr))
 		return true
 	}
-	if crossedDegrade {
-		s.degrade(fmt.Sprintf("%d consecutive frames rejected", degradeAt))
-	}
-	if crossedFail {
-		reason := fmt.Sprintf("%d consecutive frames rejected", streak)
-		s.failure.Store(reason)
-		s.fail(reason)
-		return true
-	}
 	s.maybeCheckpoint()
 	return false
 }
 
 // gate screens a frame's decode consistency before it reaches the
-// reconstructor. Geometry and nil faults are left to the reconstructor
-// (which classifies them as recoverable FrameErrors); the gate only
-// judges content quality, so the two rejection layers never overlap.
+// reconstructor: with Config.MaxImpulseNoise set, a frame whose
+// impulse-noise score exceeds it is rejected. Geometry and nil faults
+// are left to the reconstructor (which classifies them as recoverable
+// FrameErrors); the gate only judges content quality, so the two
+// rejection layers never overlap.
 func (s *Session) gate(f core.Frame) error {
-	if f.Img == nil || f.Img.W != s.w || f.Img.H != s.h {
-		return nil // the reconstructor rejects and classifies these
+	limit := s.mgr.cfg.MaxImpulseNoise
+	if limit <= 0 || f.Img == nil || f.Img.W != s.w || f.Img.H != s.h {
+		return nil // gate off, or the reconstructor rejects and classifies these
 	}
-	if g := s.mgr.cfg.QualityGate; g != nil {
-		if err := g(f.Img, f.Oracle); err != nil {
-			return err
-		}
-	}
-	if max := s.mgr.cfg.MaxImpulseNoise; max > 0 {
-		if score := vidstream.ImpulseNoise(f.Img, vidstream.DefaultImpulseTol); score > max {
-			return &core.FrameError{
-				Fault: core.FaultQuality,
-				Err:   fmt.Errorf("session %q: frame impulse-noise score %.4f exceeds gate %.4f", s.id, score, max),
-			}
+	if score := vidstream.ImpulseNoise(f.Img, vidstream.DefaultImpulseTol); score > limit {
+		return &core.FrameError{
+			Fault: core.FaultQuality,
+			Err:   fmt.Errorf("session %q: frame impulse-noise score %.4f exceeds gate %.4f", s.id, score, limit),
 		}
 	}
 	return nil
@@ -570,11 +511,6 @@ func (s *Session) Snapshot() *core.Reconstruction {
 	}
 }
 
-// CoverageSeries returns the retained residue-coverage-over-time
-// window (one sample per processed batch with an accepted frame, so one
-// per accepted Feed frame; fraction in [0,1]).
-func (s *Session) CoverageSeries() []stats.Sample { return s.coverage.Samples() }
-
 // Snapshot is an instantaneous, internally consistent view of one
 // session's counters and gauges.
 type Snapshot struct {
@@ -590,11 +526,6 @@ type Snapshot struct {
 	FramesGated uint64
 	// FramesProcessed counts frames the reconstructor accepted.
 	FramesProcessed uint64
-	// RejectStreak is the current run of consecutively rejected frames
-	// (0 after any accepted frame); the opt-in
-	// Config.DegradeAfterRejects/FailAfterRejects thresholds act on it,
-	// per frame.
-	RejectStreak uint32
 
 	// CoveragePct is the claimed RBRR (percent) at snapshot time.
 	CoveragePct float64
@@ -631,8 +562,7 @@ type Snapshot struct {
 	Incarnation int
 	// ResumedFrames and ResumedCoverage are the checkpoint state this
 	// incarnation resumed from — the floor its StreamFrames and coverage
-	// start at. Zero for incarnation 1 and for a restart that found no
-	// stored checkpoint.
+	// start at. Zero when the stream started fresh.
 	ResumedFrames   uint64
 	ResumedCoverage float64
 	// Checkpoints counts successful durable checkpoints; CheckpointErrors
@@ -699,7 +629,6 @@ func (s *Session) Stats() Snapshot {
 	snap.FramesRejected = s.rejected.Load()
 	snap.FramesGated = s.gated.Load()
 	snap.FramesProcessed = s.processed.Load()
-	snap.RejectStreak = s.rejectStreak.Load()
 	snap.IdentifyLatency = time.Duration(s.pinnedNs.Load())
 	snap.FeedLatency = s.feedLat.Summary()
 	snap.LastActivity = time.Unix(0, s.lastFeed.Load())

@@ -1,8 +1,8 @@
 // Package stats provides the lock-light observability primitives the
-// live-session layer publishes: monotonic counters, latency aggregates,
-// and bounded time series. Everything is safe for concurrent use and
-// readable at any instant without stopping the writer — the contract
-// the session manager needs to expose per-stage numbers mid-call.
+// live-session layer publishes: monotonic counters and latency
+// aggregates. Everything is safe for concurrent use and readable at any
+// instant without stopping the writer — the contract the session
+// manager needs to expose per-stage numbers mid-call.
 package stats
 
 import (
@@ -60,73 +60,4 @@ func (l *Latency) Summary() LatencySummary {
 		s.Mean = l.sum / time.Duration(l.count)
 	}
 	return s
-}
-
-// Sample is one Series observation; Seq increments per append, so
-// gaps in a downsampled read are visible.
-type Sample struct {
-	Seq uint64
-	V   float64
-}
-
-// Series is a bounded ring of float64 samples — e.g. residue coverage
-// over the lifetime of a call. Once full, each append evicts the
-// oldest sample.
-type Series struct {
-	mu   sync.Mutex
-	buf  []Sample
-	next int
-	full bool
-	seq  uint64
-}
-
-// NewSeries returns a Series keeping the last capacity samples
-// (minimum 1).
-func NewSeries(capacity int) *Series {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Series{buf: make([]Sample, capacity)}
-}
-
-// Append records one sample.
-func (s *Series) Append(v float64) {
-	s.mu.Lock()
-	s.seq++
-	s.buf[s.next] = Sample{Seq: s.seq, V: v}
-	s.next++
-	if s.next == len(s.buf) {
-		s.next = 0
-		s.full = true
-	}
-	s.mu.Unlock()
-}
-
-// Samples returns the retained window in chronological order.
-func (s *Series) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		out := make([]Sample, s.next)
-		copy(out, s.buf[:s.next])
-		return out
-	}
-	out := make([]Sample, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
-}
-
-// Last returns the most recent sample, if any.
-func (s *Series) Last() (Sample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seq == 0 {
-		return Sample{}, false
-	}
-	i := s.next - 1
-	if i < 0 {
-		i = len(s.buf) - 1
-	}
-	return s.buf[i], true
 }

@@ -37,41 +37,3 @@ func TestLatencySummary(t *testing.T) {
 		t.Fatalf("summary = %+v", s)
 	}
 }
-
-func TestSeriesRing(t *testing.T) {
-	s := NewSeries(3)
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty series has a last sample")
-	}
-	if got := s.Samples(); len(got) != 0 {
-		t.Fatalf("empty series samples = %v", got)
-	}
-	for i := 1; i <= 5; i++ {
-		s.Append(float64(i))
-	}
-	got := s.Samples()
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
-	}
-	// Oldest two evicted; Seq exposes the gap.
-	want := []Sample{{Seq: 3, V: 3}, {Seq: 4, V: 4}, {Seq: 5, V: 5}}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	last, ok := s.Last()
-	if !ok || last != (Sample{Seq: 5, V: 5}) {
-		t.Fatalf("last = %+v", last)
-	}
-}
-
-func TestSeriesMinCapacity(t *testing.T) {
-	s := NewSeries(0)
-	s.Append(1)
-	s.Append(2)
-	got := s.Samples()
-	if len(got) != 1 || got[0].V != 2 {
-		t.Fatalf("samples = %+v", got)
-	}
-}

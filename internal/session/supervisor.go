@@ -37,7 +37,7 @@ const (
 )
 
 // restartRec is the supervisor's per-id breaker and backoff state. It
-// is owned by the supervise goroutine — no locking.
+// is owned by the supervisor's goroutine — no locking.
 type restartRec struct {
 	// times holds the restart attempts inside the sliding window.
 	times []time.Time
@@ -47,33 +47,22 @@ type restartRec struct {
 	notBefore time.Time
 }
 
-// supervise scans for Failed sessions and resurrects them. It wakes on
-// worker-failure notifications (noteFailed) so a crash is usually
-// handled within one scheduler hop, with a periodic sweep as backstop
-// for missed wakes and elapsed backoff timers.
-func (m *Manager) supervise() {
-	defer close(m.superDone)
-	recs := map[string]*restartRec{}
-	t := time.NewTicker(supervisorInterval)
-	defer t.Stop()
-	for {
+// supervise is the restart check: it resurrects every Failed session
+// whose worker has exited. It runs on worker-failure notifications
+// (noteFailed), so a crash is usually handled within one scheduler hop,
+// and every supervisorInterval as backstop for missed wakes and elapsed
+// backoff timers.
+func (m *Manager) supervise(recs map[string]*restartRec) {
+	for _, s := range m.list() {
+		if s.Health() != Failed {
+			continue
+		}
 		select {
-		case <-m.ctx.Done():
-			return
-		case <-m.failedCh:
-		case <-t.C:
+		case <-s.done:
+		default:
+			continue // worker still unwinding; next wake catches it
 		}
-		for _, s := range m.list() {
-			if s.Health() != Failed {
-				continue
-			}
-			select {
-			case <-s.done:
-			default:
-				continue // worker still unwinding; next wake catches it
-			}
-			m.tryRestart(s, recs)
-		}
+		m.tryRestart(s, recs)
 	}
 }
 
@@ -157,8 +146,7 @@ func (m *Manager) restartSession(old *Session, now time.Time) error {
 			return fmt.Errorf("fresh stream: %w", err)
 		}
 	}
-	resumedFrames := uint64(stream.Frames())
-	resumedCov := stream.Snapshot().Coverage.Fraction()
+	meta := resumeMeta(stream, old.restored, old.incarnation+1)
 
 	m.mu.Lock()
 	if m.closed || m.sessions[old.id] != old {
@@ -168,17 +156,12 @@ func (m *Manager) restartSession(old *Session, now time.Time) error {
 		return nil
 	}
 	m.memUsed -= old.memBytes
-	ns := m.installLocked(old.id, stream, opts, stream.MemFootprint(), regMeta{
-		restored:        old.restored,
-		incarnation:     old.incarnation + 1,
-		resumedFrames:   resumedFrames,
-		resumedCoverage: resumedCov,
-	})
+	ns := m.installLocked(old.id, stream, opts, stream.MemFootprint(), meta)
 	m.restartLog = append(m.restartLog, RestartEvent{
 		ID:              old.id,
 		Incarnation:     ns.incarnation,
-		ResumedFrames:   resumedFrames,
-		ResumedCoverage: resumedCov,
+		ResumedFrames:   meta.resumedFrames,
+		ResumedCoverage: meta.resumedCoverage,
 		FromCheckpoint:  fromCkpt,
 		Time:            now,
 	})
@@ -190,7 +173,7 @@ func (m *Manager) restartSession(old *Session, now time.Time) error {
 	old.closeIntake() // stale handles: Feed already returns ErrFailed
 	m.restarts.Inc()
 	m.logf("session %q: restarted as incarnation %d (resumed %d frames, %.2f%% coverage, from_checkpoint=%v)",
-		old.id, ns.incarnation, resumedFrames, resumedCov*100, fromCkpt)
+		old.id, ns.incarnation, meta.resumedFrames, meta.resumedCoverage*100, fromCkpt)
 	go ns.loop()
 	return nil
 }
