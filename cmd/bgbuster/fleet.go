@@ -66,11 +66,9 @@ func runShard(args []string) error {
 	defer mgr.Close()
 
 	sh, err := fleet.NewShard(fleet.ShardConfig{
-		Manager: mgr,
-		OptionsFor: func(spec fleet.OpenSpec) bgbuster.ReconstructOptions {
-			return bgbuster.StreamAttackOptions(spec.W, spec.H, spec.UnknownVB, spec.Seed)
-		},
-		Logf: cfg.Logf,
+		Manager:    mgr,
+		OptionsFor: shardOptions,
+		Logf:       cfg.Logf,
 	})
 	if err != nil {
 		return err
@@ -123,6 +121,13 @@ func runShard(args []string) error {
 		}
 	}
 	return serveUntilSignal(ln, func() error { return sh.Serve(ln) }, onSignal)
+}
+
+// shardOptions derives a session's reconstruction options from its
+// OpenSpec (geometry, unknown-VB flag, seed): the shard process and
+// in-process gallery ingestion use the same derivation.
+func shardOptions(spec fleet.OpenSpec) bgbuster.ReconstructOptions {
+	return bgbuster.StreamAttackOptions(spec.W, spec.H, spec.UnknownVB, spec.Seed)
 }
 
 // runServe boots the fleet coordinator: consistent-hash routing of
@@ -225,14 +230,10 @@ func runServe(args []string) error {
 				// replica backend don't slam it in lockstep.
 				rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 				for {
-					d := *replicate
-					if q := d / 4; q > 0 {
-						d = d - q + time.Duration(rng.Int63n(int64(2*q)+1))
-					}
 					select {
 					case <-stopRepl:
 						return
-					case <-time.After(d):
+					case <-time.After(fleet.Jittered(rng, *replicate)):
 						if err := coord.Replicate(); err != nil {
 							fmt.Fprintf(os.Stderr, "serve: replicate: %v\n", err)
 						}

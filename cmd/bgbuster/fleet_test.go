@@ -142,20 +142,7 @@ func TestStatsLeavesDeadShardUp(t *testing.T) {
 	defer func() { ln.Close(); <-served }()
 	dead.Close()
 
-	// Capture what runStats prints.
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	printed := make(chan string)
-	go func() { b, _ := io.ReadAll(r); printed <- string(b) }()
-	stdout := os.Stdout
-	os.Stdout = w
-	serr := runStats([]string{"-addr", ln.Addr().String()})
-	os.Stdout = stdout
-	w.Close()
-	out := <-printed
-
+	out, serr := captureStdout(t, func() error { return runStats([]string{"-addr", ln.Addr().String()}) })
 	if serr != nil {
 		t.Fatalf("stats with a dead shard: %v", serr)
 	}
@@ -170,6 +157,113 @@ func TestStatsLeavesDeadShardUp(t *testing.T) {
 	}
 	if down := coord.Down(); len(down) != 0 {
 		t.Fatalf("stats marked %v down", down)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan string)
+	go func() { b, _ := io.ReadAll(r); printed <- string(b) }()
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := fn()
+	os.Stdout = stdout
+	w.Close()
+	return <-printed, ferr
+}
+
+// serveCoordinator serves a coordinator over shards on a loopback port
+// and returns its address.
+func serveCoordinator(t *testing.T, shards ...net.Listener) string {
+	t.Helper()
+	addrs := make([]string, len(shards))
+	for i, sh := range shards {
+		addrs[i] = sh.Addr().String()
+	}
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{Shards: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { defer close(served); fleet.Serve(ln, coord, fleet.Limits{}, nil) }()
+	t.Cleanup(func() { ln.Close(); <-served; coord.Close() })
+	return ln.Addr().String()
+}
+
+// galleryRows maps each participant row of a `live -gallery` report to
+// "frames coverage vb", or to "left". Columns are located by the
+// report's header, so the local and -connect layouts compare.
+func galleryRows(out string) map[string]string {
+	rows := map[string]string{}
+	var col map[string]int
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) > 1 && f[0] == "id" {
+			col = map[string]int{}
+			for i, name := range f {
+				col[name] = i
+			}
+			continue
+		}
+		if col == nil || len(f) < 2 || !strings.HasPrefix(f[0], "tile-") {
+			continue
+		}
+		switch {
+		case f[1] == "left":
+			rows[f[0]] = "left"
+		case len(f) <= col["vb"]:
+			rows[f[0]] = line
+		default:
+			rows[f[0]] = f[col["frames"]] + " " + f[col["coverage"]] + " " + f[col["vb"]]
+		}
+	}
+	return rows
+}
+
+// TestLiveGalleryLocalMatchesFleet runs one seeded `live -gallery`
+// meeting twice: through an in-process shard over a local manager, and
+// with -connect through a coordinator over two loopback shards. Both
+// paths drive the same gallery sink with the same per-tile specs, so
+// every participant must report the same frames, coverage and VB, and
+// the early leaver must be held as left on both.
+func TestLiveGalleryLocalMatchesFleet(t *testing.T) {
+	args := []string{"live", "-gallery", "-sessions", "4", "-frames", "24", "-rate", "-1"}
+	local, err := captureStdout(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatalf("local gallery run: %v\n%s", err, local)
+	}
+	addr := serveCoordinator(t, startFacadeShard(t), startFacadeShard(t))
+	remote, err := captureStdout(t, func() error { return run(append(args, "-connect", addr)) })
+	if err != nil {
+		t.Fatalf("-connect gallery run: %v\n%s", err, remote)
+	}
+	want := map[string]string{
+		"tile-00": "left",
+		"tile-01": "24 40.78% office",
+		"tile-02": "24 45.25% space",
+		"tile-03": "18 45.41% forest",
+	}
+	for name, out := range map[string]string{"local": local, "-connect": remote} {
+		got := galleryRows(out)
+		if len(got) != len(want) {
+			t.Errorf("%s: rows %v, want %v\n%s", name, got, want, out)
+			continue
+		}
+		for id, row := range want {
+			if got[id] != row {
+				t.Errorf("%s: %s = %q, want %q\n%s", name, id, got[id], row, out)
+			}
+		}
 	}
 }
 

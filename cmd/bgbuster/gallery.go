@@ -142,24 +142,38 @@ func runLiveGallery(g galleryRun) error {
 	fmt.Printf("live -gallery: %s — %d frames %dx%d at %.3g fps\n",
 		source, composite.Len(), cw, ch, fps)
 
-	demuxCfg := gallery.Config{Rejoin: true}
+	// One ingest loop over a fleet.SessionAPI: the -connect
+	// coordinator, or an in-process shard over a local manager.
+	var (
+		api fleet.SessionAPI
+		cli *fleet.Client
+		mgr *session.Manager
+	)
 	if g.connect != "" {
-		return galleryFleetIngest(g, composite, frameGap, demuxCfg)
-	}
-
-	mgr := session.NewManager(session.Config{
-		QueueDepth: g.queue,
-		Gallery: &session.GalleryConfig{
-			Demux: demuxCfg,
-			OptionsFor: func(id string, w, h int) bgbuster.ReconstructOptions {
-				return bgbuster.StreamAttackOptions(w, h, g.unknownVB, galleryTileSeed(g.seed, id))
+		var err error
+		if cli, err = fleet.Dial(g.connect, fleet.Limits{}); err != nil {
+			return err
+		}
+		defer cli.Close()
+		api = cli
+	} else {
+		mgr = session.NewManager(session.Config{
+			QueueDepth: g.queue,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "bgbuster: gallery: "+format+"\n", args...)
 			},
-		},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "bgbuster: gallery: "+format+"\n", args...)
-		},
-	})
-	defer mgr.Close()
+		})
+		defer mgr.Close()
+		sh, err := fleet.NewShard(fleet.ShardConfig{Manager: mgr, OptionsFor: shardOptions})
+		if err != nil {
+			return err
+		}
+		api = sh
+	}
+	fan, sink := fleet.NewGalleryFanout(gallery.Config{Rejoin: true}, api)
+	sink.SpecFor = func(id string, w, h int) fleet.OpenSpec {
+		return fleet.OpenSpec{ID: id, W: w, H: h, UnknownVB: g.unknownVB, Seed: galleryTileSeed(g.seed, id)}
+	}
 
 	agg := &aggregatePrinter{start: time.Now()}
 	last := time.Now()
@@ -168,52 +182,79 @@ func runLiveGallery(g galleryRun) error {
 		if frameGap > 0 && i > 0 {
 			time.Sleep(frameGap)
 		}
-		up, err := mgr.FeedComposite(f)
+		up, err := fan.Feed(f)
 		if err != nil {
 			return fmt.Errorf("composite frame %d: %w", i, err)
 		}
 		galleryEvents(i, up, seen)
-		if time.Since(last) >= g.every {
+		if mgr != nil && time.Since(last) >= g.every {
 			agg.print(mgr.Stats())
 			last = time.Now()
 		}
 	}
-	for id := range seen {
-		if s, ok := mgr.Get(id); ok {
-			_ = s.Finalize()
-		}
-	}
-
-	if st, ok := mgr.GalleryStats(); ok {
-		fmt.Printf("demux: %d frames, %d rejected, %d retiles, %d joins, %d leaves, %d rejoins, %d flap-dropped\n",
-			st.Frames, st.Rejected, st.Retiles, st.Joins, st.Leaves, st.Rejoins, st.DroppedFlaps)
-	}
-	fmt.Println("final per-participant stats:")
-	fmt.Println("  id        frames  drop  rej  coverage  vb          health")
+	st := fan.Demux().Stats()
+	fmt.Printf("demux: %d frames, %d rejected, %d retiles, %d joins, %d leaves, %d rejoins, %d flap-dropped\n",
+		st.Frames, st.Rejected, st.Retiles, st.Joins, st.Leaves, st.Rejoins, st.DroppedFlaps)
 	ids := make([]string, 0, len(seen))
 	for id := range seen {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	live := 0
+
+	// The report reads each live participant where it lives: through
+	// the coordinator (drain, then snapshot), or from the local
+	// manager (finalize, then stats).
+	var header string
+	var row func(id string)
+	if mgr == nil {
+		header = "final per-participant stats (via coordinator):\n  id        frames  coverage  vb"
+		row = func(id string) {
+			if err := cli.Drain(id); err != nil {
+				fmt.Fprintf(os.Stderr, "bgbuster: gallery: drain %s: %v\n", id, err)
+				return
+			}
+			snap, err := cli.Snapshot(id)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "bgbuster: gallery: snapshot %s: %v\n", id, err)
+				return
+			}
+			fmt.Printf("  %-9s %6d %8.2f%%  %s\n", id, snap.StreamFrames, snap.Coverage*100, snap.VBName)
+		}
+	} else {
+		header = "final per-participant stats:\n  id        frames  drop  rej  coverage  vb          health"
+		row = func(id string) {
+			s, ok := mgr.Get(id)
+			if !ok {
+				fmt.Printf("  %-9s closed\n", id)
+				return
+			}
+			_ = s.Finalize()
+			st := s.Stats()
+			vb := st.VBName
+			if vb == "" {
+				vb = fmt.Sprintf("derived:%.0f%%", st.DerivedCoverage*100)
+			}
+			fmt.Printf("  %-9s %6d %5d %4d %8.2f%%  %-11s %s\n",
+				st.ID, st.StreamFrames, st.FramesDropped, st.FramesRejected,
+				st.CoveragePct, vb, st.Health)
+		}
+	}
+	fmt.Println(header)
 	for _, id := range ids {
-		s, ok := mgr.Get(id)
-		if !ok {
-			fmt.Printf("  %-9s left the meeting (state detached for rejoin)\n", id)
+		if _, left := sink.Detached(id); left {
+			fmt.Printf("  %-9s left the meeting (detach snapshot held for rejoin)\n", id)
 			continue
 		}
-		live++
-		st := s.Stats()
-		vb := st.VBName
-		if vb == "" {
-			vb = fmt.Sprintf("derived:%.0f%%", st.DerivedCoverage*100)
+		row(id)
+	}
+	if mgr == nil {
+		if g.out != "" {
+			fmt.Fprintln(os.Stderr, "bgbuster: gallery: -out needs a local manager; recovered images stay on the shards with -connect")
 		}
-		fmt.Printf("  %-9s %6d %5d %4d %8.2f%%  %-11s %s\n",
-			st.ID, st.StreamFrames, st.FramesDropped, st.FramesRejected,
-			st.CoveragePct, vb, st.Health)
+		return nil
 	}
 	ms := mgr.Stats()
-	fmt.Printf("manager: opened=%d closed=%d live=%d\n", ms.Opened, ms.Closed, live)
+	fmt.Printf("manager: opened=%d closed=%d live=%d\n", ms.Opened, ms.Closed, mgr.Len())
 
 	if g.out != "" {
 		if err := os.MkdirAll(g.out, 0o755); err != nil {
@@ -233,59 +274,6 @@ func runLiveGallery(g galleryRun) error {
 			written++
 		}
 		fmt.Printf("%d recovered backgrounds written to %s/\n", written, g.out)
-	}
-	return nil
-}
-
-// galleryFleetIngest drives the same composite through a fleet
-// coordinator (bgbuster serve): the demux runs here, each participant
-// tile becomes a shard-routed session on the other side of the wire.
-func galleryFleetIngest(g galleryRun, composite *vidstream.Video, frameGap time.Duration, demuxCfg gallery.Config) error {
-	cli, err := fleet.Dial(g.connect, fleet.Limits{})
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	fan, sink := fleet.NewGalleryFanout(demuxCfg, cli)
-	sink.SpecFor = func(id string, w, h int) fleet.OpenSpec {
-		return fleet.OpenSpec{ID: id, W: w, H: h, UnknownVB: g.unknownVB, Seed: galleryTileSeed(g.seed, id)}
-	}
-	seen := map[string]bool{}
-	for i, f := range composite.Frames {
-		if frameGap > 0 && i > 0 {
-			time.Sleep(frameGap)
-		}
-		up, err := fan.Feed(f)
-		if err != nil {
-			return fmt.Errorf("composite frame %d: %w", i, err)
-		}
-		galleryEvents(i, up, seen)
-	}
-	st := fan.Demux().Stats()
-	fmt.Printf("demux: %d frames, %d rejected, %d retiles, %d joins, %d leaves, %d rejoins, %d flap-dropped\n",
-		st.Frames, st.Rejected, st.Retiles, st.Joins, st.Leaves, st.Rejoins, st.DroppedFlaps)
-	fmt.Println("final per-participant stats (via coordinator):")
-	fmt.Println("  id        frames  coverage  vb")
-	for _, lane := range fan.Demux().Lanes() {
-		id := gallery.DefaultTileID(lane)
-		if err := cli.Drain(id); err != nil {
-			fmt.Fprintf(os.Stderr, "bgbuster: gallery: drain %s: %v\n", id, err)
-			continue
-		}
-		snap, err := cli.Snapshot(id)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bgbuster: gallery: snapshot %s: %v\n", id, err)
-			continue
-		}
-		fmt.Printf("  %-9s %6d %8.2f%%  %s\n", id, snap.StreamFrames, snap.Coverage*100, snap.VBName)
-	}
-	for id := range seen {
-		if _, ok := sink.Detached(id); ok {
-			fmt.Printf("  %-9s left the meeting (detach snapshot held, %s)\n", id, "resumable")
-		}
-	}
-	if g.out != "" {
-		fmt.Fprintln(os.Stderr, "bgbuster: gallery: -out needs a local manager; recovered images stay on the shards with -connect")
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ var configFields = map[string]struct {
 	"session.Config": {reflect.TypeFor[session.Config](), []string{
 		"QueueDepth", "MaxSessions", "MemBudget", "IdleTimeout",
 		"Checkpoints", "CheckpointInterval", "AutoRestart", "MaxRestarts",
-		"MaxImpulseNoise", "StallTimeout", "CloseTimeout", "Logf", "Gallery",
+		"MaxImpulseNoise", "StallTimeout", "CloseTimeout", "Logf",
 	}},
 	"fleet.CoordinatorConfig": {reflect.TypeFor[fleet.CoordinatorConfig](), []string{
 		"Shards", "Vnodes", "Limits", "Store", "Stores", "ReplicaFactor",

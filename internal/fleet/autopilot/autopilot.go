@@ -394,15 +394,10 @@ func (a *Autopilot) Start() {
 			defer a.wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for {
-				q := every / 4
-				d := every
-				if q > 0 {
-					d = every - q + time.Duration(rng.Int63n(int64(2*q)+1))
-				}
 				select {
 				case <-a.stop:
 					return
-				case <-a.clock.After(d):
+				case <-a.clock.After(fleet.Jittered(rng, every)):
 					step()
 				}
 			}

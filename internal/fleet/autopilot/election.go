@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/bgbuster/bgbuster/internal/faultinject"
+	"github.com/bgbuster/bgbuster/internal/fleet"
 	"github.com/bgbuster/bgbuster/internal/session"
 )
 
@@ -322,15 +323,10 @@ func (e *Elector) Run(stop <-chan struct{}, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	base := e.cfg.TTL / 2
 	for {
-		q := base / 4
-		d := base
-		if q > 0 {
-			d = base - q + time.Duration(rng.Int63n(int64(2*q)+1))
-		}
 		select {
 		case <-stop:
 			return
-		case <-e.clock.After(d):
+		case <-e.clock.After(fleet.Jittered(rng, base)):
 			if err := e.Tick(); err != nil {
 				e.logf("autopilot: election tick: %v", err)
 			}

@@ -363,7 +363,7 @@ func (c *Coordinator) recoverSession(id string) error {
 		return err
 	}
 	c.mu.Lock()
-	p.pin = addr
+	c.settleLocked(p, id, addr)
 	c.mu.Unlock()
 	if lerr == nil {
 		c.recoveries.Add(1)
@@ -486,9 +486,13 @@ func (c *Coordinator) deleteCheckpoint(id string) error {
 	return err
 }
 
+// forget drops a session that left the fleet, and with it the record
+// of a draining shard it was the last session on.
 func (c *Coordinator) forget(id string) {
 	c.mu.Lock()
+	addr := c.routeLocked(id)
 	delete(c.sessions, id)
+	c.reapDrainedLocked(addr)
 	c.mu.Unlock()
 	c.saveMeta()
 }

@@ -597,6 +597,65 @@ func TestJoinRestartedShardKeepsSessionsOpenedWhileDown(t *testing.T) {
 	}
 }
 
+// TestJoinRestartedShardTakesRecoveredSessionsHome: a session
+// recovered onto the survivor after its shard died must not stay
+// pinned there. When the restarted shard Joins, the session migrates
+// back to its arc with every replicated frame.
+func TestJoinRestartedShardTakesRecoveredSessionsHome(t *testing.T) {
+	frames, sils := leakFrames(3)
+	sA, sB := startShard(t), startShard(t)
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	_, byShard := pickIDs(coord.ring, []string{sA.addr, sB.addr}, 1)
+	id := byShard[sA.addr][0]
+	if err := coord.Open(OpenSpec{ID: id, W: fw, H: fh, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := coord.Feed(id, core.Frame{Img: frames[i], Oracle: sils[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord.Drain(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Replicate(); err != nil {
+		t.Fatal(err)
+	}
+
+	sA.ln.Kill()
+	coord.ProbeOnce()
+	if got := coord.RouteOf(id); got != sB.addr {
+		t.Fatalf("session routes to %q after %s died, want the survivor %s", got, sA.addr, sB.addr)
+	}
+	startShardAt(t, sA.addr)
+	if err := coord.Join(sA.addr); err != nil {
+		t.Fatalf("join restarted shard: %v", err)
+	}
+	if got := coord.RouteOf(id); got != sA.addr {
+		t.Fatalf("recovered session routes to %q after rejoin, want its arc %s", got, sA.addr)
+	}
+	if err := coord.Feed(id, core.Frame{Img: frames[2], Oracle: sils[2]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Drain(id); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := coord.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.StreamFrames != 3 {
+		t.Fatalf("session holds %d frames after recovery and rejoin, want 3", snap.StreamFrames)
+	}
+}
+
 // TestDrainShardEndsProbation drains a re-admitted shard before its
 // promotion: the drained address must leave probation with it, and a
 // later Promote of it must be refused.
@@ -1164,6 +1223,26 @@ func TestFailedDrainRetriesAndRejoins(t *testing.T) {
 	}
 	if snap.StreamFrames != 3 {
 		t.Fatalf("session holds %d frames after recovery and rejoin, want 3", snap.StreamFrames)
+	}
+}
+
+// TestFailedDrainEndsWhenStuckSessionCloses: a shard a failed drain
+// left draining is removed once its stuck session leaves by
+// CloseSession, with no retried drain.
+func TestFailedDrainEndsWhenStuckSessionCloses(t *testing.T) {
+	coord, sA, _, id, feed, failDrain := newFailedDrain(t)
+	feed(0)
+	failDrain().Close()
+	if err := coord.CloseSession(id); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range coord.Status().Shards {
+		if row.Addr == sA.addr {
+			t.Fatalf("status still lists %s (%s) after its last session closed", sA.addr, row.Role)
+		}
+	}
+	if err := coord.Join(sA.addr); err != nil {
+		t.Fatalf("join after the drain ended: %v", err)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 )
 
 // SessionAPI is the session-routing surface gallery fan-out needs,
-// satisfied by both *Coordinator (consistent-hash routing across
-// shards) and *Client (one shard). One gallery meeting ingested
-// through a Coordinator therefore spreads its participants across the
-// whole fleet.
+// satisfied by *Coordinator (consistent-hash routing across shards),
+// *Client (one remote shard or coordinator) and *Shard (one local
+// manager, in process). One gallery meeting ingested through a
+// Coordinator therefore spreads its participants across the whole
+// fleet.
 type SessionAPI interface {
 	Open(spec OpenSpec) error
 	Resume(spec OpenSpec, ckpt []byte) error
@@ -24,6 +25,7 @@ type SessionAPI interface {
 var (
 	_ SessionAPI = (*Coordinator)(nil)
 	_ SessionAPI = (*Client)(nil)
+	_ SessionAPI = (*Shard)(nil)
 )
 
 // GallerySink adapts a SessionAPI into a gallery.Sink: joins open

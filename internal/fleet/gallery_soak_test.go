@@ -15,12 +15,14 @@ import (
 // galleryLeakStream is one meeting participant's camera at the fleet
 // test geometry: the "flat" VB with a per-participant-colored moving
 // leak rectangle, so checkpoints differ per prefix and the demuxer can
-// track participants by content.
+// track participants by content. Ten colours keep participants 0–9 (the
+// N9 parity meeting) distinct.
 func galleryLeakStream(pi, n int) *vidstream.Video {
 	colors := []imagex.RGB{
 		{R: 240, G: 240, B: 60}, {R: 240, G: 60, B: 240}, {R: 60, G: 240, B: 240},
 		{R: 250, G: 160, B: 30}, {R: 30, G: 250, B: 120}, {R: 160, G: 30, B: 250},
-		{R: 250, G: 250, B: 250}, {R: 150, G: 90, B: 60},
+		{R: 250, G: 250, B: 250}, {R: 150, G: 90, B: 60}, {R: 90, G: 150, B: 200},
+		{R: 250, G: 60, B: 60},
 	}
 	c := colors[pi%len(colors)]
 	v := vidstream.New(30)

@@ -59,7 +59,7 @@ func (c *Coordinator) probeLoop() {
 		select {
 		case <-c.stop:
 			return
-		case <-time.After(jittered(rng, c.cfg.Health.ProbeInterval)):
+		case <-time.After(Jittered(rng, c.cfg.Health.ProbeInterval)):
 			if c.deposed.Load() {
 				return
 			}
@@ -68,9 +68,9 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// jittered spreads a tick period uniformly over [0.75d, 1.25d] — the
+// Jittered spreads a tick period uniformly over [0.75d, 1.25d] — the
 // anti-thundering-herd spacing for periodic fleet work.
-func jittered(rng *rand.Rand, d time.Duration) time.Duration {
+func Jittered(rng *rand.Rand, d time.Duration) time.Duration {
 	q := d / 4
 	if q <= 0 {
 		return d

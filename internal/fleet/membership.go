@@ -272,19 +272,30 @@ func (c *Coordinator) transition(op shardOp, addr string, weight int) error {
 	err = c.migrateHome(moving, opNames[op])
 	if op == opDrain {
 		c.mu.Lock()
-		stuck := false
-		for id := range c.sessions {
-			stuck = stuck || c.routeLocked(id) == addr
-		}
-		// A loss meanwhile removed the record, or a Join replaced it.
-		if s := c.shards[addr]; !stuck && s != nil && s.role == RoleDraining {
-			s.dropClient()
-			delete(c.shards, addr)
-		}
+		c.reapDrainedLocked(addr)
 		c.mu.Unlock()
 	}
 	c.saveMeta()
 	return err
+}
+
+// reapDrainedLocked removes addr's record once it is draining and no
+// session routes to it: its drain is done, however its last session
+// left (migration, close or detach). A record that a loss removed or a
+// Join replaced is left alone. Caller holds c.mu.
+func (c *Coordinator) reapDrainedLocked(addr string) {
+	s := c.shards[addr]
+	if s == nil || s.role != RoleDraining {
+		return
+	}
+	// Off the ring, a draining shard is reached only through pins.
+	for _, p := range c.sessions {
+		if p.pin == addr {
+			return
+		}
+	}
+	s.dropClient()
+	delete(c.shards, addr)
 }
 
 // migrateHome is phase 2 of every transition: each id migrates to its
@@ -523,6 +534,7 @@ func (c *Coordinator) migrateSession(id, target string) error {
 
 	c.mu.Lock()
 	c.settleLocked(p, id, target)
+	c.reapDrainedLocked(src)
 	c.mu.Unlock()
 	c.migrations.Add(1)
 	c.logf("fleet: session %q migrated %s -> %s (%d checkpoint bytes)", id, src, target, len(ckpt))

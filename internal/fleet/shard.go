@@ -259,16 +259,11 @@ func (s *Shard) HandleConn(cs *ConnState, req *Message) *Message {
 	case MsgPing:
 		return okMsg()
 	case MsgOpen:
-		_, err := mgr.Open(req.Spec.ID, req.Spec.W, req.Spec.H, s.cfg.OptionsFor(req.Spec))
-		return status(err)
+		return status(s.Open(req.Spec))
 	case MsgResume:
-		_, err := mgr.ResumeSession(req.Spec.ID, req.Ckpt, s.cfg.OptionsFor(req.Spec))
-		return status(err)
+		return status(s.Resume(req.Spec, req.Ckpt))
 	case MsgFeed:
-		start := time.Now()
-		resp := status(mgr.FeedN(req.Spec.ID, req.Frames))
-		s.observeFeed(time.Since(start), len(req.Frames))
-		return resp
+		return status(s.FeedN(req.Spec.ID, req.Frames))
 	case MsgStatus:
 		st := mgr.Stats()
 		row := ShardStatus{Mem: st.MemUsed, FeedMicros: s.feedMicros.Load(),
@@ -294,11 +289,7 @@ func (s *Shard) HandleConn(cs *ConnState, req *Message) *Message {
 		}
 		return &Message{Type: MsgCkptResp, Ckpt: data}
 	case MsgDetach:
-		sess, ok := mgr.Get(req.Spec.ID)
-		if !ok {
-			return errMsg(CodeNoSession, fmt.Sprintf("session %q not found", req.Spec.ID))
-		}
-		data, err := sess.Detach()
+		data, err := s.Detach(req.Spec.ID)
 		if err != nil {
 			return statusErr(err)
 		}
@@ -318,6 +309,43 @@ func (s *Shard) HandleConn(cs *ConnState, req *Message) *Message {
 	default:
 		return errMsg(CodeBadReq, fmt.Sprintf("unexpected message type 0x%02x", byte(req.Type)))
 	}
+}
+
+// Open opens a session on the local manager with the options
+// OptionsFor derives from spec.
+func (s *Shard) Open(spec OpenSpec) error {
+	_, err := s.cfg.Manager.Open(spec.ID, spec.W, spec.H, s.cfg.OptionsFor(spec))
+	return err
+}
+
+// Resume registers a session on the local manager from checkpoint
+// bytes.
+func (s *Shard) Resume(spec OpenSpec, ckpt []byte) error {
+	_, err := s.cfg.Manager.ResumeSession(spec.ID, ckpt, s.cfg.OptionsFor(spec))
+	return err
+}
+
+// Feed delivers one frame to a local session as a batch of one.
+func (s *Shard) Feed(id string, f core.Frame) error { return s.FeedN(id, []core.Frame{f}) }
+
+// FeedN delivers an ordered batch to a local session and folds its
+// handling time into the feed latency EWMA.
+func (s *Shard) FeedN(id string, frames []core.Frame) error {
+	start := time.Now()
+	err := s.cfg.Manager.FeedN(id, frames)
+	s.observeFeed(time.Since(start), len(frames))
+	return err
+}
+
+// Detach drains and removes a local session without finalizing and
+// returns its .bbck bytes. An unknown id is the *RemoteError a Client
+// would receive for it.
+func (s *Shard) Detach(id string) ([]byte, error) {
+	sess, ok := s.cfg.Manager.Get(id)
+	if !ok {
+		return nil, &RemoteError{Code: CodeNoSession, Text: fmt.Sprintf("session %q not found", id)}
+	}
+	return sess.Detach()
 }
 
 // snapInfo projects a session snapshot onto the wire struct.
@@ -347,6 +375,10 @@ func status(err error) *Message {
 }
 
 func statusErr(err error) *Message {
+	var remote *RemoteError
+	if errors.As(err, &remote) {
+		return errMsg(remote.Code, remote.Text)
+	}
 	code := CodeInternal
 	switch {
 	case errors.Is(err, session.ErrNoSession):

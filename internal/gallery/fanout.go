@@ -7,9 +7,9 @@ import (
 	"github.com/bgbuster/bgbuster/internal/vidstream"
 )
 
-// Sink receives demuxed per-participant sub-streams. The session layer
-// implements it over session.Manager and the fleet layer over a
-// coordinator, so the demuxer stays free of both dependencies.
+// Sink receives demuxed per-participant sub-streams. fleet.GallerySink
+// implements it over a coordinator, a client or an in-process shard,
+// so the demuxer stays free of the session and fleet dependencies.
 //
 // Calls for one composite frame arrive in event order: LeaveTile,
 // OpenTile, RejoinTile, then FeedTile per released frame. Images are
@@ -34,15 +34,17 @@ func DefaultTileID(lane int) string { return fmt.Sprintf("tile-%02d", lane) }
 type Fanout struct {
 	demux *Demuxer
 	sink  Sink
-	// TileID maps lane ids to stable sink/session ids. Lane ids are
-	// monotonic per demuxer, so a rejoin reuses its old session id.
-	TileID func(lane int) string
 }
 
 // NewFanout wires a demuxer with the given config to sink.
 func NewFanout(cfg Config, sink Sink) *Fanout {
-	return &Fanout{demux: NewDemuxer(cfg), sink: sink, TileID: DefaultTileID}
+	return &Fanout{demux: NewDemuxer(cfg), sink: sink}
 }
+
+// TileID maps a lane id to its stable sink/session id
+// (DefaultTileID). Lane ids are monotonic per demuxer, so a rejoin
+// reuses its old session id.
+func (f *Fanout) TileID(lane int) string { return DefaultTileID(lane) }
 
 // Demux exposes the underlying demuxer (stats, lane inspection).
 func (f *Fanout) Demux() *Demuxer { return f.demux }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/bgbuster/bgbuster/internal/core"
-	"github.com/bgbuster/bgbuster/internal/gallery"
 	"github.com/bgbuster/bgbuster/internal/imagex"
 	"github.com/bgbuster/bgbuster/internal/session/stats"
 )
@@ -103,12 +102,6 @@ type Config struct {
 	// restarts, breaker trips. Nil discards them. Must be safe for
 	// concurrent use.
 	Logf func(format string, args ...any)
-
-	// Gallery enables Manager.FeedComposite: gallery-view composite
-	// frames are demuxed into per-participant tiles, each driving its
-	// own supervised session (gallery.go). Nil disables composite
-	// ingestion; per-stream Open/Feed are unaffected either way.
-	Gallery *GalleryConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -185,11 +178,6 @@ type Manager struct {
 	shed         stats.Counter // admission rejections (fleet-full + memory-budget)
 
 	failedCh chan struct{} // wakes the supervisor on a worker failure
-
-	// galleryMu orders composite ingestion; the fan-out is created
-	// lazily on the first FeedComposite (gallery.go).
-	galleryMu  sync.Mutex
-	galleryFan *gallery.Fanout
 }
 
 // logf forwards a degradation event to Config.Logf, if any.
