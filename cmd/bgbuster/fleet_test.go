@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"strings"
@@ -262,6 +263,45 @@ func TestLiveGalleryLocalMatchesFleet(t *testing.T) {
 		for id, row := range want {
 			if got[id] != row {
 				t.Errorf("%s: %s = %q, want %q\n%s", name, id, got[id], row, out)
+			}
+		}
+	}
+}
+
+// TestLiveGalleryConnectRunsTwice runs one seeded `live -gallery
+// -connect` meeting twice against one coordinator. The first run must
+// leave no session on the fleet, so the second opens the same tile ids
+// and reports the same rows.
+func TestLiveGalleryConnectRunsTwice(t *testing.T) {
+	addr := serveCoordinator(t, startFacadeShard(t), startFacadeShard(t))
+	args := []string{"live", "-gallery", "-sessions", "4", "-frames", "24", "-rate", "-1", "-connect", addr}
+	var first map[string]string
+	for i := 1; i <= 2; i++ {
+		out, err := captureStdout(t, func() error { return run(args) })
+		if err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, out)
+		}
+		rows := galleryRows(out)
+		if len(rows) == 0 {
+			t.Fatalf("run %d reported no participants:\n%s", i, out)
+		}
+		if first == nil {
+			first = rows
+		} else if !maps.Equal(rows, first) {
+			t.Fatalf("run %d rows %v, want the first run's %v", i, rows, first)
+		}
+		cl, err := fleet.Dial(addr, fleet.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cl.Status()
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range st.Shards {
+			if len(row.Sess) != 0 {
+				t.Fatalf("after run %d shard %s still holds %d sessions", i, row.Addr, len(row.Sess))
 			}
 		}
 	}

@@ -202,13 +202,19 @@ func runLiveGallery(g galleryRun) error {
 	sort.Strings(ids)
 
 	// The report reads each live participant where it lives: through
-	// the coordinator (drain, then snapshot), or from the local
-	// manager (finalize, then stats).
+	// the coordinator (drain, then snapshot, then close, so the
+	// coordinator routes none of this meeting's ids afterwards), or
+	// from the local manager (finalize, then stats).
 	var header string
 	var row func(id string)
 	if mgr == nil {
 		header = "final per-participant stats (via coordinator):\n  id        frames  coverage  vb"
 		row = func(id string) {
+			defer func() {
+				if err := cli.CloseSession(id); err != nil {
+					fmt.Fprintf(os.Stderr, "bgbuster: gallery: close %s: %v\n", id, err)
+				}
+			}()
 			if err := cli.Drain(id); err != nil {
 				fmt.Fprintf(os.Stderr, "bgbuster: gallery: drain %s: %v\n", id, err)
 				return

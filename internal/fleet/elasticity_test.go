@@ -24,6 +24,35 @@ func dialWith(t Timeouts) func(string, Limits) (*Client, error) {
 	return func(addr string, lim Limits) (*Client, error) { return DialTimeouts(addr, lim, t) }
 }
 
+// checkPlacement holds c.mu and asserts the placement rules every route
+// write keeps: outside a migration no pin equals its session's ring
+// home (settleLocked's rule), every pin names a shard record that is
+// not down, and every draining record has a session pinned to it
+// (reapDrainedLocked's rule).
+func checkPlacement(t *testing.T, c *Coordinator) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pinned := map[string]bool{}
+	for id, p := range c.sessions {
+		if p.pin == "" {
+			continue
+		}
+		pinned[p.pin] = true
+		if p.gate == nil && p.pin == c.homeLocked(id) {
+			t.Fatalf("session %q is pinned to its ring home %s", id, p.pin)
+		}
+		if s := c.shards[p.pin]; s == nil || s.role == RoleDown {
+			t.Fatalf("session %q is pinned to %s, which is down or not a member", id, p.pin)
+		}
+	}
+	for a, s := range c.shards {
+		if s.role == RoleDraining && !pinned[a] {
+			t.Fatalf("draining shard %s has no session pinned to it", a)
+		}
+	}
+}
+
 // --- meta blob -------------------------------------------------------
 
 func TestFleetMetaRoundTrip(t *testing.T) {
@@ -202,6 +231,7 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	if err := coord.Replicate(); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, coord)
 	if st := coord.Status(); st.Epoch != 1 {
 		t.Fatalf("fresh coordinator epoch = %d, want 1", st.Epoch)
 	}
@@ -217,6 +247,7 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	if down := coord.Down(); len(down) != 1 || down[0] != sA.addr {
 		t.Fatalf("down = %v, want [%s]", down, sA.addr)
 	}
+	checkPlacement(t, coord)
 	if got := coord.RouteOf(id); got != sB.addr {
 		t.Fatalf("session routed to %s after recovery, want %s", got, sB.addr)
 	}
@@ -237,6 +268,7 @@ func TestFleetHealthProbeAndTimeout(t *testing.T) {
 	if snap.StreamFrames != 3 {
 		t.Fatalf("survivor holds %d frames, want 3", snap.StreamFrames)
 	}
+	checkPlacement(t, coord)
 }
 
 // TestFleetProbeOnce drives the probe loop by hand: a stalled shard's
@@ -269,13 +301,16 @@ func TestFleetProbeOnce(t *testing.T) {
 	if err := coord.Replicate(); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, coord)
 	coord.ProbeOnce()
+	checkPlacement(t, coord)
 	if down := coord.Down(); len(down) != 0 {
 		t.Fatalf("healthy probe marked %v down", down)
 	}
 
 	stall.stalled.Store(true)
 	coord.ProbeOnce()
+	checkPlacement(t, coord)
 	if down := coord.Down(); len(down) != 1 || down[0] != sA.addr {
 		t.Fatalf("down after one stalled probe = %v, want [%s]", down, sA.addr)
 	}
@@ -286,6 +321,7 @@ func TestFleetProbeOnce(t *testing.T) {
 	if err := coord.Feed(id, core.Frame{Img: frames[1], Oracle: sils[1]}); err != nil {
 		t.Fatalf("feed after probe-driven recovery: %v", err)
 	}
+	checkPlacement(t, coord)
 }
 
 // TestShardKeepsConnAfterBodyRejection: a request whose header is valid
@@ -387,6 +423,8 @@ func TestFleetJoinMigratesOnlyMovedArcs(t *testing.T) {
 		}
 	}
 
+	checkPlacement(t, coord)
+
 	// Predict which arcs move, then grow the ring.
 	before := map[string]string{}
 	for _, id := range ids {
@@ -402,6 +440,7 @@ func TestFleetJoinMigratesOnlyMovedArcs(t *testing.T) {
 	if err := coord.Join(sC.addr); err != nil {
 		t.Fatalf("join: %v", err)
 	}
+	checkPlacement(t, coord)
 	if got := coord.Members(); len(got) != 3 {
 		t.Fatalf("members after join = %v", got)
 	}
@@ -444,6 +483,7 @@ func TestFleetJoinMigratesOnlyMovedArcs(t *testing.T) {
 			t.Fatalf("session %q checkpoint diverged from baseline after join rebalance", id)
 		}
 	}
+	checkPlacement(t, coord)
 }
 
 // TestFleetDrainShard removes a live shard gracefully mid-meeting: its
@@ -496,9 +536,11 @@ func TestFleetDrainShard(t *testing.T) {
 	if err := coord.DrainShard("127.0.0.1:1"); err == nil {
 		t.Fatal("draining a non-member succeeded")
 	}
+	checkPlacement(t, coord)
 	if err := coord.DrainShard(sA.addr); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	checkPlacement(t, coord)
 	if got := coord.Members(); len(got) != 2 {
 		t.Fatalf("members after drain = %v", got)
 	}
@@ -535,9 +577,11 @@ func TestFleetDrainShard(t *testing.T) {
 	if err := coord.DrainShard(sB.addr); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, coord)
 	if err := coord.DrainShard(sC.addr); err == nil {
 		t.Fatal("draining the last live shard succeeded")
 	}
+	checkPlacement(t, coord)
 }
 
 // TestJoinRestartedShardKeepsSessionsOpenedWhileDown restarts a lost
@@ -560,6 +604,7 @@ func TestJoinRestartedShardKeepsSessionsOpenedWhileDown(t *testing.T) {
 
 	sA.ln.Kill()
 	coord.ProbeOnce()
+	checkPlacement(t, coord)
 	if down := coord.Down(); len(down) != 1 || down[0] != sA.addr {
 		t.Fatalf("down = %v, want [%s]", down, sA.addr)
 	}
@@ -568,6 +613,7 @@ func TestJoinRestartedShardKeepsSessionsOpenedWhileDown(t *testing.T) {
 	if err := coord.Open(OpenSpec{ID: id, W: fw, H: fh, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, coord)
 	if got := coord.RouteOf(id); got != sB.addr {
 		t.Fatalf("session opened while %s was down routes to %q, want %s", sA.addr, got, sB.addr)
 	}
@@ -579,6 +625,7 @@ func TestJoinRestartedShardKeepsSessionsOpenedWhileDown(t *testing.T) {
 	if err := coord.Join(sA.addr); err != nil {
 		t.Fatalf("join restarted shard: %v", err)
 	}
+	checkPlacement(t, coord)
 	if err := coord.Feed(id, core.Frame{Img: frames[1], Oracle: sils[1]}); err != nil {
 		t.Fatalf("feed after rejoin: %v", err)
 	}
@@ -628,9 +675,11 @@ func TestJoinRestartedShardTakesRecoveredSessionsHome(t *testing.T) {
 	if err := coord.Replicate(); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, coord)
 
 	sA.ln.Kill()
 	coord.ProbeOnce()
+	checkPlacement(t, coord)
 	if got := coord.RouteOf(id); got != sB.addr {
 		t.Fatalf("session routes to %q after %s died, want the survivor %s", got, sA.addr, sB.addr)
 	}
@@ -638,6 +687,7 @@ func TestJoinRestartedShardTakesRecoveredSessionsHome(t *testing.T) {
 	if err := coord.Join(sA.addr); err != nil {
 		t.Fatalf("join restarted shard: %v", err)
 	}
+	checkPlacement(t, coord)
 	if got := coord.RouteOf(id); got != sA.addr {
 		t.Fatalf("recovered session routes to %q after rejoin, want its arc %s", got, sA.addr)
 	}
@@ -673,10 +723,12 @@ func TestDrainShardEndsProbation(t *testing.T) {
 
 	sA.ln.Kill()
 	coord.ProbeOnce()
+	checkPlacement(t, coord)
 	startShardAt(t, sA.addr)
 	if err := coord.Readmit(sA.addr); err != nil {
 		t.Fatalf("readmit: %v", err)
 	}
+	checkPlacement(t, coord)
 	if p := coord.Probation(); len(p) != 1 || p[0] != sA.addr {
 		t.Fatalf("probation = %v, want [%s]", p, sA.addr)
 	}
@@ -686,16 +738,19 @@ func TestDrainShardEndsProbation(t *testing.T) {
 	if err := coord.Open(OpenSpec{ID: id, W: fw, H: fh, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, coord)
 
 	if err := coord.DrainShard(sA.addr); err != nil {
 		t.Fatalf("drain probation shard: %v", err)
 	}
+	checkPlacement(t, coord)
 	if p := coord.Probation(); len(p) != 0 {
 		t.Fatalf("probation after drain = %v, want empty", p)
 	}
 	if err := coord.Promote(sA.addr); err == nil {
 		t.Fatal("promoting a drained shard succeeded")
 	}
+	checkPlacement(t, coord)
 	if got := coord.RouteOf(id); got != sB.addr {
 		t.Fatalf("session routes to %q after drain, want %s", got, sB.addr)
 	}
@@ -894,11 +949,13 @@ func TestFleetQuorumReplication(t *testing.T) {
 	if err := coord.Replicate(); err != nil {
 		t.Fatalf("replicate with one dead replica: %v", err)
 	}
+	checkPlacement(t, coord)
 
 	sA.ln.Kill()
 	if err := coord.Feed(id, core.Frame{Img: frames[pre], Oracle: sils[pre]}); err != nil {
 		t.Fatalf("feed across shard loss with quorum store: %v", err)
 	}
+	checkPlacement(t, coord)
 	if resumed, reopened, _ := coord.Recoveries(); resumed != 1 || reopened != 0 {
 		t.Fatalf("recoveries = (%d resumed, %d reopened), want a checkpoint resume", resumed, reopened)
 	}
@@ -968,6 +1025,7 @@ func TestFleetCoordinatorFailover(t *testing.T) {
 	if err := c1.Replicate(); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, c1)
 
 	// The old coordinator "freezes" (partitioned from its operator, not
 	// its shards); one of the shards dies in the gap.
@@ -980,6 +1038,7 @@ func TestFleetCoordinatorFailover(t *testing.T) {
 		t.Fatalf("takeover: %v", err)
 	}
 	defer c2.Close()
+	checkPlacement(t, c2)
 	if c2.Epoch() != 2 {
 		t.Fatalf("successor epoch = %d, want 2", c2.Epoch())
 	}
@@ -1028,6 +1087,65 @@ func TestFleetCoordinatorFailover(t *testing.T) {
 		if !bytes.Equal(got, wantFinal) {
 			t.Fatalf("session %q checkpoint diverged from baseline across failover", id)
 		}
+	}
+	checkPlacement(t, c2)
+}
+
+// TestTakeOverSettlesFoundSessions: a successor coordinator settles
+// each session where it finds it, pinning it only off its ring home,
+// so a later Join moves every session the grown ring homes on the new
+// shard there.
+func TestTakeOverSettlesFoundSessions(t *testing.T) {
+	const nSessions = 40
+	sA, sB, sC := startShard(t), startShard(t), startShard(t)
+	store := session.NewMemStore()
+	c1, err := NewCoordinator(CoordinatorConfig{
+		Shards: []string{sA.addr, sB.addr}, Store: store, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	var ids []string
+	for i := 0; i < nSessions; i++ {
+		id := fmt.Sprintf("takeover-call-%02d", i)
+		ids = append(ids, id)
+		if err := c1.Open(OpenSpec{ID: id, W: fw, H: fh, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkPlacement(t, c1)
+
+	c2, err := TakeOver(CoordinatorConfig{Store: store, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	defer c2.Close()
+	checkPlacement(t, c2)
+	if err := c2.Join(sC.addr); err != nil {
+		t.Fatalf("join after takeover: %v", err)
+	}
+	checkPlacement(t, c2)
+
+	c2.mu.Lock()
+	defer c2.mu.Unlock()
+	homed := 0
+	for _, id := range ids {
+		if p := c2.sessions[id]; p.pin != "" {
+			t.Errorf("session %q is pinned to %s after takeover and join", id, p.pin)
+		}
+		if c2.homeLocked(id) == sC.addr {
+			homed++
+			if got := c2.routeLocked(id); got != sC.addr {
+				t.Errorf("session %q is homed on the joined shard %s but routes to %s", id, sC.addr, got)
+			}
+		}
+	}
+	if homed == 0 {
+		t.Fatal("the grown ring homes no session on the joined shard")
+	}
+	if open := sC.mgr.Stats().Open; open != homed {
+		t.Fatalf("joined shard hosts %d sessions, want the %d the ring homes there", open, homed)
 	}
 }
 
@@ -1118,6 +1236,7 @@ func newFailedDrain(t *testing.T) (coord *Coordinator, sA, sB *testShard, id str
 	if err := coord.Open(spec); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, coord)
 	feed = func(i int) {
 		t.Helper()
 		if err := coord.Feed(id, core.Frame{Img: frames[i], Oracle: sils[i]}); err != nil {
@@ -1142,6 +1261,7 @@ func newFailedDrain(t *testing.T) (coord *Coordinator, sA, sB *testShard, id str
 		if err := coord.Join(sA.addr); err == nil {
 			t.Fatal("join of a shard that is still draining succeeded")
 		}
+		checkPlacement(t, coord)
 		return dup
 	}
 	return coord, sA, sB, id, feed, failDrain
@@ -1155,6 +1275,7 @@ func TestStatusShowsDrainingShard(t *testing.T) {
 	feed(0)
 	failDrain().Close()
 	feed(1)
+	checkPlacement(t, coord)
 	if err := coord.Drain(id); err != nil {
 		t.Fatal(err)
 	}
@@ -1190,12 +1311,14 @@ func TestFailedDrainRetriesAndRejoins(t *testing.T) {
 	if err := coord.DrainShard(sA.addr); err != nil {
 		t.Fatalf("retried drain: %v", err)
 	}
+	checkPlacement(t, coord)
 	if got := coord.RouteOf(id); got != sB.addr {
 		t.Fatalf("session routes to %q after the retried drain, want %s", got, sB.addr)
 	}
 	if err := coord.Join(sA.addr); err != nil {
 		t.Fatalf("join after the retried drain: %v", err)
 	}
+	checkPlacement(t, coord)
 	if got := coord.RouteOf(id); got != sA.addr {
 		t.Fatalf("session routes to %q after rejoin, want its arc %s", got, sA.addr)
 	}
@@ -1206,6 +1329,7 @@ func TestFailedDrainRetriesAndRejoins(t *testing.T) {
 	failDrain().Close()
 	sA.ln.Kill()
 	coord.ProbeOnce()
+	checkPlacement(t, coord)
 	if got := coord.RouteOf(id); got != sB.addr {
 		t.Fatalf("session routes to %q after the draining shard died, want %s", got, sB.addr)
 	}
@@ -1213,6 +1337,7 @@ func TestFailedDrainRetriesAndRejoins(t *testing.T) {
 	if err := coord.Join(sA.addr); err != nil {
 		t.Fatalf("join of the restarted shard: %v", err)
 	}
+	checkPlacement(t, coord)
 	feed(2)
 	if err := coord.Drain(id); err != nil {
 		t.Fatal(err)
@@ -1236,6 +1361,7 @@ func TestFailedDrainEndsWhenStuckSessionCloses(t *testing.T) {
 	if err := coord.CloseSession(id); err != nil {
 		t.Fatal(err)
 	}
+	checkPlacement(t, coord)
 	for _, row := range coord.Status().Shards {
 		if row.Addr == sA.addr {
 			t.Fatalf("status still lists %s (%s) after its last session closed", sA.addr, row.Role)
@@ -1244,6 +1370,7 @@ func TestFailedDrainEndsWhenStuckSessionCloses(t *testing.T) {
 	if err := coord.Join(sA.addr); err != nil {
 		t.Fatalf("join after the drain ended: %v", err)
 	}
+	checkPlacement(t, coord)
 }
 
 // --- the acceptance soak ---------------------------------------------
@@ -1322,14 +1449,17 @@ func TestFleetElasticitySoak(t *testing.T) {
 	}
 
 	feedAll(0, joinAt)
+	checkPlacement(t, coord)
 	if err := coord.Join(s3.addr); err != nil {
 		t.Fatalf("join mid-meeting: %v", err)
 	}
+	checkPlacement(t, coord)
 
 	feedAll(joinAt, drainAt)
 	if err := coord.DrainShard(s0.addr); err != nil {
 		t.Fatalf("drain mid-meeting: %v", err)
 	}
+	checkPlacement(t, coord)
 	if open := s0.mgr.Stats().Open; open != 0 {
 		t.Fatalf("drained shard still hosts %d sessions", open)
 	}
@@ -1350,10 +1480,12 @@ func TestFleetElasticitySoak(t *testing.T) {
 	s1.ln.Kill() // crash during the rebalanced regime
 
 	feedAll(killAt, partAt)
+	checkPlacement(t, coord)
 	drainAllAndReplicate()
 	s2.ln.Kill() // partition: the manager lives, the coordinator can't reach it
 
 	feedAll(partAt, total)
+	checkPlacement(t, coord)
 
 	live := map[string]bool{}
 	for _, m := range coord.Members() {
@@ -1380,6 +1512,7 @@ func TestFleetElasticitySoak(t *testing.T) {
 	if joined, drained := coord.Rebalances(); joined != 1 || drained != 1 {
 		t.Fatalf("rebalances = (%d joins, %d drains)", joined, drained)
 	}
+	checkPlacement(t, coord)
 }
 
 // TestStatusSamplesStalledShardsConcurrently: each row is sampled on

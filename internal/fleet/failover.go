@@ -321,9 +321,9 @@ func TakeOver(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mu.Unlock()
 
 	// Fence every shard at the new epoch and learn what actually lives
-	// where: dialing fences (clientLocked), the shard's status row
-	// enumerates placement, and a located session is pinned where it was
-	// found.
+	// where: dialing fences (clientLocked) and the shard's status row
+	// enumerates placement.
+	found := make(map[string]string, len(m.Specs))
 	for _, addr := range m.Members {
 		c.mu.Lock()
 		cl, cerr := c.clientLocked(addr)
@@ -345,23 +345,29 @@ func TakeOver(cfg CoordinatorConfig) (*Coordinator, error) {
 		}
 		c.mu.Lock()
 		for _, sl := range row.Sess {
-			switch p := c.sessions[sl.ID]; {
+			p := c.sessions[sl.ID]
+			switch first, dup := found[sl.ID]; {
 			case p == nil:
 				c.logf("fleet: takeover: session %q on %s is not in the fleet meta; ignoring it", sl.ID, addr)
-			case p.pin != "":
-				c.logf("fleet: takeover: session %q found on %s and %s; keeping the first", sl.ID, p.pin, addr)
+			case dup:
+				c.logf("fleet: takeover: session %q found on %s and %s; keeping the first", sl.ID, first, addr)
 			default:
-				p.pin = addr
+				found[sl.ID] = addr
 			}
 		}
 		c.mu.Unlock()
 	}
 
-	// Recover every recorded session found on no live shard.
+	// Once every unreachable shard is down, where the ring skips it, a
+	// located session settles where it was found: pinned there only
+	// when the ring homes it elsewhere. Every recorded session found on
+	// no live shard is recovered.
 	var orphans []string
 	c.mu.Lock()
 	for id, p := range c.sessions {
-		if p.pin == "" {
+		if addr, ok := found[id]; ok {
+			c.settleLocked(p, id, addr)
+		} else {
 			orphans = append(orphans, id)
 		}
 	}

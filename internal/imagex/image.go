@@ -257,29 +257,35 @@ func matchRow(row []uint64, pa, pb []RGB, tol int) {
 // eight flags and one multiply gathers them into its top byte in pixel
 // order: the shift for byte j is 56 + pixel − 8j, distinct mod 8, so no
 // two partial products meet and nothing carries.
+//
+// A group whose 24 bytes equal q's matches whole without the lane test:
+// |a − b| = 0 <= tol for every tol in 0..255, and a negative tol never
+// reaches the kernel. In a composited call most VB-region groups are
+// the VB's own bytes.
 func match8s(p, q []RGB, k, d uint64) uint64 {
 	q = q[:len(p)]
 	var word uint64
 	for g := 0; g+8 <= len(p); g += 8 {
 		a, b := (*[8]RGB)(p[g:g+8]), (*[8]RGB)(q[g:g+8])
-		f0 := byteFlags(
-			uint64(a[0].R)|uint64(a[0].G)<<8|uint64(a[0].B)<<16|uint64(a[1].R)<<24|
-				uint64(a[1].G)<<32|uint64(a[1].B)<<40|uint64(a[2].R)<<48|uint64(a[2].G)<<56,
-			uint64(b[0].R)|uint64(b[0].G)<<8|uint64(b[0].B)<<16|uint64(b[1].R)<<24|
-				uint64(b[1].G)<<32|uint64(b[1].B)<<40|uint64(b[2].R)<<48|uint64(b[2].G)<<56,
-			k, d)
-		f1 := byteFlags(
-			uint64(a[2].B)|uint64(a[3].R)<<8|uint64(a[3].G)<<16|uint64(a[3].B)<<24|
-				uint64(a[4].R)<<32|uint64(a[4].G)<<40|uint64(a[4].B)<<48|uint64(a[5].R)<<56,
-			uint64(b[2].B)|uint64(b[3].R)<<8|uint64(b[3].G)<<16|uint64(b[3].B)<<24|
-				uint64(b[4].R)<<32|uint64(b[4].G)<<40|uint64(b[4].B)<<48|uint64(b[5].R)<<56,
-			k, d)
-		f2 := byteFlags(
-			uint64(a[5].G)|uint64(a[5].B)<<8|uint64(a[6].R)<<16|uint64(a[6].G)<<24|
-				uint64(a[6].B)<<32|uint64(a[7].R)<<40|uint64(a[7].G)<<48|uint64(a[7].B)<<56,
-			uint64(b[5].G)|uint64(b[5].B)<<8|uint64(b[6].R)<<16|uint64(b[6].G)<<24|
-				uint64(b[6].B)<<32|uint64(b[7].R)<<40|uint64(b[7].G)<<48|uint64(b[7].B)<<56,
-			k, d)
+		a0 := uint64(a[0].R) | uint64(a[0].G)<<8 | uint64(a[0].B)<<16 | uint64(a[1].R)<<24 |
+			uint64(a[1].G)<<32 | uint64(a[1].B)<<40 | uint64(a[2].R)<<48 | uint64(a[2].G)<<56
+		b0 := uint64(b[0].R) | uint64(b[0].G)<<8 | uint64(b[0].B)<<16 | uint64(b[1].R)<<24 |
+			uint64(b[1].G)<<32 | uint64(b[1].B)<<40 | uint64(b[2].R)<<48 | uint64(b[2].G)<<56
+		a1 := uint64(a[2].B) | uint64(a[3].R)<<8 | uint64(a[3].G)<<16 | uint64(a[3].B)<<24 |
+			uint64(a[4].R)<<32 | uint64(a[4].G)<<40 | uint64(a[4].B)<<48 | uint64(a[5].R)<<56
+		b1 := uint64(b[2].B) | uint64(b[3].R)<<8 | uint64(b[3].G)<<16 | uint64(b[3].B)<<24 |
+			uint64(b[4].R)<<32 | uint64(b[4].G)<<40 | uint64(b[4].B)<<48 | uint64(b[5].R)<<56
+		a2 := uint64(a[5].G) | uint64(a[5].B)<<8 | uint64(a[6].R)<<16 | uint64(a[6].G)<<24 |
+			uint64(a[6].B)<<32 | uint64(a[7].R)<<40 | uint64(a[7].G)<<48 | uint64(a[7].B)<<56
+		b2 := uint64(b[5].G) | uint64(b[5].B)<<8 | uint64(b[6].R)<<16 | uint64(b[6].G)<<24 |
+			uint64(b[6].B)<<32 | uint64(b[7].R)<<40 | uint64(b[7].G)<<48 | uint64(b[7].B)<<56
+		if (a0^b0)|(a1^b1)|(a2^b2) == 0 {
+			word |= 0xff << uint(g)
+			continue
+		}
+		f0 := byteFlags(a0, b0, k, d)
+		f1 := byteFlags(a1, b1, k, d)
+		f2 := byteFlags(a2, b2, k, d)
 		m := f0&(f0<<8)&(f0>>8|f1<<56)&0x8000008000008000 |
 			f1&(f1<<8)&(f1>>8)&0x0000800000800000 |
 			f2&(f2<<8|f1>>56)&(f2>>8)&0x0080000080000080

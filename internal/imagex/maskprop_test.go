@@ -414,6 +414,57 @@ func TestMatchMaskIntoMatchesWithinTol(t *testing.T) {
 	}
 }
 
+// TestMatchKernelEqualGroups aims at the kernel's whole-group equality
+// shortcut: groups whose 24 bytes are equal, or equal but for one byte
+// at each of the 24 group offsets in turn, that byte differing by
+// exactly tol or tol+1 in either direction. Row 0 is all equal, rows 1
+// and 2 move the byte up and down in every group, and row 3 mixes the
+// three per group, so equal groups sit beside groups that must take the
+// lane test. Widths 1-130 cover whole groups, partial last words and row
+// tails, which apply the same per-offset pattern to their pixels.
+func TestMatchKernelEqualGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const h = 4
+	for w := 1; w <= 130; w++ {
+		dst := NewMask(w, h)
+		for _, tol := range []int{0, 1, 254, 255} {
+			for j := 0; j < 24; j++ {
+				for _, d := range []int{tol, tol + 1} {
+					if d > 255 {
+						continue
+					}
+					a, b := New(w, h), New(w, h)
+					for i := range a.Pix {
+						a.Pix[i] = RGB{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
+						b.Pix[i] = a.Pix[i]
+					}
+					for y := 1; y < h; y++ {
+						for x := j / 3; x < w; x += 8 {
+							sign := [...]int{0, 1, -1, rng.Intn(3) - 1}[y]
+							if sign == 0 {
+								continue
+							}
+							i := y*w + x
+							ca := [...]*uint8{&a.Pix[i].R, &a.Pix[i].G, &a.Pix[i].B}[j%3]
+							cb := [...]*uint8{&b.Pix[i].R, &b.Pix[i].G, &b.Pix[i].B}[j%3]
+							lo := uint8(rng.Intn(256 - d))
+							*ca, *cb = lo, lo+uint8(d)
+							if sign < 0 {
+								*ca, *cb = *cb, *ca
+							}
+						}
+					}
+					want := BuildMask(w, h, func(i int) bool { return WithinTol(a.Pix[i], b.Pix[i], tol) })
+					if got := MatchMaskInto(dst, a, b, tol); !got.Equal(want) {
+						t.Fatalf("w=%d tol=%d byte %d off by %d: MatchMaskInto differs from BuildMask(WithinTol): %d vs %d bits",
+							w, tol, j, d, got.Count(), want.Count())
+					}
+				}
+			}
+		}
+	}
+}
+
 // countWithinTol is the scalar reference for the popcount of
 // MatchMaskInto: the pixels that are WithinTol.
 func countWithinTol(a, b *Image, tol int) int {
