@@ -1,10 +1,13 @@
 // Package checkpoint defines the durable on-disk format for streaming
 // reconstruction state (.bbck): a compact versioned binary container
-// holding everything a core.StreamReconstructor accumulates — VB
-// identification state (the pinned VB by name), the derived VB image,
-// coverage and localKnown masks, the accumulated residue and the frame
-// counter — so an interrupted live session can resume at any frame
-// boundary with bit-identical output (DESIGN.md §11).
+// holding every piece of a core.StreamReconstructor's accumulated state
+// that can change its future output — VB identification state (the
+// pinned VB by name), the derived VB image, coverage and localKnown
+// masks, the accumulated residue and the frame counter — so an
+// interrupted live session can resume at any frame boundary with
+// bit-identical output (DESIGN.md §11). The large sections are masked:
+// they store only the pixels their mask marks, because every other
+// entry is one a resumed stream can rebuild exactly.
 //
 // The package is a dumb data layer: State is a plain carrier struct and
 // Encode/Decode translate it to and from bytes. internal/core owns the
@@ -21,11 +24,13 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/bgbuster/bgbuster/internal/binfmt"
@@ -40,7 +45,7 @@ const Magic = "BBCK"
 // pinned to the core pipeline, so cross-version resume would silently
 // diverge instead of being bit-identical (versioning rules: DESIGN.md
 // §11).
-const Version = 2
+const Version = 3
 
 // histBins is the color-refinement histogram size (quant12 bins).
 const histBins = 4096
@@ -135,17 +140,20 @@ type State struct {
 	PendingOracles []*imagex.Mask
 
 	// Unknown-image online derivation state (nil outside that mode).
+	// DerivedImg must be zero outside DerivedKnown. RunLen holds one
+	// counter per pixel; only those outside LocalKnown are stored, and
+	// Decode sets the others to 1.
 	DerivedImg   *imagex.Image
 	DerivedKnown *imagex.Mask
 	LocalKnown   *imagex.Mask
-	RunLen       []int
+	RunLen       []uint16
 	Prev         *imagex.Image
 
 	// Color-refinement running histogram (nil when never touched).
 	Hist      []int
 	HistTotal uint64
 
-	// Accumulated residue.
+	// Accumulated residue. Recovered must be zero outside Coverage.
 	Recovered *imagex.Image
 	Coverage  *imagex.Mask
 }
@@ -156,8 +164,11 @@ type State struct {
 //
 // with the CRC-32 (IEEE) covering the whole payload. All integers are
 // little-endian; masks are packed-word encodings (imagex.AppendWords)
-// and images raw RGB triples (imagex.AppendPix), both sized by the
-// header dimensions.
+// and whole images raw RGB triples (imagex.AppendPix), both sized by
+// the header dimensions. A masked image is its mask's words followed by
+// the RGB triples of the mask's set pixels in row-major order
+// (appendMasked); Encode fails on a non-zero pixel outside the mask
+// rather than drop it.
 func Encode(st *State) ([]byte, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
@@ -208,17 +219,15 @@ func Encode(st *State) ([]byte, error) {
 		buf = st.PendingOracles[i].AppendWords(buf)
 	}
 
+	var err error
 	if st.DerivedImg != nil {
 		buf = append(buf, 1)
-		buf = imagex.AppendPix(buf, st.DerivedImg.Pix)
 		buf = st.DerivedKnown.AppendWords(buf)
-		buf = st.LocalKnown.AppendWords(buf)
-		// The run counters are written as exact u32, the encoding the
-		// format has always used; core keeps them as saturating uint16 in
-		// memory and widens on write, so every container is unchanged.
-		for _, r := range st.RunLen {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
+		if buf, err = appendMasked(buf, st.DerivedImg, st.DerivedKnown); err != nil {
+			return nil, fmt.Errorf("checkpoint: encode derived image: %w", err)
 		}
+		buf = st.LocalKnown.AppendWords(buf)
+		buf = appendRuns(buf, st.RunLen, st.LocalKnown)
 		if st.Prev != nil {
 			buf = imagex.AppendPix(buf, st.Prev.Pix)
 		}
@@ -227,14 +236,20 @@ func Encode(st *State) ([]byte, error) {
 	}
 
 	if st.Hist != nil {
-		for _, h := range st.Hist {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(h))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(histEntries(st.Hist)))
+		for bin, n := range st.Hist {
+			if n != 0 {
+				buf = binary.LittleEndian.AppendUint16(buf, uint16(bin))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+			}
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, st.HistTotal)
 	}
 
-	buf = imagex.AppendPix(buf, st.Recovered.Pix)
 	buf = st.Coverage.AppendWords(buf)
+	if buf, err = appendMasked(buf, st.Recovered, st.Coverage); err != nil {
+		return nil, fmt.Errorf("checkpoint: encode residue: %w", err)
+	}
 
 	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.ChecksumIEEE(buf[payload:]))
 	return buf, nil
@@ -250,6 +265,9 @@ func (st *State) validate() error {
 	}
 	if st.Recovered == nil || st.Coverage == nil {
 		return errors.New("checkpoint: encode: nil accumulated residue")
+	}
+	if !st.fits(st.Recovered, st.Coverage) {
+		return errors.New("checkpoint: encode: accumulated residue geometry differs from the header")
 	}
 	if len(st.PendingFrames) != len(st.PendingOracles) {
 		return fmt.Errorf("checkpoint: encode: %d pending frames, %d oracles",
@@ -267,19 +285,106 @@ func (st *State) validate() error {
 		if st.DerivedKnown == nil || st.LocalKnown == nil {
 			return errors.New("checkpoint: encode: derivation state incomplete")
 		}
+		if !st.fits(st.DerivedImg, st.DerivedKnown) || !st.fits(nil, st.LocalKnown) ||
+			(st.Prev != nil && !st.fits(st.Prev, nil)) {
+			return errors.New("checkpoint: encode: derivation state geometry differs from the header")
+		}
 		if len(st.RunLen) != st.W*st.H {
 			return fmt.Errorf("checkpoint: encode: %d run lengths for %d pixels", len(st.RunLen), st.W*st.H)
 		}
-		for _, r := range st.RunLen {
-			if r < 0 || int64(r) > math.MaxUint32 {
-				return fmt.Errorf("checkpoint: encode: run length %d out of u32 range", r)
+	}
+	if st.Hist != nil {
+		if len(st.Hist) != histBins {
+			return fmt.Errorf("checkpoint: encode: histogram has %d bins, want %d", len(st.Hist), histBins)
+		}
+		for bin, n := range st.Hist {
+			if n < 0 {
+				return fmt.Errorf("checkpoint: encode: histogram bin %d holds %d", bin, n)
 			}
 		}
 	}
-	if st.Hist != nil && len(st.Hist) != histBins {
-		return fmt.Errorf("checkpoint: encode: histogram has %d bins, want %d", len(st.Hist), histBins)
-	}
 	return nil
+}
+
+// fits reports whether img and m (either may be nil) have the header
+// geometry, which the masked sections index by.
+func (st *State) fits(img *imagex.Image, m *imagex.Mask) bool {
+	return (img == nil || (img.W == st.W && img.H == st.H && len(img.Pix) == st.W*st.H)) &&
+		(m == nil || (m.W == st.W && m.H == st.H))
+}
+
+// histEntries returns the number of non-zero histogram bins, the
+// entries the histogram section stores.
+func histEntries(hist []int) int {
+	n := 0
+	for _, c := range hist {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// eachRun walks m one mask word at a time and calls fn for each
+// stretch of the word, in row-major pixel indices: [x, gap) unset, then
+// [gap, end) set, either possibly empty. A full word is one call with
+// x == gap, an empty word one call with gap == end. Bits past the row
+// width are zero by the mask padding invariant; the min calls keep a
+// word that broke it inside its row. fn returns false to stop the walk,
+// and eachRun reports whether it ran to the end.
+func eachRun(m *imagex.Mask, fn func(x, gap, end int) bool) bool {
+	wpr := m.WordsPerRow()
+	for y := 0; y < m.H; y++ {
+		for wx := 0; wx < wpr; wx++ {
+			lo, n := y*m.W+wx<<6, min(m.W-wx<<6, 64)
+			word := m.Word(y, wx)
+			for x := 0; x < n; {
+				gap := min(x+bits.TrailingZeros64(word>>uint(x)), n)
+				end := min(gap+bits.TrailingZeros64(^(word>>uint(gap))), n)
+				if !fn(lo+x, lo+gap, lo+end) {
+					return false
+				}
+				x = end
+			}
+		}
+	}
+	return true
+}
+
+// zeroRow is the comparand of the zero check on unmasked pixels.
+var zeroRow [64]imagex.RGB
+
+// appendMasked appends the RGB triples of img's pixels under m's set
+// bits in row-major order, one mask word at a time (eachRun): a full
+// word is one AppendPix, an empty word one 64-pixel zero compare. It
+// fails on a non-zero pixel outside m, which a decoder would silently
+// turn into zero.
+func appendMasked(buf []byte, img *imagex.Image, m *imagex.Mask) ([]byte, error) {
+	bad := -1
+	if !eachRun(m, func(x, gap, end int) bool {
+		if !bytes.Equal(imagex.PixBytes(img.Pix[x:gap]), imagex.PixBytes(zeroRow[:gap-x])) {
+			bad = x
+			return false
+		}
+		buf = imagex.AppendPix(buf, img.Pix[gap:end])
+		return true
+	}) {
+		return nil, fmt.Errorf("non-zero pixel outside the mask in row %d, from column %d", bad/m.W, bad%m.W)
+	}
+	return buf, nil
+}
+
+// appendRuns appends, as u16, the run counters of the pixels outside
+// known in row-major order. A counter under a set known bit can never
+// reach a commit again (known only grows), so it is left out.
+func appendRuns(buf []byte, runs []uint16, known *imagex.Mask) []byte {
+	eachRun(known, func(x, gap, _ int) bool {
+		for _, r := range runs[x:gap] {
+			buf = binary.LittleEndian.AppendUint16(buf, r)
+		}
+		return true
+	})
+	return buf
 }
 
 // encodedSizeHint returns the exact length Encode produces for a
@@ -297,15 +402,16 @@ func (st *State) encodedSizeHint() int {
 	n += 4 + len(st.PendingFrames)*(px+mw)
 	n++ // derivation presence byte
 	if st.DerivedImg != nil {
-		n += px + 2*mw + 4*st.W*st.H
+		n += mw + 3*st.DerivedKnown.Count()           // derived image
+		n += mw + 2*(st.W*st.H-st.LocalKnown.Count()) // run counters
 		if st.Prev != nil {
 			n += px
 		}
 	}
 	if st.Hist != nil {
-		n += 8*histBins + 8
+		n += 2 + 10*histEntries(st.Hist) + 8
 	}
-	return n + px + mw // accumulated residue
+	return n + mw + 3*st.Coverage.Count() // accumulated residue
 }
 
 // Decode parses a .bbck container under DefaultLimits.
@@ -442,22 +548,14 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 	switch hasDerived {
 	case 0:
 	case 1:
-		if st.DerivedImg, err = d.Image(st.W, st.H); err != nil {
-			return nil, err
-		}
-		if st.DerivedKnown, err = d.Mask(st.W, st.H); err != nil {
+		if st.DerivedKnown, st.DerivedImg, err = readMasked(d, st.W, st.H); err != nil {
 			return nil, err
 		}
 		if st.LocalKnown, err = d.Mask(st.W, st.H); err != nil {
 			return nil, err
 		}
-		if err := d.Need(4 * int64(st.W) * int64(st.H)); err != nil {
+		if st.RunLen, err = readRuns(d, st.LocalKnown); err != nil {
 			return nil, err
-		}
-		st.RunLen = make([]int, st.W*st.H)
-		for i := range st.RunLen {
-			v, _ := d.U32() // length pre-checked above
-			st.RunLen[i] = int(v)
 		}
 		if flags&flagHasPrev != 0 {
 			if st.Prev, err = d.Image(st.W, st.H); err != nil {
@@ -472,28 +570,94 @@ func DecodeWithLimits(data []byte, lim Limits) (*State, error) {
 	}
 
 	if flags&flagHasHist != 0 {
-		if err := d.Need(8*histBins + 8); err != nil {
+		if st.Hist, st.HistTotal, err = readHist(d); err != nil {
 			return nil, err
 		}
-		st.Hist = make([]int, histBins)
-		for i := range st.Hist {
-			v, _ := d.U64()
-			if v > math.MaxInt64 {
-				return nil, fmt.Errorf("checkpoint: histogram bin %d overflows: %w", i, ErrBadCheckpoint)
-			}
-			st.Hist[i] = int(v)
-		}
-		st.HistTotal, _ = d.U64()
 	}
 
-	if st.Recovered, err = d.Image(st.W, st.H); err != nil {
-		return nil, err
-	}
-	if st.Coverage, err = d.Mask(st.W, st.H); err != nil {
+	if st.Coverage, st.Recovered, err = readMasked(d, st.W, st.H); err != nil {
 		return nil, err
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("checkpoint: %d trailing bytes: %w", d.Remaining(), ErrBadCheckpoint)
 	}
 	return st, nil
+}
+
+// readMasked consumes a masked image (appendMasked's layout): the mask
+// words, then the RGB triples of its set pixels. Every other pixel is
+// zero. The triples are size-checked before the image is allocated.
+func readMasked(d *binfmt.Reader, w, h int) (*imagex.Mask, *imagex.Image, error) {
+	m, err := d.Mask(w, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := d.Bytes(3 * m.Count())
+	if err != nil {
+		return nil, nil, err
+	}
+	img := imagex.New(w, h)
+	eachRun(m, func(_, gap, end int) bool {
+		imagex.DecodePix(img.Pix[gap:end], b)
+		b = b[3*(end-gap):]
+		return true
+	})
+	return m, img, nil
+}
+
+// readRuns consumes the u16 run counters of the pixels outside known
+// (appendRuns' layout) and sets every other counter to 1, the value a
+// new stream starts from.
+func readRuns(d *binfmt.Reader, known *imagex.Mask) ([]uint16, error) {
+	b, err := d.Bytes(2 * (known.Len() - known.Count()))
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]uint16, known.Len())
+	eachRun(known, func(x, gap, end int) bool {
+		for i := x; i < gap; i++ {
+			runs[i] = binary.LittleEndian.Uint16(b)
+			b = b[2:]
+		}
+		for i := gap; i < end; i++ {
+			runs[i] = 1
+		}
+		return true
+	})
+	return runs, nil
+}
+
+// readHist consumes the histogram section: a u16 entry count, strictly
+// ascending (u16 bin, u64 count) entries with non-zero counts, and the
+// u64 total. Out-of-range, zero, repeated and descending entries are
+// rejected, so each histogram has one spelling.
+func readHist(d *binfmt.Reader) ([]int, uint64, error) {
+	n, err := d.U16()
+	if err != nil {
+		return nil, 0, err
+	}
+	if n > histBins {
+		return nil, 0, fmt.Errorf("checkpoint: %d histogram entries for %d bins: %w", n, histBins, ErrBadCheckpoint)
+	}
+	if err := d.Need(10*int64(n) + 8); err != nil {
+		return nil, 0, err
+	}
+	hist := make([]int, histBins)
+	prev := -1
+	for i := uint16(0); i < n; i++ {
+		bin, _ := d.U16() // length pre-checked above
+		c, _ := d.U64()
+		switch {
+		case int(bin) >= histBins:
+			return nil, 0, fmt.Errorf("checkpoint: histogram bin %d out of range: %w", bin, ErrBadCheckpoint)
+		case int(bin) <= prev:
+			return nil, 0, fmt.Errorf("checkpoint: histogram bin %d after bin %d: %w", bin, prev, ErrBadCheckpoint)
+		case c == 0 || c > math.MaxInt64:
+			return nil, 0, fmt.Errorf("checkpoint: histogram bin %d holds %d: %w", bin, c, ErrBadCheckpoint)
+		}
+		hist[bin] = int(c)
+		prev = int(bin)
+	}
+	total, _ := d.U64()
+	return hist, total, nil
 }

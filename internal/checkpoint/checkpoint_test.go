@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -37,11 +38,24 @@ func testMask(w, h int, seed int) *imagex.Mask {
 	return m
 }
 
+// maskedImage returns testImage(w, h, seed) with every pixel outside m
+// zeroed, as a stream's residue and derived image are.
+func maskedImage(w, h int, seed byte, m *imagex.Mask) *imagex.Image {
+	img := testImage(w, h, seed)
+	for i := range img.Pix {
+		if !m.GetI(i) {
+			img.Pix[i] = imagex.RGB{}
+		}
+	}
+	return img
+}
+
 // knownState builds a representative known-image state: a score table,
 // a pinned VB name and a non-empty pending buffer (the buffer would be
 // empty after identification in a real stream, but the format does not
 // care — core.validateResumeState does).
 func knownState(w, h int) *State {
+	cov := testMask(w, h, 9)
 	hist := make([]int, histBins)
 	hist[0], hist[17], hist[histBins-1] = 4, 9, 1
 	return &State{
@@ -51,7 +65,7 @@ func knownState(w, h int) *State {
 		PendingFrames:  []*imagex.Image{testImage(w, h, 1), testImage(w, h, 2)},
 		PendingOracles: []*imagex.Mask{testMask(w, h, 1), testMask(w, h, 2)},
 		Hist:           hist, HistTotal: 14,
-		Recovered: testImage(w, h, 9), Coverage: testMask(w, h, 9),
+		Recovered: maskedImage(w, h, 9, cov), Coverage: cov,
 	}
 }
 
@@ -63,18 +77,48 @@ func pendingState(w, h int) *State {
 	return st
 }
 
-// unknownState builds a representative unknown-image state.
+// unknownState builds a representative unknown-image state: every mask
+// partly set, and a run counter other than 1 on every pixel, including
+// those under LocalKnown that the format leaves out.
 func unknownState(w, h int) *State {
-	runLen := make([]int, w*h)
+	runLen := make([]uint16, w*h)
 	for i := range runLen {
-		runLen[i] = 1 + i%7
+		runLen[i] = uint16(2 + i%7)
 	}
+	known, cov := testMask(w, h, 3), testMask(w, h, 8)
 	return &State{
 		W: w, H: h, Mode: 1, Frames: 7, Fingerprint: 1,
-		DerivedImg: testImage(w, h, 3), DerivedKnown: testMask(w, h, 3),
+		DerivedImg: maskedImage(w, h, 3, known), DerivedKnown: known,
 		LocalKnown: testMask(w, h, 4), RunLen: runLen, Prev: testImage(w, h, 6),
-		Recovered: testImage(w, h, 8), Coverage: testMask(w, h, 8),
+		Recovered: maskedImage(w, h, 8, cov), Coverage: cov,
 	}
+}
+
+// wordsState is unknownState over masks whose rows are whole words
+// apart: full, empty and partly set rows in turn, so the masked
+// sections meet every kind of mask word. It carries a histogram too.
+func wordsState(w, h int) *State {
+	st := unknownState(w, h)
+	rows := func(seed int) *imagex.Mask {
+		m := testMask(w, h, seed)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				switch (y + seed) % 3 {
+				case 0:
+					m.Set(x, y, true)
+				case 1:
+					m.Set(x, y, false)
+				}
+			}
+		}
+		return m
+	}
+	st.DerivedKnown, st.LocalKnown, st.Coverage = rows(0), rows(1), rows(2)
+	st.DerivedImg = maskedImage(w, h, 3, st.DerivedKnown)
+	st.Recovered = maskedImage(w, h, 8, st.Coverage)
+	st.Hist = make([]int, histBins)
+	st.Hist[5], st.Hist[4000], st.HistTotal = 2, 7, 9
+	return st
 }
 
 func mustEncode(t *testing.T, st *State) []byte {
@@ -122,6 +166,7 @@ func TestRoundTrip(t *testing.T) {
 		{"known", knownState(13, 9)},     // 13 exercises mask row padding
 		{"pending", pendingState(13, 9)}, // pre-identification buffer only
 		{"unknown", unknownState(64, 4)}, // word-aligned width
+		{"unknown-words", wordsState(130, 6)},
 		{"unknown-noprev", func() *State { s := unknownState(5, 5); s.Prev = nil; return s }()},
 		{"finalized-min", &State{W: 1, H: 1, Mode: 0, Finalized: true,
 			Recovered: imagex.New(1, 1), Coverage: imagex.NewMask(1, 1)}},
@@ -167,8 +212,12 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("got %d run lengths, want %d", len(got.RunLen), len(tc.st.RunLen))
 			}
 			for i := range got.RunLen {
-				if got.RunLen[i] != tc.st.RunLen[i] {
-					t.Fatalf("runLen[%d] = %d, want %d", i, got.RunLen[i], tc.st.RunLen[i])
+				want := tc.st.RunLen[i]
+				if tc.st.LocalKnown.GetI(i) {
+					want = 1 // left out under LocalKnown, and decoded as 1
+				}
+				if got.RunLen[i] != want {
+					t.Fatalf("runLen[%d] = %d, want %d", i, got.RunLen[i], want)
 				}
 			}
 			if tc.st.Hist != nil {
@@ -185,7 +234,9 @@ func TestRoundTrip(t *testing.T) {
 			}
 
 			// Canonical encoding: re-encoding the decoded state must
-			// reproduce the container byte for byte.
+			// reproduce the container byte for byte. The fixtures' run
+			// counters under LocalKnown are not 1, so this also shows
+			// that the container leaves them out.
 			again := mustEncode(t, got)
 			if !bytes.Equal(data, again) {
 				t.Errorf("encode(decode(x)) != x: %d vs %d bytes", len(again), len(data))
@@ -227,31 +278,74 @@ func TestEncodeRejects(t *testing.T) {
 	}
 	t.Run("bad-runlen", func(t *testing.T) {
 		st := unknownState(4, 4)
-		st.RunLen[3] = -1
+		st.RunLen = st.RunLen[:3]
 		if _, err := Encode(st); err == nil {
-			t.Error("Encode accepted a negative run length")
+			t.Error("Encode accepted a run-length table of the wrong size")
 		}
 	})
+	t.Run("negative-hist-bin", func(t *testing.T) {
+		st := knownState(4, 4)
+		st.Hist[3] = -1
+		if _, err := Encode(st); err == nil {
+			t.Error("Encode accepted a negative histogram bin")
+		}
+	})
+	t.Run("mask-geometry", func(t *testing.T) {
+		st := unknownState(4, 4)
+		st.DerivedKnown = imagex.NewMask(4, 3)
+		if _, err := Encode(st); err == nil {
+			t.Error("Encode accepted a derived-known mask of another geometry")
+		}
+	})
+	// A non-zero pixel outside its section's mask fails Encode instead
+	// of being dropped: in an empty mask word, beside a run of set bits
+	// and in a row's partial last word.
+	for _, sec := range []struct {
+		name string
+		pick func(st *State) (*imagex.Image, *imagex.Mask)
+	}{
+		{"residue", func(st *State) (*imagex.Image, *imagex.Mask) { return st.Recovered, st.Coverage }},
+		{"derived", func(st *State) (*imagex.Image, *imagex.Mask) { return st.DerivedImg, st.DerivedKnown }},
+	} {
+		for _, at := range []struct{ x, y int }{{0, 0}, {70, 2}, {129, 5}} {
+			t.Run(fmt.Sprintf("pixel-outside-%s-%d-%d", sec.name, at.x, at.y), func(t *testing.T) {
+				st := wordsState(130, 6)
+				img, m := sec.pick(st)
+				// Clearing the bit leaves a one-pixel gap in a set row and
+				// changes nothing elsewhere.
+				m.Set(at.x, at.y, false)
+				img.Set(at.x, at.y, imagex.RGB{B: 1})
+				if _, err := Encode(st); err == nil {
+					t.Error("Encode accepted a non-zero pixel outside the mask")
+				}
+				img.Set(at.x, at.y, imagex.RGB{})
+				if _, err := Encode(st); err != nil {
+					t.Errorf("zeroing the pixel still fails: %v", err)
+				}
+			})
+		}
+	}
 }
 
 // TestIdentifiedKnownEncodedLength pins the layout of a pinned known-image
 // state (no pending buffer, as after identification): the VB travels as
 // its name only, so the container is the header, the score table, the
-// name, the empty pending and derivation sections, the histogram and the
-// residue — with no raster for the pinned VB.
+// name, the empty pending and derivation sections, the histogram's
+// non-zero bins and the residue's covered pixels — with no raster for
+// the pinned VB.
 func TestIdentifiedKnownEncodedLength(t *testing.T) {
 	for _, g := range []struct{ w, h int }{{13, 9}, {320, 240}} {
 		st := knownState(g.w, g.h)
 		st.PendingFrames, st.PendingOracles = nil, nil
-		px, mw := 3*g.w*g.h, imagex.MaskWordBytes(g.w, g.h)
+		mw := imagex.MaskWordBytes(g.w, g.h)
 		want := 12 + // magic, version, reserved, CRC
 			26 + // geometry, frames, mode, flags, fingerprint
 			4 + (2 + len("beach") + 8) + (2 + len("office") + 8) + // score table
 			2 + len("beach") + // pinned VB name
 			4 + // pending count (0)
 			1 + // derivation presence byte (absent)
-			8*histBins + 8 + // histogram and its total
-			px + mw // accumulated residue
+			2 + 3*(2+8) + 8 + // histogram: entry count, 3 non-zero bins, total
+			mw + 3*st.Coverage.Count() // coverage, then the covered pixels
 		if got := len(mustEncode(t, st)); got != want {
 			t.Errorf("%dx%d: identified known state encodes to %d bytes, layout gives %d", g.w, g.h, got, want)
 		}
@@ -264,16 +358,19 @@ func patchCRC(data []byte) {
 	binary.LittleEndian.PutUint32(data[8:], crc32.ChecksumIEEE(data[12:]))
 }
 
-// TestDecodeRejectsVersion1 checks that a container from the previous
-// format version, which embedded the pinned VB raster, is refused as
-// version skew rather than parsed: the version field is patched to 1 on
+// TestDecodeRejectsOlderVersions checks that containers from earlier
+// format versions are refused as version skew rather than parsed:
+// version 1 embedded the pinned VB raster, and version 2 stored every
+// pixel, run counter and histogram bin. The version field is patched on
 // an otherwise valid container, with its CRC recomputed.
-func TestDecodeRejectsVersion1(t *testing.T) {
-	data := mustEncode(t, knownState(8, 6))
-	binary.LittleEndian.PutUint16(data[4:], 1)
-	patchCRC(data)
-	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-1 container: %v does not wrap ErrVersion", err)
+func TestDecodeRejectsOlderVersions(t *testing.T) {
+	for v := uint16(1); v < Version; v++ {
+		data := mustEncode(t, knownState(8, 6))
+		binary.LittleEndian.PutUint16(data[4:], v)
+		patchCRC(data)
+		if _, err := Decode(data); !errors.Is(err, ErrVersion) {
+			t.Errorf("version-%d container: %v does not wrap ErrVersion", v, err)
+		}
 	}
 }
 
@@ -361,6 +458,33 @@ func TestDecodeRejects(t *testing.T) {
 		patchCRC(data)
 		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "sorted") {
 			t.Errorf("unsorted score table: %v", err)
+		}
+	})
+	t.Run("histogram-entries", func(t *testing.T) {
+		// knownState's histogram holds bins 0, 17 and 4095; the section
+		// sits right before the residue (coverage words, covered pixels).
+		st := knownState(8, 6)
+		enc := mustEncode(t, st)
+		entry := len(enc) - (imagex.MaskWordBytes(8, 6) + 3*st.Coverage.Count()) - 8 - 3*10
+		if binary.LittleEndian.Uint16(enc[entry+10:]) != 17 || binary.LittleEndian.Uint64(enc[entry+12:]) != 9 {
+			t.Fatal("histogram section is not where the layout puts it")
+		}
+		for _, tc := range []struct {
+			name   string
+			mutate func(b []byte)
+		}{
+			{"bin-out-of-range", func(b []byte) { binary.LittleEndian.PutUint16(b[entry+20:], histBins) }},
+			{"zero-count", func(b []byte) { binary.LittleEndian.PutUint64(b[entry+12:], 0) }},
+			{"repeated-bin", func(b []byte) { binary.LittleEndian.PutUint16(b[entry+10:], 0) }},
+			{"descending-bin", func(b []byte) { binary.LittleEndian.PutUint16(b[entry+20:], 5) }},
+			{"count-over-bins", func(b []byte) { binary.LittleEndian.PutUint16(b[entry-2:], histBins+1) }},
+		} {
+			data := append([]byte(nil), enc...)
+			tc.mutate(data)
+			patchCRC(data)
+			if _, err := Decode(data); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "histogram") {
+				t.Errorf("%s: %v", tc.name, err)
+			}
 		}
 	})
 	t.Run("huge-pending-count", func(t *testing.T) {

@@ -15,7 +15,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// Seed 1: a fully populated valid known-image container.
 	known := mustEncodeF(f, knownState(8, 6))
 	f.Add(known)
-	// Seed 2: a valid unknown-image container with derivation state.
+	// Seed 2: a valid unknown-image container with derivation state,
+	// every mask partly set.
 	unknown := mustEncodeF(f, unknownState(9, 5))
 	f.Add(unknown)
 	// Seed 3-5: truncations at section boundaries.
@@ -48,6 +49,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 	pad[len(pad)-7] = 0xff
 	patchCRC(pad)
 	f.Add(pad)
+	// Seed 11: an unknown-image container whose masks mix full, empty
+	// and partly set rows, with a histogram, so the masked sections,
+	// the run counters and the histogram entries all hold data.
+	f.Add(mustEncodeF(f, wordsState(60, 6)))
 
 	lim := Limits{MaxDim: 64, MaxPending: 16, MaxScores: 32, MaxNameLen: 64}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,19 +19,23 @@ import (
 // bit-identical, so it is rejected loudly.
 var ErrCheckpointMismatch = errors.New("core: checkpoint options mismatch")
 
-// Checkpoint serialises the stream's complete accumulated state into a
-// versioned .bbck container (internal/checkpoint, DESIGN.md §11). A
-// reconstructor rebuilt from it with ResumeStream under the same
-// options continues bit-identically to one that never stopped — at any
-// frame boundary, including before known-image identification pins,
-// exactly at the pin, and after Finalize.
+// Checkpoint serialises every part of the stream's accumulated state
+// that can change its future output into a versioned .bbck container
+// (internal/checkpoint, DESIGN.md §11). A reconstructor rebuilt from it
+// with ResumeStream under the same options continues bit-identically to
+// one that never stopped — at any frame boundary, including before
+// known-image identification pins, exactly at the pin, and after
+// Finalize.
 //
 // Options.Segmenter is deliberately outside the contract: a stateful
 // segmenter (e.g. the seeded OfflineSegmenter) carries its own evolution
 // that the caller must persist separately; with a stateless segmenter
 // the bit-identical guarantee is unconditional. The LBFrames/LBBits
 // counters are not persisted either; a resumed stream's count frames
-// fed since the resume.
+// fed since the resume. Nor are the run counters of pixels already in
+// localKnown: advanceRuns masks their commits and localKnown only
+// grows, so they never reach an output again, and resume sets them to
+// 1.
 //
 // Like every other method, Checkpoint is not safe for concurrent use
 // with Feed; the session layer serialises access.
@@ -59,18 +63,7 @@ func (s *StreamReconstructor) Checkpoint() ([]byte, error) {
 		st.DerivedImg = s.derived.Img
 		st.DerivedKnown = s.derived.Known
 		st.LocalKnown = s.localKnown
-		// The in-memory run counters are saturating uint16 (DESIGN.md
-		// §14); the wire format keeps its original exact-int encoding, so
-		// widen on write. The canonical bytes only differ from a pre-
-		// saturation stream if a run genuinely exceeded maxRunLen frames
-		// (>36 minutes of stability at 30 fps) — and even then the resumed
-		// evolution is identical, because any count ≥ StabilityThreshold
-		// behaves the same.
-		rl := make([]int, len(s.runLen))
-		for i, v := range s.runLen {
-			rl[i] = int(v)
-		}
-		st.RunLen = rl
+		st.RunLen = s.runLen
 		st.Prev = s.prev
 	}
 	data, err := checkpoint.Encode(st)
@@ -159,17 +152,7 @@ func ResumeStreamWithLimits(data []byte, opts Options, lim checkpoint.Limits) (*
 	if opts.Mode == VBUnknownImage {
 		s.derived = &DerivedImage{Img: st.DerivedImg, Known: st.DerivedKnown}
 		s.localKnown = st.LocalKnown
-		// Narrow the exact wire counters back into the saturating
-		// representation. Clamping is lossy only above the ceiling, where
-		// commit decisions are already insensitive to the exact count (the
-		// threshold is capped at maxRunLen by normalizeStreamOptions).
-		s.runLen = make([]uint16, len(st.RunLen))
-		for i, v := range st.RunLen {
-			if v > maxRunLen {
-				v = maxRunLen
-			}
-			s.runLen[i] = uint16(v)
-		}
+		s.runLen = st.RunLen
 		s.prev = st.Prev
 		s.derivedCount = s.derived.Known.Count()
 		s.rec.DerivedCoverage = s.derived.Coverage()

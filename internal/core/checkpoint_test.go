@@ -223,6 +223,58 @@ func TestCheckpointResumeParityUnknown(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeParityMidDerivation resumes an unknown-image
+// stream while LocalKnown is partly set and the colour histogram is
+// non-empty, then compares the checkpoint bytes of the resumed and the
+// uninterrupted stream after every later frame. The container leaves
+// out the run counters under LocalKnown and resume sets them to 1, so
+// the two streams' counters there differ; the test checks that they do,
+// and that the bytes still match at every frame.
+func TestCheckpointResumeParityMidDerivation(t *testing.T) {
+	const frames, at = 30, 15
+	res, sils := testCall(t, 56, frames, compositor.StaticImage{Img: beach()}, compositor.ProfileZoom())
+	mkOpts := func() Options {
+		o := oracleOpts()
+		o.Mode = VBUnknownImage
+		o.ColorRefine = true
+		return o
+	}
+	cont, err := NewStream(160, 120, mkOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < at; i++ {
+		if err := cont.Feed(res.Blended.Frames[i], sils[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cont.localKnown.Count(); n == 0 || n == 160*120 {
+		t.Fatalf("LocalKnown holds %d of %d pixels at the resume; want it partly set", n, 160*120)
+	}
+	if cont.histTotal == 0 {
+		t.Fatal("colour histogram is empty at the resume")
+	}
+	resumed := mustResume(t, mustCheckpoint(t, cont), mkOpts())
+	differ := 0
+	for i, r := range cont.runLen {
+		if cont.localKnown.GetI(i) && r != resumed.runLen[i] {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("no run counter under LocalKnown differs from the resumed stream's; the test would be vacuous")
+	}
+	for i := at; i < frames; i++ {
+		if err := cont.Feed(res.Blended.Frames[i], sils[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Feed(res.Blended.Frames[i], sils[i]); err != nil {
+			t.Fatal(err)
+		}
+		assertSameState(t, fmt.Sprintf("frame %d", i+1), cont, resumed)
+	}
+}
+
 // TestCheckpointResumeAfterFinalize covers the post-Finalize boundary:
 // an evicted (finalized) session checkpoint must resume into a
 // finalized stream with the full reconstruction, rejecting further
@@ -380,7 +432,7 @@ func TestResumeRejectsInconsistentState(t *testing.T) {
 		st.DerivedImg = imagex.New(w, h)
 		st.DerivedKnown = imagex.NewMask(w, h)
 		st.LocalKnown = imagex.NewMask(w, h)
-		st.RunLen = make([]int, w*h)
+		st.RunLen = make([]uint16, w*h)
 		if _, err := ResumeStream(encode(st), opts); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Fatalf("err = %v", err)
 		}

@@ -100,8 +100,7 @@ const DefaultIdentifyAfter = 10
 // A saturated pixel stays at the ceiling while its run continues and
 // resets to 1 on any change, so commit decisions are unaffected for any
 // StabilityThreshold ≤ maxRunLen (normalizeStreamOptions rejects
-// larger). Checkpoints store run lengths as exact integers; see
-// Checkpoint for the (theoretical) divergence window this leaves.
+// larger). Checkpoints store the counters at the same width.
 const maxRunLen = 0xFFFF
 
 // ErrFinalized is returned by Feed after Finalize.

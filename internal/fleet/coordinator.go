@@ -316,10 +316,17 @@ func (c *Coordinator) handleShardLoss(addr string) {
 		}
 	}
 	sort.Strings(orphans)
-	// A probation shard that dies again forfeits its probation; the
-	// pins recorded for it point at other (live) shards and simply
-	// remain route overrides.
+	// A probation shard that dies again forfeits its probation. The
+	// pins recorded for it point at other (live) shards; the ring now
+	// skips addr, so a pin that names its session's new ring home is
+	// cleared, leaving that session to move with the ring like any other
+	// when addr joins again.
 	c.loseLocked(addr)
+	for id, p := range c.sessions {
+		if p.gate == nil && p.pin != "" && p.pin == c.homeLocked(id) {
+			p.pin = ""
+		}
+	}
 	c.shardsLost.Add(1)
 	c.mu.Unlock()
 

@@ -706,6 +706,79 @@ func TestJoinRestartedShardTakesRecoveredSessionsHome(t *testing.T) {
 	}
 }
 
+// TestShardLossSettlesPinsOnOtherShards loses a shard twice around a
+// Readmit. A session homed on A is recovered onto B, then pinned to B
+// by A's probation; when A is lost again B is the session's ring home,
+// so the pin must go, and the session must follow the ring back to A
+// when A joins. The placement rules are checked after every step.
+func TestShardLossSettlesPinsOnOtherShards(t *testing.T) {
+	frames, sils := leakFrames(3)
+	sA, sB := startShard(t), startShard(t)
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Shards: []string{sA.addr, sB.addr}, Store: session.NewMemStore(),
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	_, byShard := pickIDs(coord.ring, []string{sA.addr, sB.addr}, 1)
+	id := byShard[sA.addr][0]
+	if err := coord.Open(OpenSpec{ID: id, W: fw, H: fh, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	feed := func(i int) {
+		t.Helper()
+		if err := coord.Feed(id, core.Frame{Img: frames[i], Oracle: sils[i]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Drain(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Replicate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route := func(step, want string) {
+		t.Helper()
+		checkPlacement(t, coord)
+		if got := coord.RouteOf(id); got != want {
+			t.Fatalf("after %s the session routes to %q, want %s", step, got, want)
+		}
+	}
+	feed(0)
+	route("open", sA.addr)
+
+	sA.ln.Kill()
+	coord.ProbeOnce()
+	route("the first loss of A", sB.addr)
+	feed(1)
+
+	restarted := startShardAt(t, sA.addr)
+	if err := coord.Readmit(sA.addr); err != nil {
+		t.Fatalf("readmit: %v", err)
+	}
+	route("readmitting A", sB.addr)
+
+	restarted.ln.Kill()
+	coord.ProbeOnce()
+	route("the second loss of A", sB.addr)
+
+	startShardAt(t, sA.addr)
+	if err := coord.Join(sA.addr); err != nil {
+		t.Fatalf("join restarted shard: %v", err)
+	}
+	route("A joins", sA.addr)
+	feed(2)
+	snap, err := coord.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.StreamFrames != 3 {
+		t.Fatalf("session holds %d frames after two losses and a join, want 3", snap.StreamFrames)
+	}
+}
+
 // TestDrainShardEndsProbation drains a re-admitted shard before its
 // promotion: the drained address must leave probation with it, and a
 // later Promote of it must be refused.
